@@ -9,9 +9,11 @@ today's unique-source count falls below the company's historical mean.
 from __future__ import annotations
 
 import json
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from datetime import date, datetime, time, timedelta
 from pathlib import Path
+from typing import NamedTuple
 from zoneinfo import ZoneInfo
 
 from .sentiment import ScoredArticle
@@ -64,8 +66,7 @@ def load_aggregation_config(path: str | Path) -> AggregationConfig:
     )
 
 
-@dataclass(frozen=True)
-class DailySentiment:
+class DailySentiment(NamedTuple):
     company_id: str
     trading_date: date
     raw_mean: float
@@ -90,11 +91,12 @@ def effective_trading_date(
     day = local.date()
     if local.time() >= calendar.cutoff:
         day += timedelta(days=1)
-    if day < calendar.dates[0]:
-        return calendar.dates[0], f"published {published_at.isoformat()} precedes the calendar"
-    for trading_date in calendar.dates:
-        if trading_date >= day:
-            return trading_date, None
+    dates = calendar.dates
+    if day < dates[0]:
+        return dates[0], f"published {published_at.isoformat()} precedes the calendar"
+    i = bisect_left(dates, day)
+    if i < len(dates):
+        return dates[i], None
     return None, f"published {published_at.isoformat()} falls after the final trading date"
 
 
@@ -106,9 +108,15 @@ def source_adjustment(u_today: int, prior_counts: list[int]) -> float:
     """
     if u_today < 1:
         raise ValueError(f"u_today must be >= 1, got {u_today}")
-    if not prior_counts:
+    return _shrink(u_today, sum(prior_counts), len(prior_counts))
+
+
+def _shrink(u_today: int, prior_total: int, prior_days: int) -> float:
+    # the running total and count are exactly sum(history) and len(history),
+    # and int / int is correctly rounded, so the mean matches bit for bit
+    if not prior_days:
         return 1.0
-    m = sum(prior_counts) / len(prior_counts)
+    m = prior_total / prior_days
     if u_today < m:
         return u_today / m
     return 1.0
@@ -130,13 +138,15 @@ def aggregate_daily(
     """Build the complete (company, trading date) sentiment grid.
 
     Per company and date: raw mean of article scores in input order, unique
-    source count, adjustment from the per-company history scan, adjusted =
-    raw * adjustment. Companies and dates with no articles get all-zero rows,
-    so the grid always has |universe| * |dates| entries.
+    source count, adjustment from the company's source history before that
+    date, adjusted = raw * adjustment. Companies and dates with no articles
+    get all-zero rows, so the grid always has |universe| * |dates| entries.
     """
     config = config or AggregationConfig()
+    all_days = config.adjustment_history == "all_days"
     result = AggregationResult(rows=[])
-    groups: dict[tuple[str, date], dict] = {}
+    # company -> trading date -> (scores in input order, sources)
+    groups: dict[str, dict[date, tuple[list[float], set[str]]]] = {}
     for record in scored:
         trading_date, diagnostic = effective_trading_date(record.published_at, calendar)
         if diagnostic is not None:
@@ -144,52 +154,50 @@ def aggregate_daily(
         if trading_date is None:
             result.dropped_after_range += 1
             continue
-        group = groups.setdefault((record.company_id, trading_date), {"scores": [], "sources": set()})
-        group["scores"].append(record.score)
-        group["sources"].add(record.source)
+        by_date = groups.setdefault(record.company_id, {})
+        group = by_date.get(trading_date)
+        if group is None:
+            group = by_date[trading_date] = ([], set())
+        group[0].append(record.score)
+        group[1].add(record.source)
 
-    by_key: dict[tuple[str, date], DailySentiment] = {}
+    # one column of rows per company, each scanned once in date order with a
+    # running source history; zip(*columns) turns them into date-major rows
+    columns: list[list[DailySentiment]] = []
     for company in sorted(universe):
-        history: list[int] = []
+        by_date = groups.get(company, {})
+        prior_total = prior_days = 0
+        column = []
         for trading_date in calendar.dates:
-            group = groups.get((company, trading_date))
-            if group:
-                scores = group["scores"]
-                raw = sum(scores) / len(scores)
-                u = len(group["sources"])
-                adj = source_adjustment(u, history)
-                row = DailySentiment(
-                    company_id=company, trading_date=trading_date,
-                    raw_mean=raw, adjusted=raw * adj,
-                    article_count=len(scores), unique_sources=u, adjustment=adj,
-                )
-                history.append(u)
-            else:
-                row = DailySentiment(
-                    company_id=company, trading_date=trading_date,
-                    raw_mean=0.0, adjusted=0.0,
-                    article_count=0, unique_sources=0, adjustment=1.0,
-                )
-                if config.adjustment_history == "all_days":
-                    history.append(0)
-            by_key[(company, trading_date)] = row
-    result.rows = [
-        by_key[(company, trading_date)]
-        for trading_date in calendar.dates
-        for company in sorted(universe)
-    ]
+            group = by_date.get(trading_date)
+            if group is None:
+                column.append(DailySentiment(company, trading_date, 0.0, 0.0, 0, 0, 1.0))
+                if all_days:
+                    prior_days += 1
+                continue
+            scores, sources = group
+            raw = sum(scores) / len(scores)
+            u = len(sources)
+            adj = _shrink(u, prior_total, prior_days)
+            column.append(DailySentiment(company, trading_date, raw, raw * adj, len(scores), u, adj))
+            prior_total += u
+            prior_days += 1
+        columns.append(column)
+    result.rows = [row for rows_of_date in zip(*columns) for row in rows_of_date]
     return result
 
 
 def write_daily_sentiment_csv(path: str | Path, result: AggregationResult) -> None:
     # repr() keeps the shortest round-trippable float text, so re-reading the
     # file reproduces the values bit for bit
+    iso: dict[date, str] = {}
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("date,company,raw_mean,unique_sources,adjustment,adjusted\n")
-        for row in result.rows:
-            fh.write(
-                f"{row.trading_date.isoformat()},{row.company_id},{row.raw_mean!r},"
-                f"{row.unique_sources},{row.adjustment!r},{row.adjusted!r}\n")
+        for company, trading_date, raw, adjusted, _, u, adj in result.rows:
+            day = iso.get(trading_date)
+            if day is None:
+                day = iso[trading_date] = trading_date.isoformat()
+            fh.write(f"{day},{company},{raw!r},{u},{adj!r},{adjusted!r}\n")
 
 
 def load_daily_sentiment_csv(path: str | Path) -> dict[tuple[str, date], float]:
@@ -201,10 +209,12 @@ def load_daily_sentiment_csv(path: str | Path) -> dict[tuple[str, date], float]:
         for name in ("date", "company", "adjusted"):
             if name not in idx:
                 raise ValueError(f"sentiment CSV lacks a {name!r} column")
-        for line in fh:
+        for lineno, line in enumerate(fh, start=2):
             if not line.strip():
                 continue
             parts = line.rstrip("\n").split(",")
-            out[(parts[idx["company"]], date.fromisoformat(parts[idx["date"]]))] = (
-                float(parts[idx["adjusted"]]))
+            key = (parts[idx["company"]], date.fromisoformat(parts[idx["date"]]))
+            if key in out:
+                raise ValueError(f"line {lineno}: duplicate sentiment row for ({key[0]}, {key[1]})")
+            out[key] = float(parts[idx["adjusted"]])
     return out

@@ -10,6 +10,7 @@ gross return before compounding the level.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from datetime import date, datetime
 from pathlib import Path
@@ -35,11 +36,11 @@ class PriceSeries:
 def load_prices(path: str | Path) -> PriceSeries:
     """Read a date,company,close CSV into a gap-free grid.
 
-    Every company must have a positive close for every date; a name with
-    missing rows is rejected with its first gap named.
+    Every company must have a finite positive close for every date; a name
+    with missing rows is rejected with its first gap named.
     """
     closes: dict[tuple[str, date], float] = {}
-    dates: set[date] = set()
+    parsed: dict[str, date] = {}  # date text -> date, so each text is parsed once
     companies: set[str] = set()
     with open(path, encoding="utf-8") as fh:
         header = fh.readline().strip().split(",")
@@ -47,28 +48,36 @@ def load_prices(path: str | Path) -> PriceSeries:
         for name in ("date", "company", "close"):
             if name not in idx:
                 raise ValueError(f"price CSV lacks a {name!r} column")
+        i_date, i_company, i_close = idx["date"], idx["company"], idx["close"]
         for lineno, line in enumerate(fh, start=2):
             if not line.strip():
                 continue
             parts = line.rstrip("\n").split(",")
-            d = date.fromisoformat(parts[idx["date"]])
-            company = parts[idx["company"]]
-            close = float(parts[idx["close"]])
+            text = parts[i_date]
+            d = parsed.get(text)
+            if d is None:
+                d = parsed[text] = date.fromisoformat(text)
+            company = parts[i_company]
+            close = float(parts[i_close])
+            if not math.isfinite(close):
+                raise ValueError(f"line {lineno}: non-finite close {close!r} for {company}")
             if close <= 0:
                 raise ValueError(f"line {lineno}: nonpositive close {close!r} for {company}")
             if (company, d) in closes:
                 raise ValueError(f"line {lineno}: duplicate price row for ({company}, {d})")
             closes[(company, d)] = close
-            dates.add(d)
             companies.add(company)
     if not closes:
         raise ValueError("price CSV contains no rows")
-    ordered_dates = tuple(sorted(dates))
+    ordered_dates = tuple(sorted(set(parsed.values())))
     ordered_companies = tuple(sorted(companies))
-    for company in ordered_companies:
-        for d in ordered_dates:
-            if (company, d) not in closes:
-                raise ValueError(f"price series has a gap: no close for ({company}, {d})")
+    # rows are unique (company, date) pairs, so the grid is complete exactly
+    # when their count fills it; only a short count needs the gap search
+    if len(closes) != len(ordered_dates) * len(ordered_companies):
+        for company in ordered_companies:
+            for d in ordered_dates:
+                if (company, d) not in closes:
+                    raise ValueError(f"price series has a gap: no close for ({company}, {d})")
     return PriceSeries(dates=ordered_dates, companies=ordered_companies, closes=closes)
 
 
@@ -184,18 +193,6 @@ class BacktestResult:
     days: list[DayRecord]
     summary: dict
 
-    @property
-    def levels(self) -> list[float]:
-        return [day.level for day in self.days]
-
-    @property
-    def benchmark_levels(self) -> list[float]:
-        return [day.benchmark_level for day in self.days]
-
-
-def _zero_signal(companies: tuple[str, ...]) -> dict[str, float]:
-    return {c: 0.0 for c in companies}
-
 
 def run_backtest(
     prices: PriceSeries,
@@ -248,7 +245,7 @@ def run_backtest(
         # beyond the final date (lag 0 only) there is nothing to trade on
         signal_idx = i + 1 - cfg.signal_lag_days
         if signal_idx < 0:
-            signal = _zero_signal(companies)
+            signal = dict.fromkeys(companies, 0.0)
             target = optimize_weights(signal, drifted, cfg.optimizer)
         elif signal_idx >= len(dates):
             target = dict(drifted)

@@ -13,11 +13,11 @@ from datetime import date, timedelta
 import numpy as np
 import pytest
 
+from grid_oracle import brute_force_oracle
 from sentindex.backtest import BacktestConfig, PriceSeries, run_backtest
 from sentindex.optimizer import (
     InfeasibleProblemError,
     OptimizerConfig,
-    brute_force_oracle,
     extract_trades,
     objective_value,
     optimize_weights,

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import random
 from datetime import date, datetime, time, timedelta, timezone
 from zoneinfo import ZoneInfo
 
@@ -9,8 +10,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import aggregation_reference
 from sentindex.aggregation import (
+    HISTORY_MODES,
     AggregationConfig,
+    DailySentiment,
     TradingCalendar,
     aggregate_daily,
     effective_trading_date,
@@ -193,6 +197,16 @@ class TestAggregateDaily:
         for row in result.rows:
             assert loaded[(row.company_id, row.trading_date)] == row.adjusted
 
+    def test_csv_rejects_duplicate_row(self, tmp_path):
+        path = tmp_path / "daily.csv"
+        path.write_text(
+            "date,company,raw_mean,unique_sources,adjustment,adjusted\n"
+            "2019-03-04,puma,0.5,1,1.0,0.5\n"
+            "2019-03-04,adidas,0.0,0,1.0,0.0\n"
+            "2019-03-04,puma,0.25,1,1.0,0.25\n")
+        with pytest.raises(ValueError, match=r"line 4: duplicate sentiment row for \(puma, 2019-03-04\)"):
+            load_daily_sentiment_csv(path)
+
     def test_bad_history_mode_rejected(self):
         with pytest.raises(ValueError, match="adjustment_history"):
             AggregationConfig(adjustment_history="sometimes")
@@ -204,3 +218,58 @@ class TestAggregateDaily:
     def test_calendar_rejects_unknown_zone(self):
         with pytest.raises(Exception):
             TradingCalendar(dates=WEEKDAYS, timezone="Mars/Olympus")
+
+
+def random_case(seed: int) -> tuple[list[ScoredArticle], list[str], TradingCalendar]:
+    """Seeded articles, universe and holiday calendar for the reference comparison.
+
+    Timestamps fall before, inside and after the calendar, on weekends and
+    holidays, in several UTC offsets, and exactly at the local cutoff or one
+    microsecond before it. Some articles name a company outside the universe.
+    """
+    rng = random.Random(seed)
+    zone = rng.choice(["Europe/Berlin", "America/New_York"])
+    market = ZoneInfo(zone)
+    first = date(2019, 1, 7) + timedelta(days=rng.randrange(700))
+    days = [first + timedelta(days=i) for i in range(rng.randrange(10, 60))]
+    dates = tuple(d for d in days if d.weekday() < 5 and rng.random() > 0.1)
+    calendar = TradingCalendar(dates=dates, timezone=zone, cutoff=time(17, 0))
+    universe = [f"c{i:02d}" for i in rng.sample(range(20), rng.randrange(1, 9))]
+    companies = universe + ["outside"]
+    offsets = [timezone.utc, timezone(timedelta(hours=1)), timezone(timedelta(hours=-5)),
+               timezone(timedelta(hours=5, minutes=30)), market]
+    span = (days[-1] - days[0]).days + 6
+    articles = []
+    for i in range(rng.randrange(0, 400)):
+        day = days[0] + timedelta(days=rng.randrange(-3, span))
+        kind = rng.random()
+        if kind < 0.15:
+            when = datetime.combine(day, time(17, 0), tzinfo=market)
+        elif kind < 0.25:
+            when = datetime.combine(day, time(16, 59, 59, 999999), tzinfo=market)
+        else:
+            local = datetime.combine(day, time()) + timedelta(seconds=rng.randrange(86400))
+            when = local.replace(tzinfo=rng.choice(offsets))
+        articles.append(ScoredArticle(
+            id=f"a{i}", company_id=rng.choice(companies), source=f"s{rng.randrange(6)}",
+            published_at=when, score=rng.choice([0.0, 1 / 3, rng.uniform(-1.0, 1.0)])))
+    return articles, universe, calendar
+
+
+@pytest.mark.parametrize("mode", HISTORY_MODES)
+@pytest.mark.parametrize("seed", range(12))
+def test_matches_reference_bit_for_bit(seed, mode):
+    articles, universe, calendar = random_case(seed)
+    config = AggregationConfig(market_timezone=calendar.timezone, adjustment_history=mode)
+    got = aggregate_daily(articles, universe, calendar, config)
+    want = aggregation_reference.aggregate_daily(articles, universe, calendar, config)
+    assert len(got.rows) == len(want.rows) == len(universe) * len(calendar.dates)
+    for new, old in zip(got.rows, want.rows):
+        for name in DailySentiment._fields:
+            a, b = getattr(new, name), getattr(old, name)
+            assert a == b and repr(a) == repr(b), (name, new, old)
+    assert got.diagnostics == want.diagnostics
+    assert got.dropped_after_range == want.dropped_after_range
+    for record in articles:
+        assert (effective_trading_date(record.published_at, calendar)
+                == aggregation_reference.effective_trading_date(record.published_at, calendar))

@@ -274,13 +274,20 @@ class TestLoaders:
         path.write_text(
             "date,company,close\n"
             "2021-03-01,a,10.0\n2021-03-01,b,20.0\n2021-03-02,a,11.0\n")
-        with pytest.raises(ValueError, match="gap"):
+        with pytest.raises(ValueError, match=r"gap: no close for \(b, 2021-03-02\)"):
             load_prices(path)
 
     def test_load_prices_rejects_nonpositive(self, tmp_path):
         path = tmp_path / "prices.csv"
         path.write_text("date,company,close\n2021-03-01,a,0.0\n")
         with pytest.raises(ValueError, match="nonpositive"):
+            load_prices(path)
+
+    @pytest.mark.parametrize("close", ["nan", "inf"])
+    def test_load_prices_rejects_non_finite(self, tmp_path, close):
+        path = tmp_path / "prices.csv"
+        path.write_text(f"date,company,close\n2021-03-01,a,10.0\n2021-03-01,b,{close}\n")
+        with pytest.raises(ValueError, match=f"line 3: non-finite close {close} for b"):
             load_prices(path)
 
     def test_write_outputs(self, tmp_path):

@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -98,6 +101,19 @@ class TestOptimizeCommand:
 
 
 class TestErrorHandling:
+    def test_non_finite_close_exits_one(self, chain_dir, golden_dir, capsys):
+        lines = (golden_dir / "prices.csv").read_text().splitlines()
+        d, company, _ = lines[5].split(",")
+        lines[5] = f"{d},{company},nan"
+        prices = chain_dir / "prices_nan.csv"
+        prices.write_text("\n".join(lines) + "\n")
+        out = chain_dir / "bt"
+        code = run(["backtest", "--prices", prices, "--sentiments", chain_dir / "daily.csv",
+                    "--config", golden_dir / "backtest_config.json", "--out", out])
+        assert code == 1
+        assert "line 6: non-finite close nan" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_input_file_exits_one(self, tmp_path, capsys):
         code = run(["filter", "--articles", tmp_path / "nope.jsonl",
                     "--config", tmp_path / "nope.json", "--out", tmp_path / "out.jsonl"])
@@ -159,3 +175,12 @@ class TestPrescoredProviderPath:
         assert run(["score", "--articles", articles, "--provider", "prescored",
                     "--provider-file", prescored, "--mode", "expectation", "--out", out]) == 0
         assert json.loads(out.read_text())["score"] == pytest.approx(0.3)
+
+
+def test_cli_import_leaves_numpy_unloaded():
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    probe = "import sys, sentindex.cli; print('numpy' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                          text=True, timeout=60, check=True)
+    assert done.stdout.strip() == "False"

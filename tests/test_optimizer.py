@@ -7,11 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from grid_oracle import brute_force_oracle
 from lp_reference import solve_lp
 from sentindex.optimizer import (
     InfeasibleProblemError,
     OptimizerConfig,
-    brute_force_oracle,
     extract_trades,
     objective_value,
     optimize_weights,
