@@ -8,7 +8,7 @@ today's unique-source count falls below the company's historical mean.
 
 from __future__ import annotations
 
-import json
+import math
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from datetime import date, datetime, time, timedelta
@@ -16,6 +16,7 @@ from pathlib import Path
 from typing import NamedTuple
 from zoneinfo import ZoneInfo
 
+from .inputs import csv_columns, load_json_object
 from .sentiment import ScoredArticle
 
 HISTORY_MODES = ("nonzero_days", "all_days")
@@ -57,8 +58,7 @@ class AggregationConfig:
 
 
 def load_aggregation_config(path: str | Path) -> AggregationConfig:
-    with open(path, encoding="utf-8") as fh:
-        obj = json.load(fh)
+    obj = load_json_object(path)
     return AggregationConfig(
         market_timezone=obj.get("market_timezone", "Europe/Berlin"),
         cutoff_local_time=obj.get("cutoff_local_time", "17:00"),
@@ -201,20 +201,28 @@ def write_daily_sentiment_csv(path: str | Path, result: AggregationResult) -> No
 
 
 def load_daily_sentiment_csv(path: str | Path) -> dict[tuple[str, date], float]:
-    """Read the adjusted-sentiment column back as a (company, date) map."""
+    """Read the adjusted-sentiment column back as a (company, date) map.
+
+    A non-finite value or a repeated (company, date) row is rejected with its
+    line named.
+    """
     out: dict[tuple[str, date], float] = {}
+    parsed: dict[str, date] = {}  # date text -> date, so each text is parsed once
     with open(path, encoding="utf-8") as fh:
-        header = fh.readline().strip().split(",")
-        idx = {name: i for i, name in enumerate(header)}
-        for name in ("date", "company", "adjusted"):
-            if name not in idx:
-                raise ValueError(f"sentiment CSV lacks a {name!r} column")
+        i_date, i_company, i_adjusted = csv_columns(fh, ("date", "company", "adjusted"), "sentiment")
         for lineno, line in enumerate(fh, start=2):
             if not line.strip():
                 continue
             parts = line.rstrip("\n").split(",")
-            key = (parts[idx["company"]], date.fromisoformat(parts[idx["date"]]))
+            text = parts[i_date]
+            d = parsed.get(text)
+            if d is None:
+                d = parsed[text] = date.fromisoformat(text)
+            key = (parts[i_company], d)
             if key in out:
-                raise ValueError(f"line {lineno}: duplicate sentiment row for ({key[0]}, {key[1]})")
-            out[key] = float(parts[idx["adjusted"]])
+                raise ValueError(f"line {lineno}: duplicate sentiment row for ({key[0]}, {d})")
+            value = float(parts[i_adjusted])
+            if not math.isfinite(value):
+                raise ValueError(f"line {lineno}: non-finite adjusted {value!r} for ({key[0]}, {d})")
+            out[key] = value
     return out

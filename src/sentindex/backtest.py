@@ -15,11 +15,12 @@ from dataclasses import dataclass, field
 from datetime import date, datetime
 from pathlib import Path
 
+from .inputs import csv_columns, load_json_object
 from .optimizer import (
     OptimizerConfig,
-    extract_trades,
     optimize_weights,
     optimizer_config_from_dict,
+    trades_from_moves,
 )
 
 
@@ -43,12 +44,7 @@ def load_prices(path: str | Path) -> PriceSeries:
     parsed: dict[str, date] = {}  # date text -> date, so each text is parsed once
     companies: set[str] = set()
     with open(path, encoding="utf-8") as fh:
-        header = fh.readline().strip().split(",")
-        idx = {name: i for i, name in enumerate(header)}
-        for name in ("date", "company", "close"):
-            if name not in idx:
-                raise ValueError(f"price CSV lacks a {name!r} column")
-        i_date, i_company, i_close = idx["date"], idx["company"], idx["close"]
+        i_date, i_company, i_close = csv_columns(fh, ("date", "company", "close"), "price")
         for lineno, line in enumerate(fh, start=2):
             if not line.strip():
                 continue
@@ -82,18 +78,21 @@ def load_prices(path: str | Path) -> PriceSeries:
 
 
 def load_benchmark_levels(path: str | Path) -> dict[date, float]:
+    """Read a date,level CSV; levels must be finite and positive, dates unique."""
     out: dict[date, float] = {}
     with open(path, encoding="utf-8") as fh:
-        header = fh.readline().strip().split(",")
-        idx = {name: i for i, name in enumerate(header)}
-        for name in ("date", "level"):
-            if name not in idx:
-                raise ValueError(f"benchmark CSV lacks a {name!r} column")
-        for line in fh:
+        i_date, i_level = csv_columns(fh, ("date", "level"), "benchmark")
+        for lineno, line in enumerate(fh, start=2):
             if not line.strip():
                 continue
             parts = line.rstrip("\n").split(",")
-            out[date.fromisoformat(parts[idx["date"]])] = float(parts[idx["level"]])
+            d, level = date.fromisoformat(parts[i_date]), float(parts[i_level])
+            if not 0.0 < level < math.inf:  # also false for nan
+                raise ValueError(
+                    f"line {lineno}: benchmark level {level!r} for {d} is not finite and positive")
+            if d in out:
+                raise ValueError(f"line {lineno}: duplicate benchmark row for {d}")
+            out[d] = level
     return out
 
 
@@ -114,14 +113,16 @@ class BacktestConfig:
 
 
 def load_backtest_config(path: str | Path) -> BacktestConfig:
-    with open(path, encoding="utf-8") as fh:
-        obj = json.load(fh)
+    obj = load_json_object(path)
+    block = obj.get("optimizer", {})
+    if not isinstance(block, dict):
+        raise ValueError(f"{path}: 'optimizer' must be a JSON object, got {type(block).__name__}")
     defaults = BacktestConfig()
     return BacktestConfig(
         tc_rate=float(obj.get("tc_rate", defaults.tc_rate)),
         signal_lag_days=int(obj.get("signal_lag_days", defaults.signal_lag_days)),
         initial_level=float(obj.get("initial_level", defaults.initial_level)),
-        optimizer=optimizer_config_from_dict(obj.get("optimizer", {})),
+        optimizer=optimizer_config_from_dict(block),
     )
 
 
@@ -143,11 +144,16 @@ def drift_weights(
     keys = sorted(w)
     if sorted(returns) != keys:
         raise ValueError("weight and return key sets differ")
-    r_gross = sum(w[k] * returns[k] for k in keys)
+    drifted, r_gross = _drift([w[k] for k in keys], [returns[k] for k in keys])
+    return dict(zip(keys, drifted)), r_gross
+
+
+def _drift(w: list[float], r: list[float]) -> tuple[list[float], float]:
+    r_gross = sum([w_k * r_k for w_k, r_k in zip(w, r)])
     denom = 1.0 + r_gross
     if denom <= 0:
         raise ValueError(f"portfolio wiped out: gross return {r_gross!r}")
-    return {k: w[k] * (1.0 + returns[k]) / denom for k in keys}, r_gross
+    return [w_k * (1.0 + r_k) / denom for w_k, r_k in zip(w, r)], r_gross
 
 
 def transaction_costs(
@@ -157,9 +163,12 @@ def transaction_costs(
     keys = sorted(w_new)
     if sorted(w_drifted) != keys:
         raise ValueError("weight key sets differ")
-    per_name = {k: tc_rate * abs(w_new[k] - w_drifted[k]) for k in keys}
-    total = tc_rate * sum(abs(w_new[k] - w_drifted[k]) for k in keys)
-    return total, per_name
+    moves = [w_new[k] - w_drifted[k] for k in keys]
+    return _cost(moves, tc_rate), {k: tc_rate * abs(m) for k, m in zip(keys, moves)}
+
+
+def _cost(moves: list[float], tc_rate: float) -> float:
+    return tc_rate * sum(map(abs, moves))
 
 
 def annualized_return(levels: list[float], dates: list[date] | list[datetime]) -> float:
@@ -214,10 +223,16 @@ def run_backtest(
     if not dates:
         raise ValueError("empty date range")
     companies = prices.companies
+    # one fixed company order: weights, drift, moves and signals are lists
+    # over the sorted keys, the order in which the dict helpers sum
+    keys = sorted(companies)
+    signals = []
     for d in dates:
-        for c in companies:
-            if (c, d) not in sentiments:
-                raise ValueError(f"missing sentiment for ({c!r}, {d})")
+        try:
+            signals.append([sentiments[(k, d)] for k in keys])
+        except KeyError:
+            c = next(c for c in companies if (c, d) not in sentiments)
+            raise ValueError(f"missing sentiment for ({c!r}, {d})") from None
     if benchmark is not None:
         for d in dates:
             if d not in benchmark:
@@ -225,49 +240,45 @@ def run_backtest(
         if benchmark[dates[0]] <= 0:
             raise ValueError("benchmark must start positive")
 
-    weights = {c: 0.0 for c in companies}
+    # closes and returns follow prices.companies, the order of the returns
+    # record and of the equal-weight benchmark sum
+    closes = [[prices.closes[(c, d)] for c in companies] for d in dates]
+    weights = [0.0] * len(keys)
     level = cfg.initial_level
     bench_level = cfg.initial_level
     days: list[DayRecord] = []
 
     for i, d in enumerate(dates):
-        if i == 0:
-            returns = {c: 0.0 for c in companies}
-        else:
-            prev = dates[i - 1]
-            returns = {
-                c: simple_return(prices.price(c, d), prices.price(c, prev))
-                for c in companies
-            }
-        drifted, r_gross = drift_weights(weights, returns)
+        r = list(map(simple_return, closes[i], closes[i - 1])) if i else [0.0] * len(companies)
+        returns = dict(zip(companies, r))
+        drifted_w, r_gross = _drift(weights, [returns[k] for k in keys])
+        drifted = dict(zip(keys, drifted_w))
 
         # the target held into date i+1 uses the sentiment of date i+1-lag;
         # beyond the final date (lag 0 only) there is nothing to trade on
         signal_idx = i + 1 - cfg.signal_lag_days
         if signal_idx < 0:
-            signal = dict.fromkeys(companies, 0.0)
-            target = optimize_weights(signal, drifted, cfg.optimizer)
+            target = optimize_weights(dict.fromkeys(keys, 0.0), drifted, cfg.optimizer)
         elif signal_idx >= len(dates):
             target = dict(drifted)
         else:
-            signal = {c: sentiments[(c, dates[signal_idx])] for c in companies}
-            target = optimize_weights(signal, drifted, cfg.optimizer)
+            target = optimize_weights(dict(zip(keys, signals[signal_idx])), drifted, cfg.optimizer)
 
-        cost, _ = transaction_costs(target, drifted, cfg.tc_rate)
-        trades = extract_trades(target, drifted, cfg.optimizer.trade_epsilon)
+        weights = [target[k] for k in keys]
+        moves = [w_k - d_k for w_k, d_k in zip(weights, drifted_w)]
+        cost = _cost(moves, cfg.tc_rate)
         level *= 1.0 + r_gross - cost
 
         if benchmark is not None:
             bench_level = cfg.initial_level * benchmark[d] / benchmark[dates[0]]
         elif i > 0:
-            bench_level *= 1.0 + sum(returns[c] for c in companies) / len(companies)
+            bench_level *= 1.0 + sum(r) / len(companies)
 
         days.append(DayRecord(
-            date=d, returns=returns, r_gross=r_gross, drifted=drifted,
-            weights=target, trades=trades, cost=cost,
+            date=d, returns=returns, r_gross=r_gross, drifted=drifted, weights=target,
+            trades=trades_from_moves(keys, moves, cfg.optimizer.trade_epsilon), cost=cost,
             level=level, benchmark_level=bench_level,
         ))
-        weights = target
 
     summary = _summarize(days, dates, cfg)
     return BacktestResult(dates=dates, days=days, summary=summary)

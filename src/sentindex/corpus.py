@@ -9,13 +9,15 @@ nothing is modified except the final normalization step.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from datetime import datetime
 from pathlib import Path
+from typing import NamedTuple
+
+from .inputs import load_json_object
 
 
-@dataclass(frozen=True)
-class NewsArticle:
+class NewsArticle(NamedTuple):
     id: str
     company_id: str
     source: str
@@ -102,8 +104,7 @@ def load_articles(path: str | Path) -> LoadReport:
 
 
 def load_filter_config(path: str | Path) -> FilterConfig:
-    with open(path, encoding="utf-8") as fh:
-        obj = json.load(fh)
+    obj = load_json_object(path)
     return FilterConfig(
         exclusions={k: tuple(v) for k, v in obj.get("exclusions", {}).items()},
         auto_generated_phrases=tuple(obj.get("auto_generated_phrases", [])),
@@ -181,7 +182,7 @@ def normalize_and_gate(article: NewsArticle, config: FilterConfig) -> NewsArticl
     headline = article.headline.lower()
     if len(headline.split()) > config.max_headline_tokens:
         return None
-    return replace(article, headline=headline, body=None)
+    return article._replace(headline=headline, body=None)
 
 
 @dataclass

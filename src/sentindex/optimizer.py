@@ -14,10 +14,11 @@ bound, so a prior that should be held is returned bit-identically.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
+
+from .inputs import csv_columns, load_json_object
 
 
 class InfeasibleProblemError(ValueError):
@@ -46,20 +47,13 @@ class OptimizerConfig:
 
 
 def load_optimizer_config(path: str | Path) -> OptimizerConfig:
-    with open(path, encoding="utf-8") as fh:
-        obj = json.load(fh)
-    return optimizer_config_from_dict(obj)
+    return optimizer_config_from_dict(load_json_object(path))
 
 
 def optimizer_config_from_dict(obj: dict) -> OptimizerConfig:
-    defaults = OptimizerConfig()
-    return OptimizerConfig(
-        delta=float(obj.get("delta", defaults.delta)),
-        cap=float(obj.get("cap", defaults.cap)),
-        budget_lo=float(obj.get("budget_lo", defaults.budget_lo)),
-        budget_hi=float(obj.get("budget_hi", defaults.budget_hi)),
-        trade_epsilon=float(obj.get("trade_epsilon", defaults.trade_epsilon)),
-    )
+    """Every field is a float; absent ones keep the class defaults."""
+    given = {f.name: float(obj[f.name]) for f in fields(OptimizerConfig) if f.name in obj}
+    return OptimizerConfig(**given)
 
 
 def _check_keys(*vectors: dict[str, float]) -> list[str]:
@@ -98,40 +92,43 @@ def optimize_weights(
         raise InfeasibleProblemError(
             f"{n} names at cap {cfg.cap} cannot reach budget_lo {cfg.budget_lo}; "
             f"need at least {required} names")
-    for k in keys:
-        if not math.isfinite(s[k]):
-            raise ValueError(f"sentiment for {k!r} is not finite: {s[k]!r}")
-        if w_prev[k] < 0:
-            raise ValueError(f"prior weight for {k!r} is negative: {w_prev[k]!r}")
-
-    # (slope, company, lower, upper); clipping the prior to [0, cap] only
-    # shapes the pieces, the true prior still pays the penalty in reporting
-    segments: list[tuple[float, str, float, float]] = []
-    for k in keys:
-        anchor = min(w_prev[k], cfg.cap)
+    # (-slope, rank in the sorted keys, lower, upper) sorts as the tie-break
+    # above; clipping the prior to [0, cap] only shapes the pieces, the true
+    # prior still pays the penalty in reporting
+    cap, delta = cfg.cap, cfg.delta
+    segments: list[tuple[float, int, float, float]] = []
+    for rank, k in enumerate(keys):
+        s_k, prior = s[k], w_prev[k]
+        if not math.isfinite(s_k):
+            raise ValueError(f"sentiment for {k!r} is not finite: {s_k!r}")
+        if prior < 0:
+            raise ValueError(f"prior weight for {k!r} is negative: {prior!r}")
+        anchor = min(prior, cap)
         if anchor > 0.0:
-            segments.append((s[k] + cfg.delta, k, 0.0, anchor))
-        if anchor < cfg.cap:
-            segments.append((s[k] - cfg.delta, k, anchor, cfg.cap))
-    segments.sort(key=lambda seg: (-seg[0], seg[1], seg[2]))
+            segments.append((-(s_k + delta), rank, 0.0, anchor))
+        if anchor < cap:
+            segments.append((-(s_k - delta), rank, anchor, cap))
+    segments.sort()
 
-    w = {k: 0.0 for k in keys}
+    w = [0.0] * n
     total = 0.0
-    for slope, company, lower, upper in segments:
-        length = upper - lower
-        budget = cfg.budget_hi if slope > 0.0 else cfg.budget_lo
+    for neg_slope, rank, lower, upper in segments:
+        budget = cfg.budget_hi if neg_slope < 0.0 else cfg.budget_lo
         room = budget - total
         if room <= 0.0:
-            continue
+            # slopes only fall, budget_lo <= budget_hi and total never
+            # falls, so no later piece has room either
+            break
+        length = upper - lower
         if length <= room:
             # piece consumed whole: snap to its upper bound so held priors
             # and cap fills come back exact
-            w[company] = upper
+            w[rank] = upper
             total += length
         else:
-            w[company] = lower + room
+            w[rank] = lower + room
             total = budget
-    return w
+    return dict(zip(keys, w))
 
 
 def extract_trades(
@@ -139,27 +136,31 @@ def extract_trades(
 ) -> list[tuple[str, float]]:
     """List (company, delta) for every weight change larger than the epsilon."""
     keys = _check_keys(w_new, w_prior)
-    out = []
-    for k in keys:
-        delta = w_new[k] - w_prior[k]
-        if abs(delta) > trade_epsilon:
-            out.append((k, delta))
-    return out
+    return trades_from_moves(keys, [w_new[k] - w_prior[k] for k in keys], trade_epsilon)
+
+
+def trades_from_moves(
+    keys: list[str], moves: list[float], trade_epsilon: float
+) -> list[tuple[str, float]]:
+    """Pair each key with its weight change, keeping changes beyond the epsilon."""
+    return [(k, move) for k, move in zip(keys, moves) if abs(move) > trade_epsilon]
 
 
 def load_weights_csv(path: str | Path, value_column: str) -> dict[str, float]:
-    """Read a two-column CSV of company,value rows (header required)."""
+    """Read company,value rows (header required); values finite, companies unique."""
     out: dict[str, float] = {}
     with open(path, encoding="utf-8") as fh:
-        header = fh.readline().strip().split(",")
-        idx = {name: i for i, name in enumerate(header)}
-        if "company" not in idx or value_column not in idx:
-            raise ValueError(f"expected columns company,{value_column}; got {header}")
-        for line in fh:
+        i_company, i_value = csv_columns(fh, ("company", value_column), value_column)
+        for lineno, line in enumerate(fh, start=2):
             if not line.strip():
                 continue
             parts = line.rstrip("\n").split(",")
-            out[parts[idx["company"]]] = float(parts[idx[value_column]])
+            company, value = parts[i_company], float(parts[i_value])
+            if not math.isfinite(value):
+                raise ValueError(f"line {lineno}: non-finite {value_column} {value!r} for {company}")
+            if company in out:
+                raise ValueError(f"line {lineno}: duplicate row for {company}")
+            out[company] = value
     return out
 
 

@@ -9,17 +9,17 @@ without any model dependency.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from datetime import datetime
 from pathlib import Path
+from typing import NamedTuple
 
 from .corpus import NewsArticle, parse_timestamp
+from .inputs import load_json_object
 
 PROB_SUM_TOL = 1e-6
 
 
-@dataclass(frozen=True)
-class ClassProbabilities:
+class ClassProbabilities(NamedTuple):
     p_negative: float
     p_neutral: float
     p_positive: float
@@ -109,15 +109,13 @@ class LexiconProvider:
 
     @classmethod
     def from_file(cls, path: str | Path) -> "LexiconProvider":
-        with open(path, encoding="utf-8") as fh:
-            return cls({str(k): float(v) for k, v in json.load(fh).items()})
+        return cls({str(k): float(v) for k, v in load_json_object(path).items()})
 
     def probabilities(self, article: NewsArticle) -> ClassProbabilities:
         return lexicon_score(article.headline, self._lexicon)
 
 
-@dataclass(frozen=True)
-class ScoredArticle:
+class ScoredArticle(NamedTuple):
     id: str
     company_id: str
     source: str

@@ -207,6 +207,16 @@ class TestAggregateDaily:
         with pytest.raises(ValueError, match=r"line 4: duplicate sentiment row for \(puma, 2019-03-04\)"):
             load_daily_sentiment_csv(path)
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_csv_rejects_non_finite(self, tmp_path, value):
+        path = tmp_path / "daily.csv"
+        path.write_text(
+            "date,company,raw_mean,unique_sources,adjustment,adjusted\n"
+            "2019-03-04,puma,0.5,1,1.0,0.5\n"
+            f"2019-03-05,puma,0.5,1,1.0,{value}\n")
+        with pytest.raises(ValueError, match=rf"line 3: non-finite adjusted {value} for \(puma, 2019-03-05\)"):
+            load_daily_sentiment_csv(path)
+
     def test_bad_history_mode_rejected(self):
         with pytest.raises(ValueError, match="adjustment_history"):
             AggregationConfig(adjustment_history="sometimes")

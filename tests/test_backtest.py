@@ -2,18 +2,24 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
+import math
+import random
 from datetime import date, datetime, timedelta
 
 import numpy as np
 import pytest
 
+import backtest_reference
+from backtest_reference import outcome
 from sentindex.backtest import (
     BacktestConfig,
     DayRecord,
     PriceSeries,
     annualized_return,
     drift_weights,
+    load_benchmark_levels,
     load_prices,
     run_backtest,
     simple_return,
@@ -21,7 +27,7 @@ from sentindex.backtest import (
     transaction_costs,
     write_backtest_outputs,
 )
-from sentindex.optimizer import OptimizerConfig
+from sentindex.optimizer import OptimizerConfig, extract_trades
 
 
 def make_prices(companies, closes_by_date):
@@ -290,6 +296,24 @@ class TestLoaders:
         with pytest.raises(ValueError, match=f"line 3: non-finite close {close} for b"):
             load_prices(path)
 
+    def test_load_benchmark_roundtrip(self, tmp_path):
+        path = tmp_path / "bench.csv"
+        path.write_text("date,level\n2021-03-01,5000.0\n2021-03-02,5100.5\n")
+        assert load_benchmark_levels(path) == {date(2021, 3, 1): 5000.0, date(2021, 3, 2): 5100.5}
+
+    @pytest.mark.parametrize("level", ["nan", "inf", "0.0", "-5.0"])
+    def test_load_benchmark_rejects_bad_level(self, tmp_path, level):
+        path = tmp_path / "bench.csv"
+        path.write_text(f"date,level\n2021-03-01,5000.0\n2021-03-02,{level}\n")
+        with pytest.raises(ValueError, match=f"line 3: benchmark level {level} for 2021-03-02 is not finite"):
+            load_benchmark_levels(path)
+
+    def test_load_benchmark_rejects_duplicate_date(self, tmp_path):
+        path = tmp_path / "bench.csv"
+        path.write_text("date,level\n2021-03-01,5000.0\n2021-03-02,5100.0\n2021-03-01,4900.0\n")
+        with pytest.raises(ValueError, match="line 4: duplicate benchmark row for 2021-03-01"):
+            load_benchmark_levels(path)
+
     def test_write_outputs(self, tmp_path):
         result = constant_price_run(n_days=3)
         cfg = BacktestConfig()
@@ -302,3 +326,81 @@ class TestLoaders:
         trades = (tmp_path / "out" / "trades.csv").read_text().splitlines()
         assert trades[0] == "date,company,delta_weight,cost"
         assert len(trades) == 11  # header + ten initial fills
+
+
+def backtest_case(rng: random.Random, lag: int, with_benchmark: bool):
+    """A seeded backtest for the reference comparison.
+
+    Half the cases hand over a PriceSeries whose companies tuple is not
+    sorted: the returns record and the equal-weight benchmark follow that
+    order, the sums of the day loop the sorted one. Closes repeat exactly
+    now and then, sentiments tie, and delta, tc_rate and trade_epsilon may be
+    zero. A few cases lack a sentiment or have a budget_lo out of reach.
+    """
+    n = rng.randint(1, 25)
+    names = [f"n{x}" for x in rng.sample(range(100), n)]
+    dates = weekdays(date(2021, 1, 4) + timedelta(days=rng.randrange(300)), rng.randint(1, 40))
+    closes, row = {}, {c: rng.uniform(5.0, 200.0) for c in names}
+    for d in dates:
+        for c in names:
+            move = rng.choice([0.0, rng.gauss(0.0, 0.02), rng.gauss(0.0, 0.2)])
+            row[c] = max(round(row[c] * (1.0 + move), rng.choice([2, 6])), 0.01)
+            closes[(c, d)] = row[c]
+    companies = sorted(names) if rng.random() < 0.5 else rng.sample(names, n)
+    prices = PriceSeries(dates=tuple(dates), companies=tuple(companies), closes=closes)
+    ties = [0.0, 0.25, -0.25, 0.5, -0.5, 1.0]
+    sentiments = {(c, d): rng.choice(ties) if rng.random() < 0.4 else rng.uniform(-1.0, 1.0)
+                  for d in dates for c in names}
+    if rng.random() < 0.05:
+        del sentiments[rng.choice(list(sentiments))]
+    cap = rng.choice([0.1, 0.25, 0.5, 1.0])
+    reach = min(1.0, n * cap) if rng.random() > 0.05 else 1.0
+    lo = rng.choice([reach, rng.uniform(0.0, reach)])
+    cfg = BacktestConfig(
+        tc_rate=rng.choice([0.0, 0.0005, 0.01]), signal_lag_days=lag,
+        optimizer=OptimizerConfig(
+            delta=rng.choice([0.0, 0.25, 1.0, rng.uniform(0.0, 2.0)]), cap=cap, budget_lo=lo,
+            budget_hi=rng.choice([lo, rng.uniform(lo, 1.0)]),
+            trade_epsilon=rng.choice([0.0, 1e-6, 1e-3])))
+    benchmark = {d: rng.uniform(1000.0, 2000.0) for d in dates} if with_benchmark else None
+    return prices, sentiments, cfg, benchmark
+
+
+@pytest.mark.parametrize("with_benchmark", [False, True])
+@pytest.mark.parametrize("lag", [0, 1, 3])
+@pytest.mark.parametrize("seed", range(6))
+def test_matches_reference_bit_for_bit(seed, lag, with_benchmark):
+    rng = random.Random(seed * 10 + lag)
+    for _ in range(5):
+        case = backtest_case(rng, lag, with_benchmark)
+        got, got_error = outcome(run_backtest, *case)
+        want, want_error = outcome(backtest_reference.run_backtest, *case)
+        assert got_error == want_error
+        if want is None:
+            continue
+        assert got.dates == want.dates and len(got.days) == len(want.days)
+        for new, old in zip(got.days, want.days):
+            for field in dataclasses.fields(DayRecord):
+                a, b = getattr(new, field.name), getattr(old, field.name)
+                assert a == b and repr(a) == repr(b), (field.name, new.date)
+        assert got.summary == want.summary and repr(got.summary) == repr(want.summary)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_dict_helpers_match_reference(seed):
+    rng = random.Random(seed)
+    for _ in range(200):
+        names = [f"n{x}" for x in rng.sample(range(100), rng.randint(1, 30))]
+        w = {k: rng.choice([0.0, 1.0, rng.uniform(0.0, 0.2)]) for k in names}
+        r = {k: rng.choice([0.0, -1.0, rng.uniform(-0.5, 0.5)]) for k in rng.sample(names, len(names))}
+        other = {k: rng.choice([w[k], 0.0, rng.uniform(0.0, 0.2)]) for k in names}
+        if rng.random() < 0.05:
+            other[names[0] + "x"] = 0.0
+        tc_rate, eps = rng.choice([0.0, 0.0005]), rng.choice([0.0, 1e-6])
+        for fn, ref, args in (
+            (drift_weights, backtest_reference.drift_weights, (w, r)),
+            (transaction_costs, backtest_reference.transaction_costs, (w, other, tc_rate)),
+            (extract_trades, backtest_reference.extract_trades, (w, other, eps)),
+        ):
+            got, want = outcome(fn, *args), outcome(ref, *args)
+            assert got == want and repr(got) == repr(want), fn.__name__

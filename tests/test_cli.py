@@ -114,6 +114,78 @@ class TestErrorHandling:
         assert "line 6: non-finite close nan" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_non_finite_sentiment_on_last_date_exits_one(self, chain_dir, golden_dir, capsys):
+        # no solve reads the last date's signal at lag 1, so only the loader can catch it
+        daily = chain_dir / "daily.csv"
+        lines = daily.read_text().splitlines()
+        lines[-1] = ",".join(lines[-1].split(",")[:-1] + ["nan"])
+        daily.write_text("\n".join(lines) + "\n")
+        out = chain_dir / "bt"
+        code = run(["backtest", "--prices", golden_dir / "prices.csv", "--sentiments", daily,
+                    "--config", golden_dir / "backtest_config.json", "--out", out])
+        assert code == 1
+        assert f"line {len(lines)}: non-finite adjusted nan" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda rows: rows[:2] + ["2021-01-01,nan"] + rows[2:], "line 3: benchmark level nan for 2021-01-01"),
+        (lambda rows: rows[:3] + ["2021-01-01,0.0"] + rows[3:], "line 4: benchmark level 0.0 for 2021-01-01"),
+        (lambda rows: rows + [rows[1]], "duplicate benchmark row for"),
+    ], ids=["nan", "zero", "duplicate"])
+    def test_bad_benchmark_exits_one(self, chain_dir, golden_dir, capsys, edit, message):
+        dates = sorted({line.split(",")[0] for line in
+                        (golden_dir / "prices.csv").read_text().splitlines()[1:]})
+        rows = ["date,level"] + [f"{d},{1000.0 + i}" for i, d in enumerate(dates)]
+        bench = chain_dir / "bench.csv"
+        bench.write_text("\n".join(edit(rows)) + "\n")
+        out = chain_dir / "bt"
+        code = run(["backtest", "--prices", golden_dir / "prices.csv",
+                    "--sentiments", chain_dir / "daily.csv", "--benchmark", bench,
+                    "--config", golden_dir / "backtest_config.json", "--out", out])
+        assert code == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("sentiments, message", [
+        ("company,sentiment\nalpha,0.8\nalpha,0.4\n", "line 3: duplicate row for alpha"),
+        ("company,sentiment\nalpha,0.8\nbeta,inf\n", "line 3: non-finite sentiment inf for beta"),
+    ], ids=["duplicate", "inf"])
+    def test_bad_weights_csv_exits_one(self, tmp_path, capsys, sentiments, message):
+        (tmp_path / "s.csv").write_text(sentiments)
+        (tmp_path / "prior.csv").write_text("company,weight\nalpha,0.0\nbeta,0.0\n")
+        (tmp_path / "cfg.json").write_text(json.dumps({"cap": 0.5, "budget_lo": 0.5}))
+        code = run(["optimize", "--sentiments", tmp_path / "s.csv", "--prior", tmp_path / "prior.csv",
+                    "--config", tmp_path / "cfg.json", "--out", tmp_path / "w.csv"])
+        assert code == 1
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "w.csv").exists()
+
+    @pytest.mark.parametrize("command, config", [
+        ("filter", [1]), ("score", [1]), ("aggregate", [1]), ("optimize", [1]),
+        ("backtest", [1]), ("backtest", {"optimizer": [1]}),
+    ], ids=["filter", "score", "aggregate", "optimize", "backtest", "backtest-optimizer-block"])
+    def test_config_not_an_object_exits_one(self, tmp_path, golden_dir, capsys, command, config):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        (tmp_path / "w.csv").write_text("company,weight\nalpha,0.0\n")
+        g = golden_dir
+        argv = {
+            "filter": ["--articles", g / "articles.jsonl", "--config", path],
+            "score": ["--articles", g / "articles.jsonl", "--provider", "lexicon",
+                      "--provider-file", path],
+            "aggregate": ["--scored", tmp_path / "none.jsonl", "--prices", g / "prices.csv",
+                          "--config", path],
+            "optimize": ["--sentiments", tmp_path / "w.csv", "--prior", tmp_path / "w.csv",
+                         "--config", path],
+            "backtest": ["--prices", g / "prices.csv", "--sentiments", tmp_path / "none.csv",
+                         "--config", path],
+        }[command]
+        assert run([command, *argv, "--out", tmp_path / "out"]) == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert str(path) in err and "must be a JSON object, got list" in err
+        assert not (tmp_path / "out").exists()
+
     def test_missing_input_file_exits_one(self, tmp_path, capsys):
         code = run(["filter", "--articles", tmp_path / "nope.jsonl",
                     "--config", tmp_path / "nope.json", "--out", tmp_path / "out.jsonl"])

@@ -2,17 +2,23 @@
 
 from __future__ import annotations
 
+import math
+import random
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import backtest_reference
+from backtest_reference import outcome
 from grid_oracle import brute_force_oracle
 from lp_reference import solve_lp
 from sentindex.optimizer import (
     InfeasibleProblemError,
     OptimizerConfig,
     extract_trades,
+    load_weights_csv,
     objective_value,
     optimize_weights,
 )
@@ -263,3 +269,90 @@ def test_twelve_name_lp_cross_check_random_instances():
         assert g >= o - 1e-9
         total = sum(w.values())
         assert DEFAULT.budget_lo - 1e-12 <= total <= DEFAULT.budget_hi + 1e-12
+
+
+def solver_case(rng: random.Random):
+    """A seeded solver instance for the reference comparison.
+
+    Names are inserted in random order and sort as strings (n10 < n9), so
+    ranks must follow the sorted ids. Sentiments are drawn from a small set
+    as well as at random, so slopes tie exactly, also across a name's two
+    pieces (0.5 - 0.25 == 0.0 + 0.25). Priors are zero, at or above the cap,
+    inside it or -0.0; some instances have delta 0, budget_lo == budget_hi,
+    a budget_lo out of reach, a non-finite sentiment, a negative prior or
+    mismatched keys.
+    """
+    n = rng.choice([rng.randint(1, 12), rng.randint(1, 600)])
+    names = [f"n{x}" for x in rng.sample(range(10 * n + 10), n)]
+    cap = rng.choice([0.05, 0.1, 0.25, 1 / 3, 0.5, 1.0, rng.uniform(0.01, 1.0)])
+    reach = min(1.0, n * cap)
+    kind = rng.random()
+    if kind < 0.1 and reach < 1.0:
+        lo = rng.uniform(reach + 1e-9, 1.0)  # infeasible
+        hi = rng.uniform(lo, 1.0)
+    elif kind < 0.25:
+        lo = hi = rng.choice([reach, rng.uniform(0.0, reach)])
+    else:
+        lo = rng.choice([0.0, reach, rng.uniform(0.0, reach), rng.uniform(0.0, reach)])
+        hi = rng.choice([lo, 1.0, rng.uniform(lo, 1.0), rng.uniform(lo, 1.0)])
+    cfg = OptimizerConfig(delta=rng.choice([0.0, 0.0, 0.25, 0.5, 1.0, rng.uniform(0.0, 2.0)]),
+                          cap=cap, budget_lo=lo, budget_hi=hi)
+    ties = [0.0, 0.25, -0.25, 0.5, -0.5, 1 / 3, 1.0, -1.0]
+    s = {k: rng.choice(ties) if rng.random() < 0.5 else rng.uniform(-1.0, 1.0) for k in names}
+    priors = [0.0, 0.0, -0.0, cap, 1.5 * cap, 1.0, None, None]
+    prior = {}
+    for k in names:
+        p = rng.choice(priors)
+        prior[k] = rng.uniform(0.0, 2.0 * cap) if p is None else p
+    if rng.random() < 0.3:  # a drifted prior near the band
+        total = sum(prior.values()) or 1.0
+        prior = {k: v * (lo + rng.random() * (hi - lo)) / total for k, v in prior.items()}
+    bad = rng.random()
+    if bad < 0.03:
+        s[rng.choice(names)] = rng.choice([math.nan, math.inf, -math.inf])
+    elif bad < 0.06:
+        prior[rng.choice(names)] = -rng.choice([1e-12, 0.1])
+    elif bad < 0.07:
+        prior[names[0] + "x"] = 0.0
+    return s, prior, cfg
+
+
+@pytest.mark.parametrize("chunk", range(8))
+def test_matches_reference_bit_for_bit(chunk):
+    rng = random.Random(1000 + chunk)
+    for _ in range(250):
+        s, prior, cfg = solver_case(rng)
+        got, got_error = outcome(optimize_weights, s, prior, cfg)
+        want, want_error = outcome(backtest_reference.optimize_weights, s, prior, cfg)
+        assert got_error == want_error
+        assert got == want and repr(got) == repr(want), (s, prior, cfg)
+        if got is not None:
+            for eps in (0.0, cfg.trade_epsilon):
+                assert repr(extract_trades(got, prior, eps)) == repr(
+                    backtest_reference.extract_trades(want, prior, eps))
+
+
+class TestLoadWeightsCsv:
+    def test_roundtrip(self, tmp_path):
+        path = tmp_path / "w.csv"
+        path.write_text("company,weight\nb,0.25\na,0.5\n")
+        assert load_weights_csv(path, "weight") == {"b": 0.25, "a": 0.5}
+
+    def test_rejects_duplicate_company(self, tmp_path):
+        path = tmp_path / "w.csv"
+        path.write_text("company,weight\na,0.25\nb,0.5\na,0.1\n")
+        with pytest.raises(ValueError, match="line 4: duplicate row for a"):
+            load_weights_csv(path, "weight")
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_rejects_non_finite(self, tmp_path, value):
+        path = tmp_path / "s.csv"
+        path.write_text(f"company,sentiment\na,0.25\nb,{value}\n")
+        with pytest.raises(ValueError, match=f"line 3: non-finite sentiment {value} for b"):
+            load_weights_csv(path, "sentiment")
+
+    def test_rejects_missing_column(self, tmp_path):
+        path = tmp_path / "w.csv"
+        path.write_text("company,value\na,0.25\n")
+        with pytest.raises(ValueError, match="weight CSV lacks a 'weight' column"):
+            load_weights_csv(path, "weight")
