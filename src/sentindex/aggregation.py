@@ -10,13 +10,13 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from datetime import date, datetime, time, timedelta
 from pathlib import Path
 from typing import NamedTuple
 from zoneinfo import ZoneInfo
 
-from .inputs import csv_columns, load_json_object
+from .inputs import config_value, csv_columns, load_json_object
 from .sentiment import ScoredArticle
 
 HISTORY_MODES = ("nonzero_days", "all_days")
@@ -59,11 +59,8 @@ class AggregationConfig:
 
 def load_aggregation_config(path: str | Path) -> AggregationConfig:
     obj = load_json_object(path)
-    return AggregationConfig(
-        market_timezone=obj.get("market_timezone", "Europe/Berlin"),
-        cutoff_local_time=obj.get("cutoff_local_time", "17:00"),
-        adjustment_history=obj.get("adjustment_history", "nonzero_days"),
-    )
+    return AggregationConfig(**{
+        f.name: config_value(obj, f.name, str, f.default, path) for f in fields(AggregationConfig)})
 
 
 class DailySentiment(NamedTuple):
@@ -87,10 +84,15 @@ def effective_trading_date(
     first trading date with a diagnostic; after-range ones return (None,
     diagnostic) and must be dropped by the caller.
     """
-    local = published_at.astimezone(calendar.tzinfo)
-    day = local.date()
-    if local.time() >= calendar.cutoff:
-        day += timedelta(days=1)
+    try:
+        local = published_at.astimezone(calendar.tzinfo)
+        day = local.date()
+        if local.time() >= calendar.cutoff:
+            day += timedelta(days=1)
+    except OverflowError:
+        # only instants within a day of the ends of years 1 to 9999 leave the
+        # date range here, and they precede or follow any calendar
+        day = date.min if published_at.year == 1 else date.max
     dates = calendar.dates
     if day < dates[0]:
         return dates[0], f"published {published_at.isoformat()} precedes the calendar"

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from datetime import date, datetime
 from pathlib import Path
 
-from .inputs import csv_columns, load_json_object
+from .inputs import config_value, csv_columns, load_json_object
 from .optimizer import (
     OptimizerConfig,
     optimize_weights,
@@ -114,15 +114,13 @@ class BacktestConfig:
 
 def load_backtest_config(path: str | Path) -> BacktestConfig:
     obj = load_json_object(path)
-    block = obj.get("optimizer", {})
-    if not isinstance(block, dict):
-        raise ValueError(f"{path}: 'optimizer' must be a JSON object, got {type(block).__name__}")
     defaults = BacktestConfig()
     return BacktestConfig(
-        tc_rate=float(obj.get("tc_rate", defaults.tc_rate)),
-        signal_lag_days=int(obj.get("signal_lag_days", defaults.signal_lag_days)),
-        initial_level=float(obj.get("initial_level", defaults.initial_level)),
-        optimizer=optimizer_config_from_dict(block),
+        tc_rate=config_value(obj, "tc_rate", float, defaults.tc_rate, path),
+        signal_lag_days=config_value(obj, "signal_lag_days", int, defaults.signal_lag_days, path),
+        initial_level=config_value(obj, "initial_level", float, defaults.initial_level, path),
+        optimizer=optimizer_config_from_dict(
+            config_value(obj, "optimizer", dict, {}, path), f"{path}: 'optimizer'"),
     )
 
 

@@ -11,10 +11,11 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from datetime import datetime
+from json.encoder import encode_basestring
 from pathlib import Path
 from typing import NamedTuple
 
-from .inputs import load_json_object
+from .inputs import config_value, load_json_object, parse_json
 
 
 class NewsArticle(NamedTuple):
@@ -65,50 +66,62 @@ def load_articles(path: str | Path) -> LoadReport:
 
     Malformed lines and duplicate ids are reported in the diagnostics, one
     entry per problem naming the line number, and skipped; blank lines are
-    ignored. An unreadable file raises OSError.
+    ignored. A line must be a JSON object whose required fields are non-empty
+    strings, whose body is a string or null and whose language is a string.
+    An unreadable file raises OSError.
     """
     report = LoadReport(articles=[])
+    articles, diagnostics = report.articles, report.diagnostics
     seen_ids: set[str] = set()
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
             try:
-                obj = json.loads(line)
+                obj = parse_json(line)
             except json.JSONDecodeError as exc:
-                report.diagnostics.append(f"line {lineno}: invalid JSON ({exc.msg})")
+                diagnostics.append(f"line {lineno}: invalid JSON ({exc.msg})")
                 continue
-            missing = [k for k in REQUIRED_FIELDS if not isinstance(obj.get(k), str) or not obj[k]]
-            if missing:
-                report.diagnostics.append(f"line {lineno}: missing or empty field(s) {missing}")
+            if type(obj) is not dict:
+                diagnostics.append(f"line {lineno}: not a JSON object ({type(obj).__name__})")
+                continue
+            get = obj.get
+            aid, company, source, stamp, headline = (
+                get("id"), get("company_id"), get("source"), get("published_at"), get("headline"))
+            # json.loads makes only exact str, so type() is isinstance() here
+            if not (type(aid) is str and aid and type(company) is str and company
+                    and type(source) is str and source and type(stamp) is str and stamp
+                    and type(headline) is str and headline):
+                missing = [k for k in REQUIRED_FIELDS if not isinstance(get(k), str) or not obj[k]]
+                diagnostics.append(f"line {lineno}: missing or empty field(s) {missing}")
                 continue
             try:
-                ts = parse_timestamp(obj["published_at"])
+                ts = parse_timestamp(stamp)
             except ValueError as exc:
-                report.diagnostics.append(f"line {lineno}: bad published_at ({exc})")
+                diagnostics.append(f"line {lineno}: bad published_at ({exc})")
                 continue
-            if obj["id"] in seen_ids:
-                report.diagnostics.append(f"line {lineno}: duplicate id {obj['id']!r}")
+            body, language = get("body"), get("language", "de")
+            if body is not None and type(body) is not str:
+                diagnostics.append(f"line {lineno}: body must be a string or null ({type(body).__name__})")
                 continue
-            seen_ids.add(obj["id"])
-            report.articles.append(NewsArticle(
-                id=obj["id"],
-                company_id=obj["company_id"],
-                source=obj["source"],
-                published_at=ts,
-                headline=obj["headline"],
-                body=obj.get("body"),
-                language=obj.get("language", "de"),
-            ))
+            if type(language) is not str:
+                diagnostics.append(f"line {lineno}: language must be a string ({type(language).__name__})")
+                continue
+            if aid in seen_ids:
+                diagnostics.append(f"line {lineno}: duplicate id {aid!r}")
+                continue
+            seen_ids.add(aid)
+            articles.append(NewsArticle(aid, company, source, ts, headline, body, language))
     return report
 
 
 def load_filter_config(path: str | Path) -> FilterConfig:
     obj = load_json_object(path)
+    exclusions = config_value(obj, "exclusions", dict, {}, path)
     return FilterConfig(
-        exclusions={k: tuple(v) for k, v in obj.get("exclusions", {}).items()},
-        auto_generated_phrases=tuple(obj.get("auto_generated_phrases", [])),
-        max_headline_tokens=int(obj.get("max_headline_tokens", 1000)),
+        exclusions={k: config_value(exclusions, k, list, (), f"{path}: 'exclusions'") for k in exclusions},
+        auto_generated_phrases=config_value(obj, "auto_generated_phrases", list, (), path),
+        max_headline_tokens=config_value(obj, "max_headline_tokens", int, 1000, path),
     )
 
 
@@ -219,14 +232,17 @@ def run_filter_pipeline(articles: list[NewsArticle], config: FilterConfig) -> Fi
 
 
 def write_articles(path: str | Path, articles: list[NewsArticle]) -> None:
+    """Write one JSON object per line, as json.dumps(..., ensure_ascii=False) would.
+
+    encode_basestring is the function json.dumps quotes each string with; the
+    timestamp needs no escaping. One write per record and no list of lines
+    keeps memory flat.
+    """
+    q = encode_basestring
     with open(path, "w", encoding="utf-8") as fh:
+        write = fh.write
         for a in articles:
-            fh.write(json.dumps({
-                "id": a.id,
-                "company_id": a.company_id,
-                "source": a.source,
-                "published_at": a.published_at.isoformat(),
-                "headline": a.headline,
-                "body": a.body,
-                "language": a.language,
-            }, ensure_ascii=False) + "\n")
+            body = "null" if a.body is None else q(a.body)
+            write(f'{{"id": {q(a.id)}, "company_id": {q(a.company_id)}, "source": {q(a.source)}, '
+                  f'"published_at": "{a.published_at.isoformat()}", "headline": {q(a.headline)}, '
+                  f'"body": {body}, "language": {q(a.language)}}}\n')

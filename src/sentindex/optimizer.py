@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass, fields
 from pathlib import Path
 
-from .inputs import csv_columns, load_json_object
+from .inputs import config_value, csv_columns, load_json_object
 
 
 class InfeasibleProblemError(ValueError):
@@ -47,13 +47,16 @@ class OptimizerConfig:
 
 
 def load_optimizer_config(path: str | Path) -> OptimizerConfig:
-    return optimizer_config_from_dict(load_json_object(path))
+    return optimizer_config_from_dict(load_json_object(path), path)
 
 
-def optimizer_config_from_dict(obj: dict) -> OptimizerConfig:
-    """Every field is a float; absent ones keep the class defaults."""
-    given = {f.name: float(obj[f.name]) for f in fields(OptimizerConfig) if f.name in obj}
-    return OptimizerConfig(**given)
+def optimizer_config_from_dict(obj: dict, where: str | Path) -> OptimizerConfig:
+    """Every field is a finite number; absent ones keep the class defaults.
+
+    A value of another type raises ValueError naming where and the key.
+    """
+    return OptimizerConfig(**{
+        f.name: config_value(obj, f.name, float, f.default, where) for f in fields(OptimizerConfig)})
 
 
 def _check_keys(*vectors: dict[str, float]) -> list[str]:

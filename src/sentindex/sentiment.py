@@ -9,14 +9,19 @@ without any model dependency.
 from __future__ import annotations
 
 import json
+import math
 from datetime import datetime
+from json.encoder import encode_basestring
+from operator import itemgetter
 from pathlib import Path
 from typing import NamedTuple
 
 from .corpus import NewsArticle, parse_timestamp
-from .inputs import load_json_object
+from .inputs import config_value, load_json_object, parse_json
 
 PROB_SUM_TOL = 1e-6
+PRESCORED_FIELDS = (("id",), ("p_negative", "p_neutral", "p_positive"))
+SCORED_FIELDS = (("id", "company_id", "source", "published_at"), ("score",))
 
 
 class ClassProbabilities(NamedTuple):
@@ -26,11 +31,13 @@ class ClassProbabilities(NamedTuple):
 
 
 def _validate(probs: ClassProbabilities) -> None:
-    values = (probs.p_negative, probs.p_neutral, probs.p_positive)
-    if any(not (0.0 <= p <= 1.0) for p in values):
-        raise ValueError(f"class probabilities outside [0, 1]: {values}")
-    if abs(sum(values) - 1.0) > PROB_SUM_TOL:
-        raise ValueError(f"class probabilities sum to {sum(values)!r}, not 1: {values}")
+    n, u, p = probs
+    if not (0.0 <= n <= 1.0 and 0.0 <= u <= 1.0 and 0.0 <= p <= 1.0):
+        raise ValueError(f"class probabilities outside [0, 1]: {(n, u, p)}")
+    # sum(), not a + chain: from Python 3.12 sum() of floats is compensated
+    total = sum((n, u, p))
+    if abs(total - 1.0) > PROB_SUM_TOL:
+        raise ValueError(f"class probabilities sum to {total!r}, not 1: {(n, u, p)}")
 
 
 def polarity_score(probs: ClassProbabilities, mode: str = "winner") -> float:
@@ -42,17 +49,16 @@ def polarity_score(probs: ClassProbabilities, mode: str = "winner") -> float:
     p_positive - p_negative instead.
     """
     _validate(probs)
+    n, u, p = probs
+    if mode == "winner":
+        if p >= u and p >= n:
+            return p * 1.0
+        if u >= n:
+            return u * 0.0
+        return n * -1.0
     if mode == "expectation":
-        return probs.p_positive - probs.p_negative
-    if mode != "winner":
-        raise ValueError(f"unknown polarity mode {mode!r}")
-    candidates = (
-        (probs.p_negative, 0, -1.0),
-        (probs.p_neutral, 1, 0.0),
-        (probs.p_positive, 2, 1.0),
-    )
-    p, _, multiplier = max(candidates, key=lambda c: (c[0], c[1]))
-    return p * multiplier
+        return p - n
+    raise ValueError(f"unknown polarity mode {mode!r}")
 
 
 def lexicon_score(headline: str, lexicon: dict[str, float]) -> ClassProbabilities:
@@ -63,11 +69,7 @@ def lexicon_score(headline: str, lexicon: dict[str, float]) -> ClassProbabilitie
     """
     hits = [lexicon[token] for token in headline.split() if token in lexicon]
     s = sum(hits) / len(hits) if hits else 0.0
-    return ClassProbabilities(
-        p_negative=max(-s, 0.0),
-        p_neutral=1.0 - abs(s),
-        p_positive=max(s, 0.0),
-    )
+    return ClassProbabilities(max(-s, 0.0), 1.0 - abs(s), max(s, 0.0))
 
 
 class PrescoredProvider:
@@ -78,17 +80,10 @@ class PrescoredProvider:
 
     @classmethod
     def from_file(cls, path: str | Path) -> "PrescoredProvider":
+        """Read id and the three probabilities per line; a later line for an id wins."""
         table = {}
-        with open(path, encoding="utf-8") as fh:
-            for line in fh:
-                if not line.strip():
-                    continue
-                obj = json.loads(line)
-                table[obj["id"]] = ClassProbabilities(
-                    p_negative=float(obj["p_negative"]),
-                    p_neutral=float(obj["p_neutral"]),
-                    p_positive=float(obj["p_positive"]),
-                )
+        for _, (aid, n, u, p) in _records(path, *PRESCORED_FIELDS):
+            table[aid] = ClassProbabilities(n, u, p)
         return cls(table)
 
     def probabilities(self, article: NewsArticle) -> ClassProbabilities:
@@ -109,7 +104,8 @@ class LexiconProvider:
 
     @classmethod
     def from_file(cls, path: str | Path) -> "LexiconProvider":
-        return cls({str(k): float(v) for k, v in load_json_object(path).items()})
+        obj = load_json_object(path)
+        return cls({token: config_value(obj, token, float, None, path) for token in obj})
 
     def probabilities(self, article: NewsArticle) -> ClassProbabilities:
         return lexicon_score(article.headline, self._lexicon)
@@ -125,40 +121,78 @@ class ScoredArticle(NamedTuple):
 
 def score_articles(articles: list[NewsArticle], provider, mode: str = "winner") -> list[ScoredArticle]:
     """Score every article with the provider, preserving input order."""
-    out = []
-    for a in articles:
-        score = polarity_score(provider.probabilities(a), mode=mode)
-        out.append(ScoredArticle(
-            id=a.id, company_id=a.company_id, source=a.source,
-            published_at=a.published_at, score=score,
-        ))
-    return out
+    probabilities = provider.probabilities
+    return [
+        ScoredArticle(a.id, a.company_id, a.source, a.published_at,
+                      polarity_score(probabilities(a), mode))
+        for a in articles
+    ]
 
 
 def write_scored(path: str | Path, scored: list[ScoredArticle]) -> None:
+    """Write one JSON object per line, as json.dumps(..., ensure_ascii=False) would.
+
+    Strings are quoted by json.dumps's own encode_basestring and a finite
+    float score by float.__repr__, as in json.dumps; any other score is
+    written by json.dumps itself.
+    """
+    q = encode_basestring
     with open(path, "w", encoding="utf-8") as fh:
+        write = fh.write
         for s in scored:
-            fh.write(json.dumps({
-                "id": s.id,
-                "company_id": s.company_id,
-                "source": s.source,
-                "published_at": s.published_at.isoformat(),
-                "score": s.score,
-            }, ensure_ascii=False) + "\n")
+            score = s.score
+            score = repr(score) if type(score) is float and math.isfinite(score) else json.dumps(score)
+            write(f'{{"id": {q(s.id)}, "company_id": {q(s.company_id)}, "source": {q(s.source)}, '
+                  f'"published_at": "{s.published_at.isoformat()}", "score": {score}}}\n')
 
 
 def load_scored(path: str | Path) -> list[ScoredArticle]:
+    """Read a file written by write_scored.
+
+    Every non-blank line must be a JSON object whose id, company_id, source
+    and published_at are strings and whose score is a number in [-1, 1]; any
+    other line raises ValueError naming the file, the line and the field.
+    """
     out = []
+    for lineno, (aid, company, source, stamp, score) in _records(path, *SCORED_FIELDS):
+        if not -1.0 <= score <= 1.0:
+            raise ValueError(f"{path}: line {lineno}: 'score' must be in [-1, 1], got {score!r}")
+        try:
+            ts = parse_timestamp(stamp)
+        except ValueError as exc:
+            raise ValueError(f"{path}: line {lineno}: bad published_at ({exc})") from None
+        out.append(ScoredArticle(aid, company, source, ts, score))
+    return out
+
+
+def _records(path: str | Path, texts: tuple[str, ...], numbers: tuple[str, ...]):
+    """Yield (line number, the values of texts then numbers) for each non-blank JSON line.
+
+    Each of texts must be a string and each of numbers a finite number,
+    yielded as a float. A line that is not a JSON object, lacks a field or
+    holds one of another kind raises ValueError naming the file, the line and
+    the field.
+    """
+    names = texts + numbers
+    kinds = (str,) * len(texts) + (float,) * len(numbers)
+    take = itemgetter(*names)
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
-            obj = json.loads(line)
-            out.append(ScoredArticle(
-                id=obj["id"],
-                company_id=obj["company_id"],
-                source=obj["source"],
-                published_at=parse_timestamp(obj["published_at"]),
-                score=float(obj["score"]),
-            ))
-    return out
+            try:
+                obj = parse_json(line)
+            except json.JSONDecodeError as exc:
+                raise ValueError(f"{path}: line {lineno}: invalid JSON ({exc.msg})") from None
+            if type(obj) is not dict:
+                raise ValueError(f"{path}: line {lineno}: not a JSON object ({type(obj).__name__})")
+            try:
+                values = take(obj)
+            except KeyError as exc:
+                raise ValueError(f"{path}: line {lineno}: missing field {exc.args[0]!r}") from None
+            # a line of exact kinds and finite floats is taken as read; config_value
+            # turns an integer into a float and names the first field of a wrong kind
+            if tuple(map(type, values)) != kinds or not math.isfinite(sum(values[len(texts):])):
+                where = f"{path}: line {lineno}"
+                values = [config_value(obj, key, kind, None, where) for key, kind in zip(names, kinds)]
+            yield lineno, values

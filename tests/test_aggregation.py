@@ -283,3 +283,14 @@ def test_matches_reference_bit_for_bit(seed, mode):
     for record in articles:
         assert (effective_trading_date(record.published_at, calendar)
                 == aggregation_reference.effective_trading_date(record.published_at, calendar))
+
+
+@pytest.mark.parametrize("stamp, expected, message", [
+    (datetime(1, 1, 1, 2, 0, tzinfo=timezone(timedelta(hours=5))), WEEKDAYS[0], "precedes the calendar"),
+    (datetime(9999, 12, 31, 23, 30, tzinfo=timezone.utc), None, "falls after the final trading date"),
+    (datetime(9999, 12, 31, 16, 30, tzinfo=timezone.utc), None, "falls after the final trading date"),
+], ids=["year-1", "year-9999-utc", "year-9999-after-cutoff"])
+def test_timestamps_at_the_ends_of_the_date_range_fall_outside_the_calendar(stamp, expected, message):
+    # converting these to market time, or moving them past the cutoff, leaves the date range
+    d, diag = effective_trading_date(stamp, CAL)
+    assert d == expected and message in diag

@@ -3,12 +3,17 @@
 from __future__ import annotations
 
 import json
+import math
 import os
 import subprocess
 import sys
+import tempfile
+from datetime import datetime, timedelta, timezone
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sentindex.cli import main
 
@@ -256,3 +261,170 @@ def test_cli_import_leaves_numpy_unloaded():
     done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                           text=True, timeout=60, check=True)
     assert done.stdout.strip() == "False"
+
+
+class TestStrictInputs:
+    @pytest.mark.parametrize("command, config, message", [
+        ("optimize", {"delta": None}, "'delta' must be a finite number, got None"),
+        ("optimize", {"cap": "0.1"}, "'cap' must be a finite number, got str"),
+        ("optimize", {"delta": float("nan")}, "'delta' must be a finite number, got nan"),
+        ("filter", {"exclusions": [1]}, "'exclusions' must be a JSON object, got list"),
+        ("score", {"gut": {}}, "'gut' must be a finite number, got dict"),
+        ("aggregate", {"cutoff_local_time": 17}, "'cutoff_local_time' must be a string, got 17"),
+        ("backtest", {"signal_lag_days": 1.5}, "'signal_lag_days' must be an integer, got 1.5"),
+        ("backtest", {"tc_rate": float("inf")}, "'tc_rate' must be a finite number, got inf"),
+        ("backtest", {"optimizer": {"budget_lo": [0.5]}}, "'optimizer': 'budget_lo' must be a finite number, got list"),
+    ], ids=["optimize-null", "optimize-string", "optimize-nan", "filter-exclusions", "score-lexicon",
+            "aggregate-cutoff", "backtest-lag", "backtest-inf", "backtest-optimizer-value"])
+    def test_config_value_of_wrong_type_exits_one(self, tmp_path, golden_dir, capsys,
+                                                   command, config, message):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        (tmp_path / "w.csv").write_text("company,weight\nalpha,0.0\n")
+        g = golden_dir
+        argv = {
+            "filter": ["--articles", g / "articles.jsonl", "--config", path],
+            "score": ["--articles", g / "articles.jsonl", "--provider", "lexicon",
+                      "--provider-file", path],
+            "aggregate": ["--scored", tmp_path / "none.jsonl", "--prices", g / "prices.csv",
+                          "--config", path],
+            "optimize": ["--sentiments", tmp_path / "w.csv", "--prior", tmp_path / "w.csv",
+                         "--config", path],
+            "backtest": ["--prices", g / "prices.csv", "--sentiments", tmp_path / "none.csv",
+                         "--config", path],
+        }[command]
+        assert run([command, *argv, "--out", tmp_path / "out"]) == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert f"{path}: {message}" in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("text, message", [
+        ('{"delta": 0.5', "invalid JSON (Expecting ',' delimiter"),
+        ('{"delta": ' + "[" * 100_000, "invalid JSON (nested too deeply"),
+    ], ids=["truncated", "nested"])
+    def test_config_that_is_not_json_exits_one(self, tmp_path, capsys, text, message):
+        path = tmp_path / "config.json"
+        path.write_text(text)
+        (tmp_path / "w.csv").write_text("company,weight\nalpha,0.0\n")
+        assert run(["optimize", "--sentiments", tmp_path / "w.csv", "--prior", tmp_path / "w.csv",
+                    "--config", path, "--out", tmp_path / "out"]) == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and f"{path}: {message}" in err
+
+    def test_non_finite_score_exits_one(self, chain_dir, golden_dir, capsys):
+        scored = chain_dir / "scored.jsonl"
+        lines = scored.read_text().splitlines()
+        record = json.loads(lines[4])
+        record["score"] = float("nan")
+        lines[4] = json.dumps(record)
+        scored.write_text("\n".join(lines) + "\n")
+        out = chain_dir / "daily_nan.csv"
+        code = run(["aggregate", "--scored", scored, "--prices", golden_dir / "prices.csv",
+                    "--config", golden_dir / "aggregation_config.json", "--out", out])
+        assert code == 1
+        assert f"{scored}: line 5: 'score' must be a finite number, got nan" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["aggregate", "score"])
+    def test_non_object_line_exits_one(self, tmp_path, golden_dir, capsys, command):
+        data = tmp_path / "data.jsonl"
+        data.write_text("[1]\n")
+        argv = {
+            "aggregate": ["--scored", data, "--prices", golden_dir / "prices.csv",
+                          "--config", golden_dir / "aggregation_config.json"],
+            "score": ["--articles", golden_dir / "articles.jsonl", "--provider", "prescored",
+                      "--provider-file", data],
+        }[command]
+        assert run([command, *argv, "--out", tmp_path / "out"]) == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and f"{data}: line 1: not a JSON object (list)" in err
+        assert not (tmp_path / "out").exists()
+
+
+# the CLI fuzz gate: lines of arbitrary JSON, junk text and almost-valid records
+json_st = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6)
+stamp_st = st.one_of(
+    st.sampled_from(["2021-03-01T10:00:00+01:00", "2021-03-12T17:00:00+01:00", "2021-02-01T09:00:00Z",
+                     "2021-03-01T10:00:00", "0001-01-01T00:00:00+05:00", "9999-12-31T23:30:00+00:00",
+                     "9999-12-31T16:30:00-00:00"]),
+    st.datetimes(min_value=datetime(1, 1, 1), max_value=datetime(9999, 12, 31),
+                 timezones=st.builds(timezone, st.timedeltas(min_value=timedelta(hours=-23),
+                                                             max_value=timedelta(hours=23)))
+                 ).map(datetime.isoformat))
+ARTICLE = {"id": "a1", "company_id": "adlerwerke", "source": "wire",
+           "published_at": "2021-03-01T10:00:00+01:00", "headline": "adlerwerke kurssprung",
+           "body": None, "language": "de"}
+SCORED = {"id": "a1", "company_id": "adlerwerke", "source": "wire",
+          "published_at": "2021-03-01T10:00:00+01:00", "score": 0.5}
+PRESCORED = {"id": "a1", "p_negative": 0.2, "p_neutral": 0.3, "p_positive": 0.5}
+
+
+def record_st(base: dict):
+    """base with its id and stamp drawn from a few, and maybe one field replaced or dropped."""
+    def build(aid, stamp, edit):
+        record = {**base, "id": aid}
+        if "published_at" in record:
+            record["published_at"] = stamp
+        if edit is not None:
+            key, value, drop = edit
+            if drop:
+                del record[key]
+            else:
+                record[key] = value
+        return json.dumps(record)
+    edit = st.tuples(st.sampled_from(sorted(base)), st.one_of(json_st, st.floats()), st.booleans())
+    return st.builds(build, st.sampled_from(["a1", "a2", "a3"]), stamp_st, st.none() | edit)
+
+
+def lines_st(base: dict):
+    line = st.one_of(json_st.map(json.dumps), st.text(max_size=12), record_st(base),
+                     record_st(base).map(lambda x: f"{x}\n{x}"), st.just(json.dumps(base)))
+    return st.lists(line, max_size=6).map(lambda lines: "".join(f"{x}\n" for x in lines))
+
+
+def _assert_finite(path: Path) -> None:
+    """Every number in a written JSON-lines or CSV file is finite."""
+    if not path.exists():
+        return
+    text = path.read_text(encoding="utf-8")
+    if path.suffix == ".csv":
+        for row in text.splitlines()[1:]:
+            _, _, *numbers = row.split(",")
+            assert all(math.isfinite(float(x)) for x in numbers), row
+        return
+    for line in text.splitlines():
+        record = json.loads(line, parse_constant=lambda name: pytest.fail(f"{name} in {path.name}"))
+        if "score" in record:
+            assert math.isfinite(record["score"]), line
+
+
+@settings(max_examples=80, deadline=None)
+@given(articles=lines_st(ARTICLE), prescored=lines_st(PRESCORED), scored=lines_st(SCORED))
+def test_fuzzed_inputs_exit_zero_or_one(articles, prescored, scored):
+    g = Path(__file__).resolve().parent / "golden"
+    with tempfile.TemporaryDirectory() as tmp:
+        d = Path(tmp)
+        for name, text in (("articles.jsonl", articles), ("prescored.jsonl", prescored),
+                           ("scored.jsonl", scored)):
+            (d / name).write_text(text, encoding="utf-8")
+        aggregate = ["--prices", g / "prices.csv", "--config", g / "aggregation_config.json"]
+        codes = [
+            run(["filter", "--articles", d / "articles.jsonl", "--config", g / "filter_config.json",
+                 "--out", d / "kept.jsonl", "--removed", d / "removed.jsonl"]),
+            run(["score", "--articles", d / "articles.jsonl", "--provider", "lexicon",
+                 "--provider-file", g / "lexicon.json", "--out", d / "lexicon_scored.jsonl"]),
+            run(["score", "--articles", d / "articles.jsonl", "--provider", "prescored",
+                 "--provider-file", d / "prescored.jsonl", "--mode", "expectation",
+                 "--out", d / "prescored_scored.jsonl"]),
+            run(["aggregate", "--scored", d / "scored.jsonl", *aggregate, "--out", d / "daily.csv"]),
+            run(["aggregate", "--scored", d / "lexicon_scored.jsonl", *aggregate,
+                 "--out", d / "chain_daily.csv"]),
+        ]
+        assert set(codes) <= {0, 1}, codes
+        for path in d.iterdir():
+            if path.name not in ("articles.jsonl", "prescored.jsonl", "scored.jsonl"):
+                _assert_finite(path)

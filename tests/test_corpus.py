@@ -3,22 +3,29 @@
 from __future__ import annotations
 
 import json
-from datetime import datetime, timezone
+import random
+import tempfile
+from datetime import datetime, timedelta, timezone
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import sentiment_reference
 from sentindex.corpus import (
+    REQUIRED_FIELDS,
     FilterConfig,
     NewsArticle,
     deduplicate,
     filter_exclusion_keywords,
     load_articles,
+    load_filter_config,
     normalize_and_gate,
     parse_timestamp,
     remove_auto_generated,
     run_filter_pipeline,
+    write_articles,
 )
 
 TS = datetime(2021, 3, 1, 10, 0, tzinfo=timezone.utc)
@@ -257,3 +264,144 @@ def test_pipeline_stage_accounting(golden_dir):
     assert len(result.kept) + removed_total == len(loaded.articles)
     # every survivor is normalized: lowercase headline, no body
     assert all(a.headline == a.headline.lower() and a.body is None for a in result.kept)
+
+
+TRICKY = '"\\/\x00\x01\x08\t\n\x0b\x0c\r\x1f\x7f\x80\xa0\xe4\xdf€  ﻿\U0001F600 aZ'
+text_st = st.text(st.one_of(st.sampled_from(TRICKY), st.characters(blacklist_categories=("Cs",))),
+                  max_size=20)
+stamp_st = st.builds(
+    lambda d, off: d.replace(tzinfo=timezone(off)),
+    st.datetimes(min_value=datetime(1, 1, 2), max_value=datetime(9999, 12, 30)),
+    st.timedeltas(min_value=timedelta(hours=-23, minutes=-59), max_value=timedelta(hours=23, minutes=59)))
+article_st = st.builds(NewsArticle, text_st, text_st, text_st, stamp_st, text_st,
+                       st.one_of(st.none(), text_st), text_st)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(article_st, max_size=8))
+def test_write_articles_matches_reference_bytes(articles):
+    with tempfile.TemporaryDirectory() as tmp:
+        ours, theirs = Path(tmp) / "ours.jsonl", Path(tmp) / "theirs.jsonl"
+        write_articles(ours, articles)
+        sentiment_reference.write_articles(theirs, articles)
+        assert ours.read_bytes() == theirs.read_bytes()
+
+
+NEW_REJECTIONS = ("not a JSON object", "body must be", "language must be")
+
+
+def _article_lines(rng: random.Random) -> tuple[list[str], set[int]]:
+    """Seeded article lines, malformed in every known way; also the numbers of the
+    lines that only the package's loader rejects (the reference crashes or keeps them)."""
+    lines, rejected = [], set()
+    for lineno in range(1, 301):
+        obj = valid_line(f"a{rng.randrange(40)}", rng.choice([
+            "2021-03-01T10:00:00+01:00", "2021-03-01T10:00:00Z", "2021-03-01T10:00:00z",
+            "2021-03-01T10:00:00.5-05:30"]))
+        obj["body"] = rng.choice([None, "text", "", "ä  "])
+        if rng.random() < 0.3:
+            del obj["language"]
+        kind = rng.randrange(18)
+        if kind == 0:
+            line = "{not json"
+        elif kind == 1:
+            line = rng.choice(["", "   ", "\t"])
+        elif kind == 2:
+            del obj[rng.choice(REQUIRED_FIELDS)]
+        elif kind == 3:
+            obj[rng.choice(REQUIRED_FIELDS)] = rng.choice(["", 5, None, ["x"], {}, True])
+        elif kind == 4:
+            obj["published_at"] = rng.choice(["2021-03-01T10:00:00", "gestern", "2021-13-01T10:00:00Z"])
+        elif kind == 5:
+            line = rng.choice(["[1]", '"x"', "3", "null", "true", "[]"])
+            rejected.add(lineno)
+        elif kind == 6:
+            obj["body"] = rng.choice([5, 1.5, [], {}, True])
+            rejected.add(lineno)
+        elif kind == 7:
+            obj["language"] = rng.choice([7, None, ["de"], False])
+            rejected.add(lineno)
+        elif kind == 8:
+            obj["extra"] = {"nested": [1, 2]}
+        if kind not in (0, 1, 5):
+            line = json.dumps(obj, ensure_ascii=rng.random() < 0.5)
+        if kind == 9:
+            line = rng.choice([" ", "﻿"]) + line
+        elif kind == 10:
+            line = line + rng.choice([" x", " {}", "  \t"])
+        lines.append(line)
+    return lines, rejected
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_load_articles_matches_reference(tmp_path, seed):
+    lines, rejected = _article_lines(random.Random(seed))
+    ours, theirs = tmp_path / "ours.jsonl", tmp_path / "theirs.jsonl"
+    ours.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    # the reference sees the newly rejected lines as blank, keeping the line numbers
+    theirs.write_text("\n".join("" if i + 1 in rejected else line for i, line in enumerate(lines)) + "\n",
+                      encoding="utf-8")
+    got, expected = load_articles(ours), sentiment_reference.load_articles(theirs)
+    assert got.articles == expected.articles
+    assert [repr(a) for a in got.articles] == [repr(a) for a in expected.articles]
+    new = [d for d in got.diagnostics if any(r in d for r in NEW_REJECTIONS)]
+    assert [d for d in got.diagnostics if d not in new] == expected.diagnostics
+    assert [int(d.split(":")[0].removeprefix("line ")) for d in new] == sorted(rejected)
+
+
+class TestLoaderRejections:
+    @pytest.mark.parametrize("line, kind", [
+        ("[1]", "list"), ('"x"', "str"), ("3", "int"), ("null", "NoneType"),
+    ], ids=["list", "string", "number", "null"])
+    def test_non_object_line_diagnosed(self, tmp_path, line, kind):
+        path = tmp_path / "a.jsonl"
+        path.write_text(json.dumps(valid_line("a1")) + "\n" + line + "\n")
+        report = load_articles(path)
+        assert [a.id for a in report.articles] == ["a1"]
+        assert report.diagnostics == [f"line 2: not a JSON object ({kind})"]
+
+    def test_non_string_body_diagnosed(self, tmp_path):
+        path = tmp_path / "a.jsonl"
+        write_jsonl(path, [{**valid_line("a1"), "body": 5}, {**valid_line("a2"), "body": None}])
+        report = load_articles(path)
+        assert [a.id for a in report.articles] == ["a2"]
+        assert report.diagnostics == ["line 1: body must be a string or null (int)"]
+
+    def test_non_string_language_diagnosed(self, tmp_path):
+        path = tmp_path / "a.jsonl"
+        write_jsonl(path, [{**valid_line("a1"), "language": 7}])
+        report = load_articles(path)
+        assert report.articles == []
+        assert report.diagnostics == ["line 1: language must be a string (int)"]
+
+    @pytest.mark.parametrize("lead", ["", " "], ids=["at-start", "after-whitespace"])
+    def test_deeply_nested_line_diagnosed(self, tmp_path, lead):
+        path = tmp_path / "a.jsonl"
+        path.write_text(lead + "[" * 100_000 + "\n" + json.dumps(valid_line("a1")) + "\n")
+        report = load_articles(path)
+        assert [a.id for a in report.articles] == ["a1"]
+        assert report.diagnostics == ["line 1: invalid JSON (nested too deeply)"]
+
+    @pytest.mark.parametrize("config, message", [
+        ({"exclusions": [1]}, "'exclusions' must be a JSON object, got list"),
+        ({"exclusions": {"puma": "abc"}}, ": 'exclusions': 'puma' must be a list of strings, got str"),
+        ({"exclusions": {"puma": [1]}}, ": 'exclusions': 'puma' must be a list of strings, got list"),
+        ({"auto_generated_phrases": "abc"}, "'auto_generated_phrases' must be a list of strings, got str"),
+        ({"max_headline_tokens": "5"}, "'max_headline_tokens' must be an integer, got str"),
+        ({"max_headline_tokens": 5.0}, "'max_headline_tokens' must be an integer, got 5.0"),
+        ({"max_headline_tokens": True}, "'max_headline_tokens' must be an integer, got True"),
+    ], ids=["exclusions-list", "keywords-string", "keyword-number", "phrases-string",
+            "tokens-string", "tokens-float", "tokens-bool"])
+    def test_filter_config_of_wrong_type_names_file_and_key(self, tmp_path, config, message):
+        path = tmp_path / "filter.json"
+        path.write_text(json.dumps(config))
+        with pytest.raises(ValueError) as exc:
+            load_filter_config(path)
+        assert str(exc.value).startswith(str(path)) and message in str(exc.value)
+
+    def test_filter_config_roundtrip(self, tmp_path):
+        path = tmp_path / "filter.json"
+        path.write_text(json.dumps({"exclusions": {"puma": ["tier"]}, "auto_generated_phrases": ["auto"],
+                                    "max_headline_tokens": 7}))
+        assert load_filter_config(path) == FilterConfig(
+            exclusions={"puma": ("tier",)}, auto_generated_phrases=("auto",), max_headline_tokens=7)
