@@ -13,11 +13,13 @@ from bisect import bisect_left
 from dataclasses import dataclass, field, fields
 from datetime import date, datetime, time, timedelta
 from pathlib import Path
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 from zoneinfo import ZoneInfo
 
-from .inputs import config_value, csv_columns, load_json_object
-from .sentiment import ScoredArticle
+from .inputs import config_value, csv_columns, load_json_object, reject_unknown_keys
+
+if TYPE_CHECKING:
+    from .sentiment import ScoredArticle
 
 HISTORY_MODES = ("nonzero_days", "all_days")
 
@@ -59,6 +61,7 @@ class AggregationConfig:
 
 def load_aggregation_config(path: str | Path) -> AggregationConfig:
     obj = load_json_object(path)
+    reject_unknown_keys(obj, AggregationConfig, path)
     return AggregationConfig(**{
         f.name: config_value(obj, f.name, str, f.default, path) for f in fields(AggregationConfig)})
 

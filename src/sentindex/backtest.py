@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from datetime import date, datetime
 from pathlib import Path
 
-from .inputs import config_value, csv_columns, load_json_object
+from .inputs import config_value, csv_columns, load_json_object, reject_unknown_keys
 from .optimizer import (
     OptimizerConfig,
     optimize_weights,
@@ -114,6 +114,7 @@ class BacktestConfig:
 
 def load_backtest_config(path: str | Path) -> BacktestConfig:
     obj = load_json_object(path)
+    reject_unknown_keys(obj, BacktestConfig, path)
     defaults = BacktestConfig()
     return BacktestConfig(
         tc_rate=config_value(obj, "tc_rate", float, defaults.tc_rate, path),

@@ -3,20 +3,21 @@
 Each subcommand reads and writes plain files so stages can be chained in a
 shell pipeline. Diagnostics go to stderr; data only to the named outputs.
 Exit codes: 0 success, 1 runtime failure, 2 usage errors (argparse).
+
+Each command imports the stage modules it runs and no others: a process
+compiles every module it imports when no bytecode is cached, and on small
+inputs that start-up is most of a command's time.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
-from datetime import date
-from pathlib import Path
-
-from . import aggregation, backtest, corpus, optimizer, report, sentiment
 
 
 def _cmd_filter(args: argparse.Namespace) -> int:
+    from . import corpus
+
     config = corpus.load_filter_config(args.config)
     load = corpus.load_articles(args.articles)
     for diagnostic in load.diagnostics:
@@ -32,6 +33,8 @@ def _cmd_filter(args: argparse.Namespace) -> int:
 
 
 def _cmd_score(args: argparse.Namespace) -> int:
+    from . import corpus, sentiment
+
     load = corpus.load_articles(args.articles)
     for diagnostic in load.diagnostics:
         print(f"score: {diagnostic}", file=sys.stderr)
@@ -46,6 +49,8 @@ def _cmd_score(args: argparse.Namespace) -> int:
 
 
 def _cmd_aggregate(args: argparse.Namespace) -> int:
+    from . import aggregation, backtest, sentiment
+
     config = aggregation.load_aggregation_config(args.config)
     prices = backtest.load_prices(args.prices)
     calendar = aggregation.TradingCalendar(
@@ -62,6 +67,8 @@ def _cmd_aggregate(args: argparse.Namespace) -> int:
 
 
 def _cmd_optimize(args: argparse.Namespace) -> int:
+    from . import optimizer
+
     cfg = optimizer.load_optimizer_config(args.config)
     s = optimizer.load_weights_csv(args.sentiments, "sentiment")
     prior = optimizer.load_weights_csv(args.prior, "weight")
@@ -73,6 +80,8 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
 
 
 def _cmd_backtest(args: argparse.Namespace) -> int:
+    from . import aggregation, backtest
+
     cfg = backtest.load_backtest_config(args.config)
     prices = backtest.load_prices(args.prices)
     sentiments = aggregation.load_daily_sentiment_csv(args.sentiments)
@@ -87,6 +96,11 @@ def _cmd_backtest(args: argparse.Namespace) -> int:
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
+    from datetime import date
+    from pathlib import Path
+
+    from . import report
+
     spec = report.ReportSpec(
         input_dir=Path(args.input_dir),
         output_dir=Path(args.out),

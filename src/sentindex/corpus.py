@@ -15,7 +15,7 @@ from json.encoder import encode_basestring
 from pathlib import Path
 from typing import NamedTuple
 
-from .inputs import config_value, load_json_object, parse_json
+from .inputs import config_value, load_json_object, parse_json, reject_unknown_keys
 
 
 class NewsArticle(NamedTuple):
@@ -67,7 +67,8 @@ def load_articles(path: str | Path) -> LoadReport:
     Malformed lines and duplicate ids are reported in the diagnostics, one
     entry per problem naming the line number, and skipped; blank lines are
     ignored. A line must be a JSON object whose required fields are non-empty
-    strings, whose body is a string or null and whose language is a string.
+    strings, whose body is a string or null and whose language is a string;
+    none of these may hold a lone surrogate, such as the escape "\\ud800".
     An unreadable file raises OSError.
     """
     report = LoadReport(articles=[])
@@ -107,6 +108,12 @@ def load_articles(path: str | Path) -> LoadReport:
             if type(language) is not str:
                 diagnostics.append(f"line {lineno}: language must be a string ({type(language).__name__})")
                 continue
+            if "\\u" in line:  # only an escape decodes to a lone surrogate, which UTF-8 cannot write
+                try:
+                    "".join((aid, company, source, headline, body or "", language)).encode("utf-8")
+                except UnicodeEncodeError:
+                    diagnostics.append(f"line {lineno}: lone surrogate escape in a text field")
+                    continue
             if aid in seen_ids:
                 diagnostics.append(f"line {lineno}: duplicate id {aid!r}")
                 continue
@@ -117,6 +124,7 @@ def load_articles(path: str | Path) -> LoadReport:
 
 def load_filter_config(path: str | Path) -> FilterConfig:
     obj = load_json_object(path)
+    reject_unknown_keys(obj, FilterConfig, path)
     exclusions = config_value(obj, "exclusions", dict, {}, path)
     return FilterConfig(
         exclusions={k: config_value(exclusions, k, list, (), f"{path}: 'exclusions'") for k in exclusions},

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import math
 import sys
+from dataclasses import fields
 from pathlib import Path
 from typing import TextIO
 
@@ -73,6 +74,14 @@ def config_value(obj: dict, key: str, kind: type, default, where: str | Path):
         return value
     got = type(value).__name__ if isinstance(value, (str, list, dict)) else repr(value)
     raise ValueError(f"{where}: {key!r} must be {_KINDS[kind]}, got {got}")
+
+
+def reject_unknown_keys(obj: dict, config_class: type, where: str | Path) -> None:
+    """Raise ValueError naming where and the first key of obj that is no field of config_class."""
+    known = {f.name for f in fields(config_class)}
+    for key in obj:
+        if key not in known:
+            raise ValueError(f"{where}: unknown key {key!r}")
 
 
 def csv_columns(fh: TextIO, names: tuple[str, ...], what: str) -> list[int]:

@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass, fields
 from pathlib import Path
 
-from .inputs import config_value, csv_columns, load_json_object
+from .inputs import config_value, csv_columns, load_json_object, reject_unknown_keys
 
 
 class InfeasibleProblemError(ValueError):
@@ -53,8 +53,10 @@ def load_optimizer_config(path: str | Path) -> OptimizerConfig:
 def optimizer_config_from_dict(obj: dict, where: str | Path) -> OptimizerConfig:
     """Every field is a finite number; absent ones keep the class defaults.
 
-    A value of another type raises ValueError naming where and the key.
+    A value of another type, or a key that is no field, raises ValueError
+    naming where and the key.
     """
+    reject_unknown_keys(obj, OptimizerConfig, where)
     return OptimizerConfig(**{
         f.name: config_value(obj, f.name, float, f.default, where) for f in fields(OptimizerConfig)})
 

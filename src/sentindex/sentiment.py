@@ -80,9 +80,11 @@ class PrescoredProvider:
 
     @classmethod
     def from_file(cls, path: str | Path) -> "PrescoredProvider":
-        """Read id and the three probabilities per line; a later line for an id wins."""
+        """Read id and the three probabilities per line; a repeated id raises ValueError."""
         table = {}
-        for _, (aid, n, u, p) in _records(path, *PRESCORED_FIELDS):
+        for lineno, (aid, n, u, p) in _records(path, *PRESCORED_FIELDS):
+            if aid in table:
+                raise ValueError(f"{path}: line {lineno}: duplicate id {aid!r}")
             table[aid] = ClassProbabilities(n, u, p)
         return cls(table)
 

@@ -239,6 +239,23 @@ class TestPrescoredProviderPath:
         assert code == 1
         assert "a2" in capsys.readouterr().err
 
+    def test_repeated_id_exits_one(self, tmp_path, capsys):
+        articles = tmp_path / "a.jsonl"
+        articles.write_text(json.dumps({
+            "id": "a1", "company_id": "puma", "source": "wire",
+            "published_at": "2021-03-01T10:00:00+01:00",
+            "headline": "puma meldet zahlen", "language": "de"}) + "\n")
+        prescored = tmp_path / "p.jsonl"
+        prescored.write_text(2 * (json.dumps(
+            {"id": "a1", "p_negative": 0.7, "p_neutral": 0.2, "p_positive": 0.1}) + "\n"))
+        out = tmp_path / "scored.jsonl"
+        code = run(["score", "--articles", articles, "--provider", "prescored",
+                    "--provider-file", prescored, "--out", out])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and f"{prescored}: line 2: duplicate id 'a1'" in err
+        assert not out.exists()
+
     def test_expectation_mode_flag(self, tmp_path):
         articles = tmp_path / "a.jsonl"
         articles.write_text(json.dumps({
@@ -263,6 +280,34 @@ def test_cli_import_leaves_numpy_unloaded():
     assert done.stdout.strip() == "False"
 
 
+def test_each_command_loads_only_its_stage_modules(tmp_path, golden_dir):
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    probe = ("import sys; from sentindex.cli import main; code = main(sys.argv[1:]); "
+             "print(code, *sorted(m for m in sys.modules if m.startswith('sentindex.')))")
+    g, t = golden_dir, tmp_path
+    chain = [
+        ("filter", {"cli", "corpus", "inputs"},
+         ["--articles", g / "articles.jsonl", "--config", g / "filter_config.json",
+          "--out", t / "kept.jsonl"]),
+        ("score", {"cli", "corpus", "inputs", "sentiment"},
+         ["--articles", t / "kept.jsonl", "--provider", "lexicon", "--provider-file", g / "lexicon.json",
+          "--out", t / "scored.jsonl"]),
+        ("aggregate", {"cli", "corpus", "inputs", "sentiment", "aggregation", "backtest", "optimizer"},
+         ["--scored", t / "scored.jsonl", "--prices", g / "prices.csv",
+          "--config", g / "aggregation_config.json", "--out", t / "daily.csv"]),
+        ("backtest", {"cli", "inputs", "aggregation", "backtest", "optimizer"},
+         ["--prices", g / "prices.csv", "--sentiments", t / "daily.csv",
+          "--config", g / "backtest_config.json", "--out", t / "bt"]),
+        ("report", {"cli", "report"}, ["--in", t / "bt", "--out", t / "rep"]),
+    ]
+    for command, modules, argv in chain:
+        done = subprocess.run([sys.executable, "-c", probe, command, *map(str, argv)], env=env,
+                              capture_output=True, text=True, timeout=60, check=True)
+        code, *loaded = done.stdout.split()
+        assert (command, code, set(loaded)) == (command, "0", {f"sentindex.{m}" for m in modules})
+
+
 class TestStrictInputs:
     @pytest.mark.parametrize("command, config, message", [
         ("optimize", {"delta": None}, "'delta' must be a finite number, got None"),
@@ -274,8 +319,15 @@ class TestStrictInputs:
         ("backtest", {"signal_lag_days": 1.5}, "'signal_lag_days' must be an integer, got 1.5"),
         ("backtest", {"tc_rate": float("inf")}, "'tc_rate' must be a finite number, got inf"),
         ("backtest", {"optimizer": {"budget_lo": [0.5]}}, "'optimizer': 'budget_lo' must be a finite number, got list"),
+        ("filter", {"max-headline-tokens": 5}, "unknown key 'max-headline-tokens'"),
+        ("aggregate", {"market_timezone": "Europe/Berlin", "cutoff": "17:00"}, "unknown key 'cutoff'"),
+        ("optimize", {"delta": 1.0, "Cap": 0.1}, "unknown key 'Cap'"),
+        ("backtest", {"tc-rate": 0.001}, "unknown key 'tc-rate'"),
+        ("backtest", {"optimizer": {"budget-lo": 0.5}}, "'optimizer': unknown key 'budget-lo'"),
     ], ids=["optimize-null", "optimize-string", "optimize-nan", "filter-exclusions", "score-lexicon",
-            "aggregate-cutoff", "backtest-lag", "backtest-inf", "backtest-optimizer-value"])
+            "aggregate-cutoff", "backtest-lag", "backtest-inf", "backtest-optimizer-value",
+            "filter-unknown-key", "aggregate-unknown-key", "optimize-unknown-key", "backtest-unknown-key",
+            "backtest-optimizer-unknown-key"])
     def test_config_value_of_wrong_type_exits_one(self, tmp_path, golden_dir, capsys,
                                                    command, config, message):
         path = tmp_path / "config.json"
@@ -311,6 +363,23 @@ class TestStrictInputs:
                     "--config", path, "--out", tmp_path / "out"]) == 1
         err = capsys.readouterr().err
         assert "Traceback" not in err and f"{path}: {message}" in err
+
+    def test_lone_surrogate_article_is_skipped(self, tmp_path, golden_dir, capsys):
+        lines = (golden_dir / "articles.jsonl").read_text(encoding="utf-8").splitlines()
+        record = json.loads(lines[5])
+        record["headline"] += " \ud800"
+        lines[5] = json.dumps(record)
+        articles = tmp_path / "articles.jsonl"
+        articles.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        config = ["--config", golden_dir / "filter_config.json"]
+        assert run(["filter", "--articles", golden_dir / "articles.jsonl", *config,
+                    "--out", tmp_path / "all.jsonl"]) == 0
+        assert run(["filter", "--articles", articles, *config, "--out", tmp_path / "kept.jsonl"]) == 0
+        assert "filter: line 6: lone surrogate escape in a text field" in capsys.readouterr().err
+        full = (tmp_path / "all.jsonl").read_text(encoding="utf-8").splitlines()
+        expected = [line for line in full if json.loads(line)["id"] != record["id"]]
+        assert len(expected) == len(full) - 1
+        assert (tmp_path / "kept.jsonl").read_text(encoding="utf-8").splitlines() == expected
 
     def test_non_finite_score_exits_one(self, chain_dir, golden_dir, capsys):
         scored = chain_dir / "scored.jsonl"

@@ -374,6 +374,16 @@ class TestLoaderRejections:
         assert report.articles == []
         assert report.diagnostics == ["line 1: language must be a string (int)"]
 
+    @pytest.mark.parametrize("field", ["id", "headline", "body", "language"])
+    def test_lone_surrogate_diagnosed(self, tmp_path, field):
+        # json.dumps escapes the lone surrogate as \ud800, and a valid pair as \ud83d\ude00
+        path = tmp_path / "a.jsonl"
+        write_jsonl(path, [{**valid_line("a1"), field: "puma \ud800"},
+                           {**valid_line("a1"), "headline": "puma \U0001f600 gewinnt"}])
+        report = load_articles(path)
+        assert [a.headline for a in report.articles] == ["puma \U0001f600 gewinnt"]
+        assert report.diagnostics == ["line 1: lone surrogate escape in a text field"]
+
     @pytest.mark.parametrize("lead", ["", " "], ids=["at-start", "after-whitespace"])
     def test_deeply_nested_line_diagnosed(self, tmp_path, lead):
         path = tmp_path / "a.jsonl"

@@ -318,7 +318,9 @@ class TestScoredFiles:
          "line 2: 'p_negative' must be a finite number, got None"),
         (json.dumps({"id": "a2", "p_negative": 0.1, "p_neutral": math.nan, "p_positive": 0.7}),
          "line 2: 'p_neutral' must be a finite number, got nan"),
-    ], ids=["list", "missing", "int-id", "null-probability", "nan-probability"])
+        (json.dumps({"id": "a1", "p_negative": 0.3, "p_neutral": 0.2, "p_positive": 0.5}),
+         "line 2: duplicate id 'a1'"),
+    ], ids=["list", "missing", "int-id", "null-probability", "nan-probability", "repeated-id"])
     def test_prescored_rejects_naming_file_line_and_field(self, tmp_path, line, message):
         path = tmp_path / "prescored.jsonl"
         self.write(path, [json.dumps({"id": "a1", "p_negative": 0.1, "p_neutral": 0.2, "p_positive": 0.7}),
