@@ -16,7 +16,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, NamedTuple
 from zoneinfo import ZoneInfo
 
-from .inputs import config_value, csv_columns, load_json_object, reject_unknown_keys
+from .inputs import config_value, csv_columns, line_error, load_json_object, reject_unknown_keys
 
 if TYPE_CHECKING:
     from .sentiment import ScoredArticle
@@ -105,17 +105,6 @@ def effective_trading_date(
     return None, f"published {published_at.isoformat()} falls after the final trading date"
 
 
-def source_adjustment(u_today: int, prior_counts: list[int]) -> float:
-    """Shrink factor from today's unique-source count vs. the historical mean.
-
-    With no history the factor is 1. Otherwise u/mean(prior) when below the
-    mean, else 1; always in (0, 1] given u_today >= 1.
-    """
-    if u_today < 1:
-        raise ValueError(f"u_today must be >= 1, got {u_today}")
-    return _shrink(u_today, sum(prior_counts), len(prior_counts))
-
-
 def _shrink(u_today: int, prior_total: int, prior_days: int) -> float:
     # the running total and count are exactly sum(history) and len(history),
     # and int / int is correctly rounded, so the mean matches bit for bit
@@ -132,6 +121,7 @@ class AggregationResult:
     rows: list[DailySentiment]  # ordered by (trading date, company id)
     diagnostics: list[str] = field(default_factory=list)
     dropped_after_range: int = 0
+    dropped_unknown_company: int = 0  # on a trading date, but not in the universe
 
 
 def aggregate_daily(
@@ -146,6 +136,7 @@ def aggregate_daily(
     source count, adjustment from the company's source history before that
     date, adjusted = raw * adjustment. Companies and dates with no articles
     get all-zero rows, so the grid always has |universe| * |dates| entries.
+    Articles of a company outside the universe are counted and dropped.
     """
     config = config or AggregationConfig()
     all_days = config.adjustment_history == "all_days"
@@ -189,6 +180,10 @@ def aggregate_daily(
             prior_days += 1
         columns.append(column)
     result.rows = [row for rows_of_date in zip(*columns) for row in rows_of_date]
+    known = set(universe)
+    result.dropped_unknown_company = sum(
+        len(scores) for company, by_date in groups.items() if company not in known
+        for scores, _ in by_date.values())
     return result
 
 
@@ -205,29 +200,34 @@ def write_daily_sentiment_csv(path: str | Path, result: AggregationResult) -> No
             fh.write(f"{day},{company},{raw!r},{u},{adj!r},{adjusted!r}\n")
 
 
-def load_daily_sentiment_csv(path: str | Path) -> dict[tuple[str, date], float]:
-    """Read the adjusted-sentiment column back as a (company, date) map.
+def load_daily_sentiment_csv(path: str | Path) -> dict[date, dict[str, float]]:
+    """Read the adjusted-sentiment column back as a date -> company -> value map.
 
-    A non-finite value or a repeated (company, date) row is rejected with its
-    line named.
+    A non-finite value, a repeated (company, date) row or a malformed row is
+    rejected with the file and its line named.
     """
-    out: dict[tuple[str, date], float] = {}
-    parsed: dict[str, date] = {}  # date text -> date, so each text is parsed once
+    out: dict[date, dict[str, float]] = {}
+    by_text: dict[str, dict[str, float]] = {}  # date text -> that date's map, parsed once
     with open(path, encoding="utf-8") as fh:
         i_date, i_company, i_adjusted = csv_columns(fh, ("date", "company", "adjusted"), "sentiment")
         for lineno, line in enumerate(fh, start=2):
-            if not line.strip():
-                continue
-            parts = line.rstrip("\n").split(",")
-            text = parts[i_date]
-            d = parsed.get(text)
-            if d is None:
-                d = parsed[text] = date.fromisoformat(text)
-            key = (parts[i_company], d)
-            if key in out:
-                raise ValueError(f"line {lineno}: duplicate sentiment row for ({key[0]}, {d})")
-            value = float(parts[i_adjusted])
-            if not math.isfinite(value):
-                raise ValueError(f"line {lineno}: non-finite adjusted {value!r} for ({key[0]}, {d})")
-            out[key] = value
+            try:
+                if not line.strip():
+                    continue
+                parts = line.rstrip("\n").split(",")
+                text = parts[i_date]
+                day = by_text.get(text)
+                if day is None:
+                    day = by_text[text] = out.setdefault(date.fromisoformat(text), {})
+                company = parts[i_company]
+                if company in day:
+                    raise ValueError(
+                        f"duplicate sentiment row for ({company}, {date.fromisoformat(text)})")
+                value = float(parts[i_adjusted])
+                if not math.isfinite(value):
+                    raise ValueError(
+                        f"non-finite adjusted {value!r} for ({company}, {date.fromisoformat(text)})")
+                day[company] = value
+            except (ValueError, IndexError) as exc:
+                raise line_error(path, lineno, exc) from None
     return out

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from datetime import date, datetime
 from pathlib import Path
 
-from .inputs import config_value, csv_columns, load_json_object, reject_unknown_keys
+from .inputs import config_value, csv_columns, line_error, load_json_object, reject_unknown_keys
 from .optimizer import (
     OptimizerConfig,
     optimize_weights,
@@ -26,55 +26,57 @@ from .optimizer import (
 
 @dataclass(frozen=True)
 class PriceSeries:
-    dates: tuple[date, ...]
-    companies: tuple[str, ...]  # sorted
-    closes: dict[tuple[str, date], float]
+    """Closes on a gap-free grid: rows[i][j] is the close of companies[j] on dates[i]."""
 
-    def price(self, company: str, d: date) -> float:
-        return self.closes[(company, d)]
+    dates: tuple[date, ...]
+    companies: tuple[str, ...]  # sorted when loaded
+    rows: list[list[float]]
 
 
 def load_prices(path: str | Path) -> PriceSeries:
     """Read a date,company,close CSV into a gap-free grid.
 
     Every company must have a finite positive close for every date; a name
-    with missing rows is rejected with its first gap named.
+    with missing rows is rejected with its first gap named. A malformed row
+    is rejected with the file and its line named.
     """
-    closes: dict[tuple[str, date], float] = {}
-    parsed: dict[str, date] = {}  # date text -> date, so each text is parsed once
-    companies: set[str] = set()
+    by_date: dict[date, dict[str, float]] = {}  # date -> company -> close
+    by_text: dict[str, dict[str, float]] = {}  # date text -> that date's closes, parsed once
     with open(path, encoding="utf-8") as fh:
         i_date, i_company, i_close = csv_columns(fh, ("date", "company", "close"), "price")
         for lineno, line in enumerate(fh, start=2):
-            if not line.strip():
-                continue
-            parts = line.rstrip("\n").split(",")
-            text = parts[i_date]
-            d = parsed.get(text)
-            if d is None:
-                d = parsed[text] = date.fromisoformat(text)
-            company = parts[i_company]
-            close = float(parts[i_close])
-            if not math.isfinite(close):
-                raise ValueError(f"line {lineno}: non-finite close {close!r} for {company}")
-            if close <= 0:
-                raise ValueError(f"line {lineno}: nonpositive close {close!r} for {company}")
-            if (company, d) in closes:
-                raise ValueError(f"line {lineno}: duplicate price row for ({company}, {d})")
-            closes[(company, d)] = close
-            companies.add(company)
-    if not closes:
-        raise ValueError("price CSV contains no rows")
-    ordered_dates = tuple(sorted(set(parsed.values())))
-    ordered_companies = tuple(sorted(companies))
-    # rows are unique (company, date) pairs, so the grid is complete exactly
-    # when their count fills it; only a short count needs the gap search
-    if len(closes) != len(ordered_dates) * len(ordered_companies):
-        for company in ordered_companies:
-            for d in ordered_dates:
-                if (company, d) not in closes:
+            try:
+                if not line.strip():
+                    continue
+                parts = line.rstrip("\n").split(",")
+                text = parts[i_date]
+                closes = by_text.get(text)
+                if closes is None:
+                    closes = by_text[text] = by_date.setdefault(date.fromisoformat(text), {})
+                company = parts[i_company]
+                close = float(parts[i_close])
+                if not 0.0 < close < math.inf:  # also false for nan
+                    kind = "non-finite" if not math.isfinite(close) else "nonpositive"
+                    raise ValueError(f"{kind} close {close!r} for {company}")
+                if company in closes:
+                    raise ValueError(
+                        f"duplicate price row for ({company}, {date.fromisoformat(text)})")
+                closes[company] = close
+            except (ValueError, IndexError) as exc:
+                raise line_error(path, lineno, exc) from None
+    if not by_date:
+        raise ValueError(f"{path}: price CSV contains no rows")
+    dates = tuple(sorted(by_date))
+    companies = tuple(sorted(set().union(*by_date.values())))
+    # each date holds a subset of the companies, so the grid is complete
+    # exactly when every date holds all of them
+    if any(len(closes) != len(companies) for closes in by_date.values()):
+        for company in companies:
+            for d in dates:
+                if company not in by_date[d]:
                     raise ValueError(f"price series has a gap: no close for ({company}, {d})")
-    return PriceSeries(dates=ordered_dates, companies=ordered_companies, closes=closes)
+    rows = [[closes[c] for c in companies] for closes in map(by_date.__getitem__, dates)]
+    return PriceSeries(dates=dates, companies=companies, rows=rows)
 
 
 def load_benchmark_levels(path: str | Path) -> dict[date, float]:
@@ -83,16 +85,18 @@ def load_benchmark_levels(path: str | Path) -> dict[date, float]:
     with open(path, encoding="utf-8") as fh:
         i_date, i_level = csv_columns(fh, ("date", "level"), "benchmark")
         for lineno, line in enumerate(fh, start=2):
-            if not line.strip():
-                continue
-            parts = line.rstrip("\n").split(",")
-            d, level = date.fromisoformat(parts[i_date]), float(parts[i_level])
-            if not 0.0 < level < math.inf:  # also false for nan
-                raise ValueError(
-                    f"line {lineno}: benchmark level {level!r} for {d} is not finite and positive")
-            if d in out:
-                raise ValueError(f"line {lineno}: duplicate benchmark row for {d}")
-            out[d] = level
+            try:
+                if not line.strip():
+                    continue
+                parts = line.rstrip("\n").split(",")
+                d, level = date.fromisoformat(parts[i_date]), float(parts[i_level])
+                if not 0.0 < level < math.inf:  # also false for nan
+                    raise ValueError(f"benchmark level {level!r} for {d} is not finite and positive")
+                if d in out:
+                    raise ValueError(f"duplicate benchmark row for {d}")
+                out[d] = level
+            except (ValueError, IndexError) as exc:
+                raise line_error(path, lineno, exc) from None
     return out
 
 
@@ -125,45 +129,12 @@ def load_backtest_config(path: str | Path) -> BacktestConfig:
     )
 
 
-def simple_return(p_t: float, p_prev: float) -> float:
-    if p_t <= 0 or p_prev <= 0:
-        raise ValueError(f"prices must be positive, got ({p_t!r}, {p_prev!r})")
-    return (p_t - p_prev) / p_prev
-
-
-def drift_weights(
-    w: dict[str, float], returns: dict[str, float]
-) -> tuple[dict[str, float], float]:
-    """Re-express weights after a day's returns; also return the gross return.
-
-    w_drifted_i = w_i (1 + r_i) / (1 + sum_j w_j r_j). The cash remainder
-    implicitly earns zero and is diluted by the same denominator. Raises when
-    the portfolio return hits -100%.
-    """
-    keys = sorted(w)
-    if sorted(returns) != keys:
-        raise ValueError("weight and return key sets differ")
-    drifted, r_gross = _drift([w[k] for k in keys], [returns[k] for k in keys])
-    return dict(zip(keys, drifted)), r_gross
-
-
 def _drift(w: list[float], r: list[float]) -> tuple[list[float], float]:
     r_gross = sum([w_k * r_k for w_k, r_k in zip(w, r)])
     denom = 1.0 + r_gross
     if denom <= 0:
         raise ValueError(f"portfolio wiped out: gross return {r_gross!r}")
     return [w_k * (1.0 + r_k) / denom for w_k, r_k in zip(w, r)], r_gross
-
-
-def transaction_costs(
-    w_new: dict[str, float], w_drifted: dict[str, float], tc_rate: float
-) -> tuple[float, dict[str, float]]:
-    """Total cost drag tc_rate * turnover, plus the per-name components."""
-    keys = sorted(w_new)
-    if sorted(w_drifted) != keys:
-        raise ValueError("weight key sets differ")
-    moves = [w_new[k] - w_drifted[k] for k in keys]
-    return _cost(moves, tc_rate), {k: tc_rate * abs(m) for k, m in zip(keys, moves)}
 
 
 def _cost(moves: list[float], tc_rate: float) -> float:
@@ -204,34 +175,36 @@ class BacktestResult:
 
 def run_backtest(
     prices: PriceSeries,
-    sentiments: dict[tuple[str, date], float],
+    sentiments: dict[date, dict[str, float]],
     cfg: BacktestConfig | None = None,
     benchmark: dict[date, float] | None = None,
 ) -> BacktestResult:
     """Run the full day loop and return per-day records plus the summary.
 
-    The first date starts from all-zero weights; its rebalance into the band
-    is charged costs but excluded from trade-count statistics. The signal for
-    the weights held into date t+1 is the sentiment of date t+1-lag; dates
-    before the sentiment history use a zero signal. The benchmark is a
-    supplied level series renormalized to the initial level, or an
-    equal-weight daily-rebalanced costless basket when absent.
+    sentiments maps each date to the adjusted sentiment of every company, as
+    aggregation.load_daily_sentiment_csv returns it. The first date starts
+    from all-zero weights; its rebalance into the band is charged costs but
+    excluded from trade-count statistics. The signal for the weights held
+    into date t+1 is the sentiment of date t+1-lag; dates before the
+    sentiment history use a zero signal. The benchmark is a supplied level
+    series renormalized to the initial level, or an equal-weight
+    daily-rebalanced costless basket when absent.
     """
     cfg = cfg or BacktestConfig()
     dates = list(prices.dates)
     if not dates:
         raise ValueError("empty date range")
     companies = prices.companies
-    # one fixed company order: weights, drift, moves and signals are lists
-    # over the sorted keys, the order in which the dict helpers sum
+    n = len(companies)
+    if len(prices.rows) != len(dates) or any(len(row) != n for row in prices.rows):
+        raise ValueError(f"price series needs {len(dates)} rows of {n} closes")
+    # weights, drift, moves and the solve follow the sorted keys, the order in
+    # which the dict helpers sum; closes, returns and the equal-weight
+    # benchmark follow prices.companies, and order maps the one onto the other
     keys = sorted(companies)
-    signals = []
-    for d in dates:
-        try:
-            signals.append([sentiments[(k, d)] for k in keys])
-        except KeyError:
-            c = next(c for c in companies if (c, d) not in sentiments)
-            raise ValueError(f"missing sentiment for ({c!r}, {d})") from None
+    order = sorted(range(n), key=companies.__getitem__)
+    in_order = order == list(range(n))
+    signals = [_signal(sentiments, d, companies, keys) for d in dates]
     if benchmark is not None:
         for d in dates:
             if d not in benchmark:
@@ -239,18 +212,15 @@ def run_backtest(
         if benchmark[dates[0]] <= 0:
             raise ValueError("benchmark must start positive")
 
-    # closes and returns follow prices.companies, the order of the returns
-    # record and of the equal-weight benchmark sum
-    closes = [[prices.closes[(c, d)] for c in companies] for d in dates]
-    weights = [0.0] * len(keys)
+    closes = prices.rows
+    weights = [0.0] * n
     level = cfg.initial_level
     bench_level = cfg.initial_level
     days: list[DayRecord] = []
 
     for i, d in enumerate(dates):
-        r = list(map(simple_return, closes[i], closes[i - 1])) if i else [0.0] * len(companies)
-        returns = dict(zip(companies, r))
-        drifted_w, r_gross = _drift(weights, [returns[k] for k in keys])
+        r = _returns(closes[i], closes[i - 1]) if i else [0.0] * n
+        drifted_w, r_gross = _drift(weights, r if in_order else [r[j] for j in order])
         drifted = dict(zip(keys, drifted_w))
 
         # the target held into date i+1 uses the sentiment of date i+1-lag;
@@ -261,7 +231,7 @@ def run_backtest(
         elif signal_idx >= len(dates):
             target = dict(drifted)
         else:
-            target = optimize_weights(dict(zip(keys, signals[signal_idx])), drifted, cfg.optimizer)
+            target = optimize_weights(signals[signal_idx], drifted, cfg.optimizer)
 
         weights = [target[k] for k in keys]
         moves = [w_k - d_k for w_k, d_k in zip(weights, drifted_w)]
@@ -271,16 +241,41 @@ def run_backtest(
         if benchmark is not None:
             bench_level = cfg.initial_level * benchmark[d] / benchmark[dates[0]]
         elif i > 0:
-            bench_level *= 1.0 + sum(r) / len(companies)
+            bench_level *= 1.0 + sum(r) / n
 
         days.append(DayRecord(
-            date=d, returns=returns, r_gross=r_gross, drifted=drifted, weights=target,
-            trades=trades_from_moves(keys, moves, cfg.optimizer.trade_epsilon), cost=cost,
-            level=level, benchmark_level=bench_level,
+            date=d, returns=dict(zip(companies, r)), r_gross=r_gross, drifted=drifted,
+            weights=target, trades=trades_from_moves(keys, moves, cfg.optimizer.trade_epsilon),
+            cost=cost, level=level, benchmark_level=bench_level,
         ))
 
     summary = _summarize(days, dates, cfg)
     return BacktestResult(dates=dates, days=days, summary=summary)
+
+
+def _signal(
+    sentiments: dict[date, dict[str, float]], d: date, companies: tuple[str, ...], keys: list[str]
+) -> dict[str, float]:
+    """The sentiment map of date d over exactly the keys; a missing one is named."""
+    # keyed by the loop's own key strings, so the solver's key checks and
+    # lookups meet the same objects and compare by identity
+    signal = sentiments.get(d, {})
+    try:
+        return {k: signal[k] for k in keys}
+    except KeyError:
+        c = next(c for c in companies if c not in signal)
+        raise ValueError(f"missing sentiment for ({c!r}, {d})") from None
+
+
+def _returns(row: list[float], prev: list[float]) -> list[float]:
+    """Simple returns (p - q) / q per company; a nonpositive close raises, naming the pair."""
+    # min() skips a nan unless it comes first, and then returns it: either
+    # way a nonpositive close makes this test fail
+    if not (min(row, default=1.0) > 0.0 and min(prev, default=1.0) > 0.0):
+        for p, q in zip(row, prev):
+            if p <= 0 or q <= 0:
+                raise ValueError(f"prices must be positive, got ({p!r}, {q!r})")
+    return [(p - q) / q for p, q in zip(row, prev)]
 
 
 def trade_statistics(days: list[DayRecord]) -> dict:

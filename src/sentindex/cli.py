@@ -62,7 +62,8 @@ def _cmd_aggregate(args: argparse.Namespace) -> int:
     aggregation.write_daily_sentiment_csv(args.out, result)
     print(
         f"aggregate: wrote {len(result.rows)} rows, dropped {result.dropped_after_range} "
-        f"after the final trading date", file=sys.stderr)
+        f"after the final trading date, {result.dropped_unknown_company} for unknown companies",
+        file=sys.stderr)
     return 0
 
 

@@ -89,5 +89,14 @@ def csv_columns(fh: TextIO, names: tuple[str, ...], what: str) -> list[int]:
     index = {name: i for i, name in enumerate(fh.readline().strip().split(","))}
     for name in names:
         if name not in index:
-            raise ValueError(f"{what} CSV lacks a {name!r} column")
+            raise ValueError(f"{fh.name}: {what} CSV lacks a {name!r} column")
     return [index[name] for name in names]
+
+
+def line_error(path: str | Path, lineno: int, exc: ValueError | IndexError) -> ValueError:
+    """What went wrong reading line lineno of a CSV file, naming the file and the line.
+
+    An IndexError is a row with fewer fields than the header names.
+    """
+    reason = "too few fields" if isinstance(exc, IndexError) else str(exc)
+    return ValueError(f"{path}: line {lineno}: {reason}")

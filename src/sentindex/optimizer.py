@@ -15,10 +15,12 @@ bound, so a prior that should be held is returned bit-identically.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, fields
+from itertools import repeat
 from pathlib import Path
 
-from .inputs import config_value, csv_columns, load_json_object, reject_unknown_keys
+from .inputs import config_value, csv_columns, line_error, load_json_object, reject_unknown_keys
 
 
 class InfeasibleProblemError(ValueError):
@@ -70,16 +72,6 @@ def _check_keys(*vectors: dict[str, float]) -> list[str]:
     return keys
 
 
-def objective_value(
-    w: dict[str, float], s: dict[str, float], w_prev: dict[str, float], delta: float
-) -> float:
-    """Evaluate sum w_i s_i - delta * sum |w_prev_i - w_i| over sorted keys."""
-    keys = _check_keys(w, s, w_prev)
-    gain = sum(w[k] * s[k] for k in keys)
-    turnover = sum(abs(w_prev[k] - w[k]) for k in keys)
-    return gain - delta * turnover
-
-
 def optimize_weights(
     s: dict[str, float], w_prev: dict[str, float], cfg: OptimizerConfig
 ) -> dict[str, float]:
@@ -91,24 +83,38 @@ def optimize_weights(
     ascending, then lower bound ascending.
     """
     keys = _check_keys(s, w_prev)
+    return dict(zip(keys, solve_weights(keys, _values(s, keys), _values(w_prev, keys), cfg)))
+
+
+def _values(v: dict[str, float], keys: list[str]) -> list[float]:
+    """The values of v in the order of keys; a dict already in that order is read as it stands."""
+    return list(v.values()) if list(v) == keys else [v[k] for k in keys]
+
+
+def solve_weights(
+    keys: list[str], s: list[float], prior: list[float], cfg: OptimizerConfig
+) -> list[float]:
+    """optimize_weights over lists: s[i] and prior[i] belong to keys[i], keys sorted."""
     n = len(keys)
     if n * cfg.cap < cfg.budget_lo - 1e-12:
         required = math.ceil(cfg.budget_lo / cfg.cap)
         raise InfeasibleProblemError(
             f"{n} names at cap {cfg.cap} cannot reach budget_lo {cfg.budget_lo}; "
             f"need at least {required} names")
+    # both scans run in C; only a bad entry needs the loop that names the first
+    if not all(map(math.isfinite, s)) or any(map(operator.lt, prior, repeat(0))):
+        for k, s_k, prior_k in zip(keys, s, prior):
+            if not math.isfinite(s_k):
+                raise ValueError(f"sentiment for {k!r} is not finite: {s_k!r}")
+            if prior_k < 0:
+                raise ValueError(f"prior weight for {k!r} is negative: {prior_k!r}")
     # (-slope, rank in the sorted keys, lower, upper) sorts as the tie-break
     # above; clipping the prior to [0, cap] only shapes the pieces, the true
-    # prior still pays the penalty in reporting
+    # prior still pays the penalty in reporting. The anchor is min(prior,
+    # cap): a nan prior gives a nan anchor and no piece at all
     cap, delta = cfg.cap, cfg.delta
     segments: list[tuple[float, int, float, float]] = []
-    for rank, k in enumerate(keys):
-        s_k, prior = s[k], w_prev[k]
-        if not math.isfinite(s_k):
-            raise ValueError(f"sentiment for {k!r} is not finite: {s_k!r}")
-        if prior < 0:
-            raise ValueError(f"prior weight for {k!r} is negative: {prior!r}")
-        anchor = min(prior, cap)
+    for rank, (s_k, anchor) in enumerate(zip(s, map(min, prior, repeat(cap)))):
         if anchor > 0.0:
             segments.append((-(s_k + delta), rank, 0.0, anchor))
         if anchor < cap:
@@ -133,7 +139,7 @@ def optimize_weights(
         else:
             w[rank] = lower + room
             total = budget
-    return dict(zip(keys, w))
+    return w
 
 
 def extract_trades(
@@ -157,15 +163,18 @@ def load_weights_csv(path: str | Path, value_column: str) -> dict[str, float]:
     with open(path, encoding="utf-8") as fh:
         i_company, i_value = csv_columns(fh, ("company", value_column), value_column)
         for lineno, line in enumerate(fh, start=2):
-            if not line.strip():
-                continue
-            parts = line.rstrip("\n").split(",")
-            company, value = parts[i_company], float(parts[i_value])
-            if not math.isfinite(value):
-                raise ValueError(f"line {lineno}: non-finite {value_column} {value!r} for {company}")
-            if company in out:
-                raise ValueError(f"line {lineno}: duplicate row for {company}")
-            out[company] = value
+            try:
+                if not line.strip():
+                    continue
+                parts = line.rstrip("\n").split(",")
+                company, value = parts[i_company], float(parts[i_value])
+                if not math.isfinite(value):
+                    raise ValueError(f"non-finite {value_column} {value!r} for {company}")
+                if company in out:
+                    raise ValueError(f"duplicate row for {company}")
+                out[company] = value
+            except (ValueError, IndexError) as exc:
+                raise line_error(path, lineno, exc) from None
     return out
 
 

@@ -5,23 +5,30 @@ These are the earlier ``optimize_weights``, ``extract_trades``,
 dict, every helper sorting the company keys again, the segments sorted with a
 key function and the fill scanning every segment. They are slow but easy to
 read, and the package's versions must reproduce their results field for
-field and their errors type for type and message for message.
+field and their errors type for type and message for message. The
+reference ``run_backtest`` takes the earlier ``PriceSeries``, whose closes
+are keyed by (company, date), and sentiments keyed the same way.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from datetime import date
 
-from sentindex.backtest import (
-    BacktestConfig,
-    BacktestResult,
-    DayRecord,
-    PriceSeries,
-    _summarize,
-    simple_return,
-)
+from dict_adapters import simple_return
+from sentindex.backtest import BacktestConfig, BacktestResult, DayRecord, _summarize
 from sentindex.optimizer import InfeasibleProblemError, OptimizerConfig
+
+
+@dataclass(frozen=True)
+class PriceSeries:
+    dates: tuple[date, ...]
+    companies: tuple[str, ...]  # sorted
+    closes: dict[tuple[str, date], float]
+
+    def price(self, company: str, d: date) -> float:
+        return self.closes[(company, d)]
 
 
 def _check_keys(*vectors: dict[str, float]) -> list[str]:

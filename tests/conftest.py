@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from dict_adapters import daily_maps
 from sentindex import aggregation, backtest, corpus, sentiment
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -19,7 +20,7 @@ class GoldenRun:
     prices: backtest.PriceSeries
     filter_result: corpus.FilterResult
     aggregation_result: aggregation.AggregationResult
-    sentiments: dict
+    sentiments: dict  # date -> company -> adjusted
     backtest_config: backtest.BacktestConfig
     result: backtest.BacktestResult
     expected_levels: list[tuple[str, float, float]]
@@ -47,7 +48,7 @@ def golden_run() -> GoldenRun:
     calendar = aggregation.TradingCalendar(
         dates=prices.dates, timezone=agg_config.market_timezone, cutoff=agg_config.cutoff)
     agg = aggregation.aggregate_daily(scored, list(prices.companies), calendar, agg_config)
-    sentiments = {(row.company_id, row.trading_date): row.adjusted for row in agg.rows}
+    sentiments = daily_maps({(row.company_id, row.trading_date): row.adjusted for row in agg.rows})
 
     cfg = backtest.load_backtest_config(GOLDEN / "backtest_config.json")
     result = backtest.run_backtest(prices, sentiments, cfg)

@@ -13,13 +13,13 @@ from datetime import date, timedelta
 import numpy as np
 import pytest
 
+from dict_adapters import daily_maps, objective_value, price_series, source_adjustment
 from grid_oracle import brute_force_oracle
 from sentindex.backtest import BacktestConfig, PriceSeries, run_backtest
 from sentindex.optimizer import (
     InfeasibleProblemError,
     OptimizerConfig,
     extract_trades,
-    objective_value,
     optimize_weights,
 )
 from sentindex.report import ReportSpec, render_report
@@ -163,12 +163,12 @@ def test_criterion_4_backtest_identities_long_run():
         row = np.maximum(row, 1.0)
         for c, p in zip(companies, row):
             closes[(c, day)] = float(p)
-    prices = PriceSeries(dates=tuple(dates), companies=tuple(companies), closes=closes)
+    prices = price_series(dates, companies, closes)
     sentiments = {
         (c, day): float(rng.uniform(-0.95, 0.95)) if rng.uniform() > 0.3 else 0.0
         for c in companies for day in dates
     }
-    result = run_backtest(prices, sentiments, BacktestConfig())
+    result = run_backtest(prices, daily_maps(sentiments), BacktestConfig())
 
     prev_level = 100.0
     prev_weights = {c: 0.0 for c in companies}
@@ -196,9 +196,9 @@ def test_criterion_5_truncation_bit_identical(golden_run):
         prices = PriceSeries(
             dates=kept_dates,
             companies=golden_run.prices.companies,
-            closes={k: v for k, v in golden_run.prices.closes.items() if k[1] <= dates[cut]},
+            rows=golden_run.prices.rows[: cut + 1],
         )
-        sentiments = {k: v for k, v in golden_run.sentiments.items() if k[1] <= dates[cut]}
+        sentiments = {d: v for d, v in golden_run.sentiments.items() if d <= dates[cut]}
         truncated = run_backtest(prices, sentiments, golden_run.backtest_config)
         for i in range(cut + 1):
             assert truncated.days[i].level == full.days[i].level  # bit-identical
@@ -231,12 +231,7 @@ def test_criterion_7_aggregation_identities():
     from datetime import datetime, time
     from zoneinfo import ZoneInfo
 
-    from sentindex.aggregation import (
-        TradingCalendar,
-        aggregate_daily,
-        effective_trading_date,
-        source_adjustment,
-    )
+    from sentindex.aggregation import TradingCalendar, aggregate_daily, effective_trading_date
     from sentindex.sentiment import ScoredArticle
 
     assert source_adjustment(2, [4, 4, 4]) == 0.5

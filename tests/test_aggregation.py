@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import aggregation_reference
+from dict_adapters import source_adjustment
 from sentindex.aggregation import (
     HISTORY_MODES,
     AggregationConfig,
@@ -19,7 +20,6 @@ from sentindex.aggregation import (
     aggregate_daily,
     effective_trading_date,
     load_daily_sentiment_csv,
-    source_adjustment,
     write_daily_sentiment_csv,
 )
 from sentindex.sentiment import ScoredArticle
@@ -195,7 +195,7 @@ class TestAggregateDaily:
         write_daily_sentiment_csv(path, result)
         loaded = load_daily_sentiment_csv(path)
         for row in result.rows:
-            assert loaded[(row.company_id, row.trading_date)] == row.adjusted
+            assert loaded[row.trading_date][row.company_id] == row.adjusted
 
     def test_csv_rejects_duplicate_row(self, tmp_path):
         path = tmp_path / "daily.csv"

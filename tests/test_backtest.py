@@ -13,18 +13,23 @@ import pytest
 
 import backtest_reference
 from backtest_reference import outcome
+from dict_adapters import (
+    daily_maps,
+    drift_weights,
+    price,
+    price_series,
+    simple_return,
+    transaction_costs,
+)
+from sentindex import backtest
 from sentindex.backtest import (
     BacktestConfig,
     DayRecord,
-    PriceSeries,
     annualized_return,
-    drift_weights,
     load_benchmark_levels,
     load_prices,
     run_backtest,
-    simple_return,
     trade_statistics,
-    transaction_costs,
     write_backtest_outputs,
 )
 from sentindex.optimizer import OptimizerConfig, extract_trades
@@ -36,8 +41,7 @@ def make_prices(companies, closes_by_date):
     for d, row in closes_by_date.items():
         for c, p in zip(companies, row):
             closes[(c, d)] = p
-    return PriceSeries(dates=tuple(sorted(closes_by_date)), companies=tuple(sorted(companies)),
-                       closes=closes)
+    return price_series(sorted(closes_by_date), sorted(companies), closes)
 
 
 def weekdays(start, n):
@@ -171,7 +175,7 @@ def constant_price_run(n_days=5, tc_rate=0.0005):
     prices = make_prices(companies, {d: [50.0] * 12 for d in dates})
     sentiments = {(c, d): 0.0 for c in companies for d in dates}
     cfg = BacktestConfig(tc_rate=tc_rate)
-    return run_backtest(prices, sentiments, cfg)
+    return run_backtest(prices, daily_maps(sentiments), cfg)
 
 
 class TestRunBacktest:
@@ -202,7 +206,7 @@ class TestRunBacktest:
             closes[d] = level_row
         prices = make_prices(companies, closes)
         sentiments = {(c, d): float(rng.uniform(-0.9, 0.9)) for c in companies for d in dates}
-        result = run_backtest(prices, sentiments, BacktestConfig())
+        result = run_backtest(prices, daily_maps(sentiments), BacktestConfig())
         prev_level = 100.0
         for day in result.days:
             lhs = day.level / prev_level - 1.0
@@ -225,10 +229,10 @@ class TestRunBacktest:
         cfg = BacktestConfig(
             tc_rate=0.0, signal_lag_days=1,
             optimizer=OptimizerConfig(delta=0.0, cap=1.0, budget_lo=1.0, budget_hi=1.0))
-        result = run_backtest(prices, sentiments, cfg)
-        base = prices.price("beta", dates[0])
+        result = run_backtest(prices, daily_maps(sentiments), cfg)
+        base = price(prices, "beta", dates[0])
         for i, day in enumerate(result.days):
-            expected = 100.0 * prices.price("beta", dates[i]) / base
+            expected = 100.0 * price(prices, "beta", dates[i]) / base
             assert day.level == pytest.approx(expected, rel=1e-12)
 
     def test_supplied_benchmark_renormalized(self):
@@ -238,7 +242,7 @@ class TestRunBacktest:
         sentiments = {(c, d): 0.0 for c in companies for d in result_dates}
         benchmark = {d: 5000.0 + 100.0 * i for i, d in enumerate(result_dates)}
         cfg = BacktestConfig(optimizer=OptimizerConfig(cap=0.6, budget_lo=0.9, budget_hi=0.95))
-        result = run_backtest(prices, sentiments, cfg, benchmark=benchmark)
+        result = run_backtest(prices, daily_maps(sentiments), cfg, benchmark=benchmark)
         assert result.days[0].benchmark_level == pytest.approx(100.0)
         assert result.days[1].benchmark_level == pytest.approx(100.0 * 5100.0 / 5000.0)
 
@@ -248,11 +252,11 @@ class TestRunBacktest:
         prices = make_prices(companies, {d: [10.0, 20.0] for d in dates})
         sentiments = {(c, dates[0]): 0.0 for c in companies}
         with pytest.raises(ValueError, match="'a'"):
-            run_backtest(prices, sentiments, BacktestConfig(
+            run_backtest(prices, daily_maps(sentiments), BacktestConfig(
                 optimizer=OptimizerConfig(cap=0.6, budget_lo=0.9, budget_hi=0.95)))
 
     def test_empty_date_range_rejected(self):
-        prices = PriceSeries(dates=(), companies=("a",), closes={})
+        prices = price_series((), ("a",), {})
         with pytest.raises(ValueError, match="empty"):
             run_backtest(prices, {}, BacktestConfig())
 
@@ -273,7 +277,8 @@ class TestLoaders:
         prices = load_prices(path)
         assert prices.dates == (date(2021, 3, 1), date(2021, 3, 2))
         assert prices.companies == ("a", "b")
-        assert prices.price("a", date(2021, 3, 2)) == 11.0
+        assert price(prices, "a", date(2021, 3, 2)) == 11.0
+        assert prices.rows == [[10.0, 20.0], [11.0, 19.0]]
 
     def test_load_prices_rejects_gap(self, tmp_path):
         path = tmp_path / "prices.csv"
@@ -331,11 +336,13 @@ class TestLoaders:
 def backtest_case(rng: random.Random, lag: int, with_benchmark: bool):
     """A seeded backtest for the reference comparison.
 
-    Half the cases hand over a PriceSeries whose companies tuple is not
-    sorted: the returns record and the equal-weight benchmark follow that
-    order, the sums of the day loop the sorted one. Closes repeat exactly
-    now and then, sentiments tie, and delta, tc_rate and trade_epsilon may be
-    zero. A few cases lack a sentiment or have a budget_lo out of reach.
+    Returns the case twice: as run_backtest takes it, and keyed by (company,
+    date) as the reference takes it. Half the cases hand over a PriceSeries
+    whose companies tuple is not sorted: the returns record and the
+    equal-weight benchmark follow that order, the sums of the day loop the
+    sorted one. Closes repeat exactly now and then, sentiments tie, and
+    delta, tc_rate and trade_epsilon may be zero. A few cases lack a
+    sentiment or have a budget_lo out of reach.
     """
     n = rng.randint(1, 25)
     names = [f"n{x}" for x in rng.sample(range(100), n)]
@@ -347,7 +354,8 @@ def backtest_case(rng: random.Random, lag: int, with_benchmark: bool):
             row[c] = max(round(row[c] * (1.0 + move), rng.choice([2, 6])), 0.01)
             closes[(c, d)] = row[c]
     companies = sorted(names) if rng.random() < 0.5 else rng.sample(names, n)
-    prices = PriceSeries(dates=tuple(dates), companies=tuple(companies), closes=closes)
+    ref_prices = backtest_reference.PriceSeries(
+        dates=tuple(dates), companies=tuple(companies), closes=closes)
     ties = [0.0, 0.25, -0.25, 0.5, -0.5, 1.0]
     sentiments = {(c, d): rng.choice(ties) if rng.random() < 0.4 else rng.uniform(-1.0, 1.0)
                   for d in dates for c in names}
@@ -363,7 +371,8 @@ def backtest_case(rng: random.Random, lag: int, with_benchmark: bool):
             budget_hi=rng.choice([lo, rng.uniform(lo, 1.0)]),
             trade_epsilon=rng.choice([0.0, 1e-6, 1e-3])))
     benchmark = {d: rng.uniform(1000.0, 2000.0) for d in dates} if with_benchmark else None
-    return prices, sentiments, cfg, benchmark
+    return ((price_series(dates, companies, closes), daily_maps(sentiments), cfg, benchmark),
+            (ref_prices, sentiments, cfg, benchmark))
 
 
 @pytest.mark.parametrize("with_benchmark", [False, True])
@@ -372,9 +381,9 @@ def backtest_case(rng: random.Random, lag: int, with_benchmark: bool):
 def test_matches_reference_bit_for_bit(seed, lag, with_benchmark):
     rng = random.Random(seed * 10 + lag)
     for _ in range(5):
-        case = backtest_case(rng, lag, with_benchmark)
+        case, ref_case = backtest_case(rng, lag, with_benchmark)
         got, got_error = outcome(run_backtest, *case)
-        want, want_error = outcome(backtest_reference.run_backtest, *case)
+        want, want_error = outcome(backtest_reference.run_backtest, *ref_case)
         assert got_error == want_error
         if want is None:
             continue
@@ -385,6 +394,28 @@ def test_matches_reference_bit_for_bit(seed, lag, with_benchmark):
                 assert a == b and repr(a) == repr(b), (field.name, new.date)
         assert got.summary == want.summary and repr(got.summary) == repr(want.summary)
 
+
+@pytest.mark.parametrize("day, row", [
+    (2, [10.0, -1.0, 30.0]),
+    (1, [math.nan, 0.0, 30.0]),
+    (0, [10.0, 20.0, -5.0]),
+    (1, [math.nan, 20.0, 30.0]),
+])
+def test_bad_close_matches_reference(day, row):
+    """A nonpositive close raises as the reference's does; a nan close does not raise."""
+    companies = ("a", "b", "c")
+    dates = weekdays(date(2021, 3, 1), 3)
+    closes = {(c, d): p for d in dates for c, p in zip(companies, [10.0, 20.0, 30.0])}
+    closes.update({(c, dates[day]): p for c, p in zip(companies, row)})
+    sentiments = {(c, d): 0.1 for c in companies for d in dates}
+    cfg = BacktestConfig(optimizer=OptimizerConfig(cap=0.5, budget_lo=0.9, budget_hi=0.95))
+    got, got_error = outcome(run_backtest, price_series(dates, companies, closes),
+                             daily_maps(sentiments), cfg)
+    want, want_error = outcome(backtest_reference.run_backtest,
+                               backtest_reference.PriceSeries(dates, companies, closes), sentiments, cfg)
+    assert got_error == want_error
+    if want is not None:
+        assert repr(got.days) == repr(want.days)
 
 @pytest.mark.parametrize("seed", range(4))
 def test_dict_helpers_match_reference(seed):
@@ -404,3 +435,32 @@ def test_dict_helpers_match_reference(seed):
         ):
             got, want = outcome(fn, *args), outcome(ref, *args)
             assert got == want and repr(got) == repr(want), fn.__name__
+
+
+@pytest.mark.parametrize("lag", [0, 1])
+def test_each_solve_calls_the_module_global(golden_run, monkeypatch, lag):
+    """The day loop solves through sentindex.backtest.optimize_weights, once per solved day.
+
+    Wrapping that global is how a caller times each solve, so a loop that
+    bypassed it would leave the solves untimed.
+    """
+    cfg = dataclasses.replace(golden_run.backtest_config, signal_lag_days=lag)
+    want = run_backtest(golden_run.prices, golden_run.sentiments, cfg)
+    priors = []
+    solve = backtest.optimize_weights
+
+    def counting(s, w_prev, opt):
+        priors.append(w_prev)
+        return solve(s, w_prev, opt)
+
+    monkeypatch.setattr(backtest, "optimize_weights", counting)
+    got = run_backtest(golden_run.prices, golden_run.sentiments, cfg)
+    n = len(golden_run.prices.dates)
+    solved = [day.drifted for i, day in enumerate(want.days) if i + 1 - lag < n]
+    assert len(solved) == n - (lag == 0)
+    assert priors == solved
+    for new, old in zip(got.days, want.days, strict=True):
+        for field in dataclasses.fields(DayRecord):
+            a, b = getattr(new, field.name), getattr(old, field.name)
+            assert a == b and repr(a) == repr(b), (field.name, new.date)
+    assert got.summary == want.summary

@@ -410,6 +410,59 @@ class TestStrictInputs:
         assert "Traceback" not in err and f"{data}: line 1: not a JSON object (list)" in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("defect, message", [
+        ("short", "line 4: too few fields"),
+        ("date", "line 4: month must be in 1..12"),
+        ("number", "line 4: could not convert string to float: 'abc'"),
+        ("header", "{what} CSV lacks a"),
+    ], ids=["short", "date", "number", "header"])
+    @pytest.mark.parametrize("target", ["prices", "sentiments", "benchmark"])
+    def test_malformed_csv_row_names_file_and_line(self, chain_dir, golden_dir, capsys,
+                                                    target, defect, message):
+        prices = (golden_dir / "prices.csv").read_text().splitlines()
+        dates = sorted({line.split(",")[0] for line in prices[1:]})
+        files = {
+            "prices": prices,
+            "sentiments": (chain_dir / "daily.csv").read_text().splitlines(),
+            "benchmark": ["date,level"] + [f"{d},{1000.0 + i}" for i, d in enumerate(dates)],
+        }
+        lineno = 0 if defect == "header" else 3
+        fields = files[target][lineno].split(",")
+        if defect == "short":
+            fields.pop()
+        elif defect == "date":
+            fields[0] = "2021-13-05"
+        else:
+            fields[-1] = "abc"
+        files[target][lineno] = ",".join(fields)
+        paths = {name: chain_dir / f"{name}.csv" for name in files}
+        for name, lines in files.items():
+            paths[name].write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        out = chain_dir / "bt"
+        code = run(["backtest", "--prices", paths["prices"], "--sentiments", paths["sentiments"],
+                    "--benchmark", paths["benchmark"], "--config", golden_dir / "backtest_config.json",
+                    "--out", out])
+        err = capsys.readouterr().err
+        assert code == 1
+        what = {"prices": "price", "sentiments": "sentiment", "benchmark": "benchmark"}[target]
+        assert "Traceback" not in err and f"{paths[target]}: {message.format(what=what)}" in err
+        assert not out.exists()
+
+    def test_unknown_company_is_counted_and_dropped(self, chain_dir, golden_dir, capsys):
+        lines = (chain_dir / "scored.jsonl").read_text().splitlines()
+        record = json.loads(lines[0])
+        record.update(id="unknown-1", company_id="keinewerke")
+        scored = chain_dir / "scored_unknown.jsonl"
+        scored.write_text("\n".join(lines + [json.dumps(record)]) + "\n")
+        capsys.readouterr()
+        out = chain_dir / "daily_unknown.csv"
+        assert run(["aggregate", "--scored", scored, "--prices", golden_dir / "prices.csv",
+                    "--config", golden_dir / "aggregation_config.json", "--out", out]) == 0
+        summary = capsys.readouterr().err.splitlines()[-1]
+        assert summary.endswith("after the final trading date, 1 for unknown companies"), summary
+        assert out.read_bytes() == (chain_dir / "daily.csv").read_bytes()
+
 
 # the CLI fuzz gate: lines of arbitrary JSON, junk text and almost-valid records
 json_st = st.recursive(

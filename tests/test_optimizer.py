@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 import backtest_reference
 from backtest_reference import outcome
+from dict_adapters import objective_value
 from grid_oracle import brute_force_oracle
 from lp_reference import solve_lp
 from sentindex.optimizer import (
@@ -19,7 +20,6 @@ from sentindex.optimizer import (
     OptimizerConfig,
     extract_trades,
     load_weights_csv,
-    objective_value,
     optimize_weights,
 )
 
