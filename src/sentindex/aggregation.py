@@ -10,13 +10,13 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from datetime import date, datetime, time, timedelta
 from pathlib import Path
 from typing import TYPE_CHECKING, NamedTuple
 from zoneinfo import ZoneInfo
 
-from .inputs import config_value, csv_columns, line_error, load_json_object, reject_unknown_keys
+from .inputs import config_from_dict, load_json_object, read_csv
 
 if TYPE_CHECKING:
     from .sentiment import ScoredArticle
@@ -60,10 +60,7 @@ class AggregationConfig:
 
 
 def load_aggregation_config(path: str | Path) -> AggregationConfig:
-    obj = load_json_object(path)
-    reject_unknown_keys(obj, AggregationConfig, path)
-    return AggregationConfig(**{
-        f.name: config_value(obj, f.name, str, f.default, path) for f in fields(AggregationConfig)})
+    return config_from_dict(AggregationConfig, load_json_object(path), path)
 
 
 class DailySentiment(NamedTuple):
@@ -208,26 +205,19 @@ def load_daily_sentiment_csv(path: str | Path) -> dict[date, dict[str, float]]:
     """
     out: dict[date, dict[str, float]] = {}
     by_text: dict[str, dict[str, float]] = {}  # date text -> that date's map, parsed once
-    with open(path, encoding="utf-8") as fh:
-        i_date, i_company, i_adjusted = csv_columns(fh, ("date", "company", "adjusted"), "sentiment")
-        for lineno, line in enumerate(fh, start=2):
-            try:
-                if not line.strip():
-                    continue
-                parts = line.rstrip("\n").split(",")
-                text = parts[i_date]
-                day = by_text.get(text)
-                if day is None:
-                    day = by_text[text] = out.setdefault(date.fromisoformat(text), {})
-                company = parts[i_company]
-                if company in day:
-                    raise ValueError(
-                        f"duplicate sentiment row for ({company}, {date.fromisoformat(text)})")
-                value = float(parts[i_adjusted])
-                if not math.isfinite(value):
-                    raise ValueError(
-                        f"non-finite adjusted {value!r} for ({company}, {date.fromisoformat(text)})")
-                day[company] = value
-            except (ValueError, IndexError) as exc:
-                raise line_error(path, lineno, exc) from None
+
+    def row(fields: tuple[str, ...]) -> None:
+        text, company, value = fields
+        day = by_text.get(text)
+        if day is None:
+            day = by_text[text] = out.setdefault(date.fromisoformat(text), {})
+        if company in day:
+            raise ValueError(f"duplicate sentiment row for ({company}, {date.fromisoformat(text)})")
+        value = float(value)
+        if not math.isfinite(value):
+            raise ValueError(
+                f"non-finite adjusted {value!r} for ({company}, {date.fromisoformat(text)})")
+        day[company] = value
+
+    read_csv(path, ("date", "company", "adjusted"), "sentiment", row)
     return out

@@ -13,15 +13,11 @@ import json
 import math
 from dataclasses import dataclass, field
 from datetime import date, datetime
+from functools import partial
 from pathlib import Path
 
-from .inputs import config_value, csv_columns, line_error, load_json_object, reject_unknown_keys
-from .optimizer import (
-    OptimizerConfig,
-    optimize_weights,
-    optimizer_config_from_dict,
-    trades_from_moves,
-)
+from .inputs import config_from_dict, load_json_object, read_csv
+from .optimizer import OptimizerConfig, optimize_weights, trades_from_moves
 
 
 @dataclass(frozen=True)
@@ -42,28 +38,21 @@ def load_prices(path: str | Path) -> PriceSeries:
     """
     by_date: dict[date, dict[str, float]] = {}  # date -> company -> close
     by_text: dict[str, dict[str, float]] = {}  # date text -> that date's closes, parsed once
-    with open(path, encoding="utf-8") as fh:
-        i_date, i_company, i_close = csv_columns(fh, ("date", "company", "close"), "price")
-        for lineno, line in enumerate(fh, start=2):
-            try:
-                if not line.strip():
-                    continue
-                parts = line.rstrip("\n").split(",")
-                text = parts[i_date]
-                closes = by_text.get(text)
-                if closes is None:
-                    closes = by_text[text] = by_date.setdefault(date.fromisoformat(text), {})
-                company = parts[i_company]
-                close = float(parts[i_close])
-                if not 0.0 < close < math.inf:  # also false for nan
-                    kind = "non-finite" if not math.isfinite(close) else "nonpositive"
-                    raise ValueError(f"{kind} close {close!r} for {company}")
-                if company in closes:
-                    raise ValueError(
-                        f"duplicate price row for ({company}, {date.fromisoformat(text)})")
-                closes[company] = close
-            except (ValueError, IndexError) as exc:
-                raise line_error(path, lineno, exc) from None
+
+    def row(fields: tuple[str, ...]) -> None:
+        text, company, close = fields
+        closes = by_text.get(text)
+        if closes is None:
+            closes = by_text[text] = by_date.setdefault(date.fromisoformat(text), {})
+        close = float(close)
+        if not 0.0 < close < math.inf:  # also false for nan
+            kind = "non-finite" if not math.isfinite(close) else "nonpositive"
+            raise ValueError(f"{kind} close {close!r} for {company}")
+        if company in closes:
+            raise ValueError(f"duplicate price row for ({company}, {date.fromisoformat(text)})")
+        closes[company] = close
+
+    read_csv(path, ("date", "company", "close"), "price", row)
     if not by_date:
         raise ValueError(f"{path}: price CSV contains no rows")
     dates = tuple(sorted(by_date))
@@ -82,21 +71,16 @@ def load_prices(path: str | Path) -> PriceSeries:
 def load_benchmark_levels(path: str | Path) -> dict[date, float]:
     """Read a date,level CSV; levels must be finite and positive, dates unique."""
     out: dict[date, float] = {}
-    with open(path, encoding="utf-8") as fh:
-        i_date, i_level = csv_columns(fh, ("date", "level"), "benchmark")
-        for lineno, line in enumerate(fh, start=2):
-            try:
-                if not line.strip():
-                    continue
-                parts = line.rstrip("\n").split(",")
-                d, level = date.fromisoformat(parts[i_date]), float(parts[i_level])
-                if not 0.0 < level < math.inf:  # also false for nan
-                    raise ValueError(f"benchmark level {level!r} for {d} is not finite and positive")
-                if d in out:
-                    raise ValueError(f"duplicate benchmark row for {d}")
-                out[d] = level
-            except (ValueError, IndexError) as exc:
-                raise line_error(path, lineno, exc) from None
+
+    def row(fields: tuple[str, ...]) -> None:
+        d, level = date.fromisoformat(fields[0]), float(fields[1])
+        if not 0.0 < level < math.inf:  # also false for nan
+            raise ValueError(f"benchmark level {level!r} for {d} is not finite and positive")
+        if d in out:
+            raise ValueError(f"duplicate benchmark row for {d}")
+        out[d] = level
+
+    read_csv(path, ("date", "level"), "benchmark", row)
     return out
 
 
@@ -117,16 +101,8 @@ class BacktestConfig:
 
 
 def load_backtest_config(path: str | Path) -> BacktestConfig:
-    obj = load_json_object(path)
-    reject_unknown_keys(obj, BacktestConfig, path)
-    defaults = BacktestConfig()
-    return BacktestConfig(
-        tc_rate=config_value(obj, "tc_rate", float, defaults.tc_rate, path),
-        signal_lag_days=config_value(obj, "signal_lag_days", int, defaults.signal_lag_days, path),
-        initial_level=config_value(obj, "initial_level", float, defaults.initial_level, path),
-        optimizer=optimizer_config_from_dict(
-            config_value(obj, "optimizer", dict, {}, path), f"{path}: 'optimizer'"),
-    )
+    return config_from_dict(BacktestConfig, load_json_object(path), path,
+                            optimizer=partial(config_from_dict, OptimizerConfig))
 
 
 def _drift(w: list[float], r: list[float]) -> tuple[list[float], float]:
@@ -150,7 +126,13 @@ def annualized_return(levels: list[float], dates: list[date] | list[datetime]) -
     elapsed_days = (dates[-1] - dates[0]).total_seconds() / 86400.0
     if elapsed_days <= 0:
         raise ValueError("date span must be positive")
-    return (levels[-1] / levels[0]) ** (365.25 / elapsed_days) - 1.0
+    try:
+        growth = (levels[-1] / levels[0]) ** (365.25 / elapsed_days)
+    except OverflowError:
+        growth = math.inf
+    if growth == math.inf:
+        raise ValueError(f"annualized return of levels {levels[0]!r} to {levels[-1]!r} overflows")
+    return growth - 1.0
 
 
 @dataclass
@@ -295,6 +277,9 @@ def trade_statistics(days: list[DayRecord]) -> dict:
 
 
 def _summarize(days: list[DayRecord], dates: list[date], cfg: BacktestConfig) -> dict:
+    for day in days:  # a return or a benchmark ratio that overflows makes a level inf or nan
+        if not (math.isfinite(day.level) and math.isfinite(day.benchmark_level)):
+            raise ValueError(f"levels are not finite on {day.date}: {day.level!r}, {day.benchmark_level!r}")
     levels = [day.level for day in days]
     bench = [day.benchmark_level for day in days]
     summary = {

@@ -15,7 +15,7 @@ from json.encoder import encode_basestring
 from pathlib import Path
 from typing import NamedTuple
 
-from .inputs import config_value, load_json_object, parse_json, reject_unknown_keys
+from .inputs import config_from_dict, config_value, load_json_object, parse_json
 
 
 class NewsArticle(NamedTuple):
@@ -123,14 +123,11 @@ def load_articles(path: str | Path) -> LoadReport:
 
 
 def load_filter_config(path: str | Path) -> FilterConfig:
-    obj = load_json_object(path)
-    reject_unknown_keys(obj, FilterConfig, path)
-    exclusions = config_value(obj, "exclusions", dict, {}, path)
-    return FilterConfig(
-        exclusions={k: config_value(exclusions, k, list, (), f"{path}: 'exclusions'") for k in exclusions},
-        auto_generated_phrases=config_value(obj, "auto_generated_phrases", list, (), path),
-        max_headline_tokens=config_value(obj, "max_headline_tokens", int, 1000, path),
-    )
+    return config_from_dict(FilterConfig, load_json_object(path), path, exclusions=_exclusions)
+
+
+def _exclusions(obj: dict, where: str) -> dict[str, tuple[str, ...]]:
+    return {company: config_value(obj, company, list, where) for company in obj}
 
 
 def _text_blob(article: NewsArticle) -> str:

@@ -16,11 +16,11 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from itertools import repeat
 from pathlib import Path
 
-from .inputs import config_value, csv_columns, line_error, load_json_object, reject_unknown_keys
+from .inputs import config_from_dict, load_json_object, read_csv
 
 
 class InfeasibleProblemError(ValueError):
@@ -49,18 +49,7 @@ class OptimizerConfig:
 
 
 def load_optimizer_config(path: str | Path) -> OptimizerConfig:
-    return optimizer_config_from_dict(load_json_object(path), path)
-
-
-def optimizer_config_from_dict(obj: dict, where: str | Path) -> OptimizerConfig:
-    """Every field is a finite number; absent ones keep the class defaults.
-
-    A value of another type, or a key that is no field, raises ValueError
-    naming where and the key.
-    """
-    reject_unknown_keys(obj, OptimizerConfig, where)
-    return OptimizerConfig(**{
-        f.name: config_value(obj, f.name, float, f.default, where) for f in fields(OptimizerConfig)})
+    return config_from_dict(OptimizerConfig, load_json_object(path), path)
 
 
 def _check_keys(*vectors: dict[str, float]) -> list[str]:
@@ -160,21 +149,16 @@ def trades_from_moves(
 def load_weights_csv(path: str | Path, value_column: str) -> dict[str, float]:
     """Read company,value rows (header required); values finite, companies unique."""
     out: dict[str, float] = {}
-    with open(path, encoding="utf-8") as fh:
-        i_company, i_value = csv_columns(fh, ("company", value_column), value_column)
-        for lineno, line in enumerate(fh, start=2):
-            try:
-                if not line.strip():
-                    continue
-                parts = line.rstrip("\n").split(",")
-                company, value = parts[i_company], float(parts[i_value])
-                if not math.isfinite(value):
-                    raise ValueError(f"non-finite {value_column} {value!r} for {company}")
-                if company in out:
-                    raise ValueError(f"duplicate row for {company}")
-                out[company] = value
-            except (ValueError, IndexError) as exc:
-                raise line_error(path, lineno, exc) from None
+
+    def row(fields: tuple[str, ...]) -> None:
+        company, value = fields[0], float(fields[1])
+        if not math.isfinite(value):
+            raise ValueError(f"non-finite {value_column} {value!r} for {company}")
+        if company in out:
+            raise ValueError(f"duplicate row for {company}")
+        out[company] = value
+
+    read_csv(path, ("company", value_column), value_column, row)
     return out
 
 

@@ -9,10 +9,12 @@ locale, or dict iteration order.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, replace
 from datetime import date
 from pathlib import Path
+
+from .inputs import load_json_object, read_csv
 
 WIDTH, HEIGHT = 960, 540
 MARGIN_LEFT, MARGIN_RIGHT, MARGIN_TOP, MARGIN_BOTTOM = 74, 74, 56, 64
@@ -57,33 +59,31 @@ def _read_inputs(input_dir: Path) -> _Inputs:
             raise FileNotFoundError(f"report input missing: {p}")
 
     dates, index_levels, bench_levels = [], [], []
-    with open(levels_path, encoding="utf-8") as fh:
-        header = fh.readline().strip().split(",")
-        if header[:3] != ["date", "index_level", "benchmark_level"]:
-            raise ValueError(f"unexpected levels.csv header: {header}")
-        for line in fh:
-            if not line.strip():
-                continue
-            ds, li, lb = line.rstrip("\n").split(",")[:3]
-            dates.append(date.fromisoformat(ds))
-            index_levels.append(float(li))
-            bench_levels.append(float(lb))
+
+    def level_row(fields: tuple[str, ...]) -> None:
+        text, index_level, bench_level = fields
+        d, index_level, bench_level = date.fromisoformat(text), float(index_level), float(bench_level)
+        if not (math.isfinite(index_level) and math.isfinite(bench_level)):
+            raise ValueError(f"non-finite level on {d}: index {index_level!r}, benchmark {bench_level!r}")
+        dates.append(d)
+        index_levels.append(index_level)
+        bench_levels.append(bench_level)
+
+    read_csv(levels_path, ("date", "index_level", "benchmark_level"), "levels", level_row)
     if not dates:
-        raise ValueError("levels.csv has no data rows")
+        raise ValueError(f"{levels_path}: no data rows")
 
     trades_per_day: dict[date, int] = {}
-    with open(trades_path, encoding="utf-8") as fh:
-        header = fh.readline().strip().split(",")
-        if header[:2] != ["date", "company"]:
-            raise ValueError(f"unexpected trades.csv header: {header}")
-        for line in fh:
-            if not line.strip():
-                continue
-            d = date.fromisoformat(line.split(",", 1)[0])
-            trades_per_day[d] = trades_per_day.get(d, 0) + 1
+    by_text: dict[str, date] = {}  # date text -> date, parsed once
 
-    with open(summary_path, encoding="utf-8") as fh:
-        summary = json.load(fh)
+    def trade_row(fields: tuple[str, ...]) -> None:
+        d = by_text.get(fields[0])
+        if d is None:
+            d = by_text[fields[0]] = date.fromisoformat(fields[0])
+        trades_per_day[d] = trades_per_day.get(d, 0) + 1
+
+    read_csv(trades_path, ("date", "company"), "trades", trade_row)
+    summary = load_json_object(summary_path)
     return _Inputs(dates, index_levels, bench_levels, trades_per_day, summary)
 
 
@@ -111,6 +111,8 @@ def _render_svg(data: _Inputs, title: str) -> str:
     span = level_max - level_min
     pad = span * 0.05 if span > 0 else max(abs(level_max), 1.0) * 0.05
     lo, hi = level_min - pad, level_max + pad
+    if not math.isfinite(PLOT_H * (hi - lo)):  # then every coordinate and tick below is finite
+        raise ValueError(f"levels from {level_min!r} to {level_max!r} are too far apart to draw")
 
     def y_level(v: float) -> float:
         return MARGIN_TOP + PLOT_H * (hi - v) / (hi - lo)
@@ -247,26 +249,17 @@ def render_report(spec: ReportSpec) -> list[Path]:
         ]
         if not keep:
             raise ValueError("date filter excludes every row")
-        data = _Inputs(
-            dates=[data.dates[i] for i in keep],
-            index_levels=[data.index_levels[i] for i in keep],
-            bench_levels=[data.bench_levels[i] for i in keep],
-            trades_per_day={
-                d: k for d, k in data.trades_per_day.items()
-                if d in {data.dates[i] for i in keep}
-            },
-            summary=data.summary,
-        )
+        data = replace(  # trades_per_day is read only for the kept dates
+            data, dates=[data.dates[i] for i in keep], index_levels=[data.index_levels[i] for i in keep],
+            bench_levels=[data.bench_levels[i] for i in keep])
 
+    texts = {}  # all rendered before any is written, so that a failure writes nothing
+    if "svg" in spec.formats:
+        texts["report.svg"] = _render_svg(data, spec.title)
+    if "csv" in spec.formats:
+        texts["report.csv"] = _render_summary_csv(data.summary)
     out_dir = Path(spec.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    written: list[Path] = []
-    if "svg" in spec.formats:
-        svg_path = out_dir / "report.svg"
-        svg_path.write_text(_render_svg(data, spec.title), encoding="utf-8")
-        written.append(svg_path)
-    if "csv" in spec.formats:
-        csv_path = out_dir / "report.csv"
-        csv_path.write_text(_render_summary_csv(data.summary), encoding="utf-8")
-        written.append(csv_path)
-    return written
+    for name, text in texts.items():
+        (out_dir / name).write_text(text, encoding="utf-8")
+    return [out_dir / name for name in texts]

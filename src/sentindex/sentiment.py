@@ -17,7 +17,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 from .corpus import NewsArticle, parse_timestamp
-from .inputs import config_value, load_json_object, parse_json
+from .inputs import config_value, load_json_object, not_utf8, parse_json
 
 PROB_SUM_TOL = 1e-6
 PRESCORED_FIELDS = (("id",), ("p_negative", "p_neutral", "p_positive"))
@@ -107,7 +107,7 @@ class LexiconProvider:
     @classmethod
     def from_file(cls, path: str | Path) -> "LexiconProvider":
         obj = load_json_object(path)
-        return cls({token: config_value(obj, token, float, None, path) for token in obj})
+        return cls({token: config_value(obj, token, float, path) for token in obj})
 
     def probabilities(self, article: NewsArticle) -> ClassProbabilities:
         return lexicon_score(article.headline, self._lexicon)
@@ -179,22 +179,25 @@ def _records(path: str | Path, texts: tuple[str, ...], numbers: tuple[str, ...])
     kinds = (str,) * len(texts) + (float,) * len(numbers)
     take = itemgetter(*names)
     with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = parse_json(line)
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"{path}: line {lineno}: invalid JSON ({exc.msg})") from None
-            if type(obj) is not dict:
-                raise ValueError(f"{path}: line {lineno}: not a JSON object ({type(obj).__name__})")
-            try:
-                values = take(obj)
-            except KeyError as exc:
-                raise ValueError(f"{path}: line {lineno}: missing field {exc.args[0]!r}") from None
-            # a line of exact kinds and finite floats is taken as read; config_value
-            # turns an integer into a float and names the first field of a wrong kind
-            if tuple(map(type, values)) != kinds or not math.isfinite(sum(values[len(texts):])):
-                where = f"{path}: line {lineno}"
-                values = [config_value(obj, key, kind, None, where) for key, kind in zip(names, kinds)]
-            yield lineno, values
+        try:
+            for lineno, line in enumerate(fh, start=1):
+                if not line.strip():
+                    continue
+                try:
+                    obj = parse_json(line)
+                except json.JSONDecodeError as exc:
+                    raise ValueError(f"{path}: line {lineno}: invalid JSON ({exc.msg})") from None
+                if type(obj) is not dict:
+                    raise ValueError(f"{path}: line {lineno}: not a JSON object ({type(obj).__name__})")
+                try:
+                    values = take(obj)
+                except KeyError as exc:
+                    raise ValueError(f"{path}: line {lineno}: missing field {exc.args[0]!r}") from None
+                # a line of exact kinds and finite floats is taken as read; config_value
+                # turns an integer into a float and names the first field of a wrong kind
+                if tuple(map(type, values)) != kinds or not math.isfinite(sum(values[len(texts):])):
+                    where = f"{path}: line {lineno}"
+                    values = [config_value(obj, key, kind, where) for key, kind in zip(names, kinds)]
+                yield lineno, values
+        except UnicodeDecodeError as exc:
+            raise not_utf8(path, exc) from None

@@ -303,8 +303,11 @@ class TestLoaders:
 
     def test_load_benchmark_roundtrip(self, tmp_path):
         path = tmp_path / "bench.csv"
-        path.write_text("date,level\n2021-03-01,5000.0\n2021-03-02,5100.5\n")
-        assert load_benchmark_levels(path) == {date(2021, 3, 1): 5000.0, date(2021, 3, 2): 5100.5}
+        # columns are found by name and blank lines are skipped
+        for text in ("date,level\n2021-03-01,5000.0\n2021-03-02,5100.5\n",
+                     "note,level,date\n\nx,5000.0,2021-03-01\n \t\ny,5100.5,2021-03-02"):
+            path.write_text(text)
+            assert load_benchmark_levels(path) == {date(2021, 3, 1): 5000.0, date(2021, 3, 2): 5100.5}
 
     @pytest.mark.parametrize("level", ["nan", "inf", "0.0", "-5.0"])
     def test_load_benchmark_rejects_bad_level(self, tmp_path, level):
@@ -402,7 +405,7 @@ def test_matches_reference_bit_for_bit(seed, lag, with_benchmark):
     (1, [math.nan, 20.0, 30.0]),
 ])
 def test_bad_close_matches_reference(day, row):
-    """A nonpositive close raises as the reference's does; a nan close does not raise."""
+    """A bad close raises as the reference's does: a nonpositive one in the loop, a nan one in the summary."""
     companies = ("a", "b", "c")
     dates = weekdays(date(2021, 3, 1), 3)
     closes = {(c, d): p for d in dates for c, p in zip(companies, [10.0, 20.0, 30.0])}

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -107,17 +108,24 @@ class TestOptimizeCommand:
 
 class TestErrorHandling:
     def test_non_finite_close_exits_one(self, chain_dir, golden_dir, capsys):
-        lines = (golden_dir / "prices.csv").read_text().splitlines()
-        d, company, _ = lines[5].split(",")
-        lines[5] = f"{d},{company},nan"
-        prices = chain_dir / "prices_nan.csv"
-        prices.write_text("\n".join(lines) + "\n")
-        out = chain_dir / "bt"
-        code = run(["backtest", "--prices", prices, "--sentiments", chain_dir / "daily.csv",
-                    "--config", golden_dir / "backtest_config.json", "--out", out])
-        assert code == 1
-        assert "line 6: non-finite close nan" in capsys.readouterr().err
-        assert not out.exists()
+        # a tiny close overflows the next day's return, or the annualized return
+        for close, message in [
+            ("nan", "line 6: non-finite close nan"),
+            ("5e-324", "levels are not finite on 2021-03-02: nan, inf"),
+            ("1e-300", "annualized return of levels 99.95049999999999 to 3.632759128198721e+302 overflows"),
+        ]:
+            lines = (golden_dir / "prices.csv").read_text().splitlines()
+            d, company, _ = lines[5].split(",")
+            lines[5] = f"{d},{company},{close}"
+            prices = chain_dir / "prices_nan.csv"
+            prices.write_text("\n".join(lines) + "\n")
+            out = chain_dir / "bt"
+            code = run(["backtest", "--prices", prices, "--sentiments", chain_dir / "daily.csv",
+                        "--config", golden_dir / "backtest_config.json", "--out", out])
+            assert code == 1
+            err = capsys.readouterr().err
+            assert "Traceback" not in err and message in err
+            assert not out.exists()
 
     def test_non_finite_sentiment_on_last_date_exits_one(self, chain_dir, golden_dir, capsys):
         # no solve reads the last date's signal at lag 1, so only the loader can catch it
@@ -299,7 +307,7 @@ def test_each_command_loads_only_its_stage_modules(tmp_path, golden_dir):
         ("backtest", {"cli", "inputs", "aggregation", "backtest", "optimizer"},
          ["--prices", g / "prices.csv", "--sentiments", t / "daily.csv",
           "--config", g / "backtest_config.json", "--out", t / "bt"]),
-        ("report", {"cli", "report"}, ["--in", t / "bt", "--out", t / "rep"]),
+        ("report", {"cli", "inputs", "report"}, ["--in", t / "bt", "--out", t / "rep"]),
     ]
     for command, modules, argv in chain:
         done = subprocess.run([sys.executable, "-c", probe, command, *map(str, argv)], env=env,
@@ -324,10 +332,15 @@ class TestStrictInputs:
         ("optimize", {"delta": 1.0, "Cap": 0.1}, "unknown key 'Cap'"),
         ("backtest", {"tc-rate": 0.001}, "unknown key 'tc-rate'"),
         ("backtest", {"optimizer": {"budget-lo": 0.5}}, "'optimizer': unknown key 'budget-lo'"),
+        ("filter", {"max_headline_tokens": 2.0}, "'max_headline_tokens' must be an integer, got 2.0"),
+        ("filter", {"auto_generated_phrases": "x"}, "'auto_generated_phrases' must be a list of strings, got str"),
+        ("backtest", {"initial_level": True}, "'initial_level' must be a finite number, got True"),
+        ("aggregate", {"market_timezone": None}, "'market_timezone' must be a string, got None"),
     ], ids=["optimize-null", "optimize-string", "optimize-nan", "filter-exclusions", "score-lexicon",
             "aggregate-cutoff", "backtest-lag", "backtest-inf", "backtest-optimizer-value",
             "filter-unknown-key", "aggregate-unknown-key", "optimize-unknown-key", "backtest-unknown-key",
-            "backtest-optimizer-unknown-key"])
+            "backtest-optimizer-unknown-key", "filter-int-kind", "filter-list-kind", "backtest-float-kind",
+            "aggregate-str-kind"])
     def test_config_value_of_wrong_type_exits_one(self, tmp_path, golden_dir, capsys,
                                                    command, config, message):
         path = tmp_path / "config.json"
@@ -354,10 +367,11 @@ class TestStrictInputs:
     @pytest.mark.parametrize("text, message", [
         ('{"delta": 0.5', "invalid JSON (Expecting ',' delimiter"),
         ('{"delta": ' + "[" * 100_000, "invalid JSON (nested too deeply"),
-    ], ids=["truncated", "nested"])
+        ('{\n"delta": "\udcff"}', "line 2: 'utf-8' codec can't decode byte 0xff in position 10: invalid start byte"),
+    ], ids=["truncated", "nested", "utf8"])
     def test_config_that_is_not_json_exits_one(self, tmp_path, capsys, text, message):
         path = tmp_path / "config.json"
-        path.write_text(text)
+        path.write_text(text, errors="surrogateescape")
         (tmp_path / "w.csv").write_text("company,weight\nalpha,0.0\n")
         assert run(["optimize", "--sentiments", tmp_path / "w.csv", "--prior", tmp_path / "w.csv",
                     "--config", path, "--out", tmp_path / "out"]) == 1
@@ -395,10 +409,14 @@ class TestStrictInputs:
         assert f"{scored}: line 5: 'score' must be a finite number, got nan" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("command", ["aggregate", "score"])
-    def test_non_object_line_exits_one(self, tmp_path, golden_dir, capsys, command):
+    @pytest.mark.parametrize("command, line, message", [
+        ("aggregate", "[1]", "line 1: not a JSON object (list)"),
+        ("score", "[1]", "line 1: not a JSON object (list)"),
+        ("aggregate", '{"id": "\udcff"}', "line 1: 'utf-8' codec can't decode byte 0xff in position 8: invalid start byte"),
+    ], ids=["aggregate", "score", "aggregate-utf8"])
+    def test_non_object_line_exits_one(self, tmp_path, golden_dir, capsys, command, line, message):
         data = tmp_path / "data.jsonl"
-        data.write_text("[1]\n")
+        data.write_text(f"{line}\n", errors="surrogateescape")
         argv = {
             "aggregate": ["--scored", data, "--prices", golden_dir / "prices.csv",
                           "--config", golden_dir / "aggregation_config.json"],
@@ -407,16 +425,21 @@ class TestStrictInputs:
         }[command]
         assert run([command, *argv, "--out", tmp_path / "out"]) == 1
         err = capsys.readouterr().err
-        assert "Traceback" not in err and f"{data}: line 1: not a JSON object (list)" in err
+        assert "Traceback" not in err and f"{data}: {message}" in err
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("defect, message", [
-        ("short", "line 4: too few fields"),
-        ("date", "line 4: month must be in 1..12"),
-        ("number", "line 4: could not convert string to float: 'abc'"),
-        ("header", "{what} CSV lacks a"),
-    ], ids=["short", "date", "number", "header"])
-    @pytest.mark.parametrize("target", ["prices", "sentiments", "benchmark"])
+    @pytest.mark.parametrize("target, defect, message", [
+        pytest.param(target, defect, message, id=f"{target}-{defect}")
+        for target in ("prices", "sentiments", "benchmark", "levels", "weights")
+        for defect, message in (
+            ("short", "line 4: too few fields"),
+            ("date", "line 4: month must be in 1..12"),
+            ("number", "line 4: could not convert string to float: 'abc'"),
+            ("header", "{what} CSV lacks a"),
+            ("utf8", "line 4: 'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"),
+        )
+        if (target, defect) != ("weights", "date")  # a weights row has no date
+    ])
     def test_malformed_csv_row_names_file_and_line(self, chain_dir, golden_dir, capsys,
                                                     target, defect, message):
         prices = (golden_dir / "prices.csv").read_text().splitlines()
@@ -425,6 +448,8 @@ class TestStrictInputs:
             "prices": prices,
             "sentiments": (chain_dir / "daily.csv").read_text().splitlines(),
             "benchmark": ["date,level"] + [f"{d},{1000.0 + i}" for i, d in enumerate(dates)],
+            "levels": (golden_dir / "expected_levels.csv").read_text().splitlines(),
+            "weights": ["company,sentiment", "alpha,0.8", "beta,0.4", "gamma,-0.2", "delta,0.1"],
         }
         lineno = 0 if defect == "header" else 3
         fields = files[target][lineno].split(",")
@@ -432,20 +457,34 @@ class TestStrictInputs:
             fields.pop()
         elif defect == "date":
             fields[0] = "2021-13-05"
+        elif defect == "utf8":
+            fields[0] = "\udcff" + fields[0]  # written as the byte 0xff
         else:
             fields[-1] = "abc"
         files[target][lineno] = ",".join(fields)
         paths = {name: chain_dir / f"{name}.csv" for name in files}
         for name, lines in files.items():
-            paths[name].write_text("\n".join(lines) + "\n")
+            paths[name].write_text("\n".join(lines) + "\n", errors="surrogateescape")
+        run_dir = chain_dir / "run"
+        run_dir.mkdir()
+        paths["levels"].replace(run_dir / "levels.csv")
+        paths["levels"] = run_dir / "levels.csv"
+        for name in ("trades.csv", "summary.json"):
+            (run_dir / name).write_bytes((golden_dir / f"expected_{name}").read_bytes())
+        (chain_dir / "optimizer.json").write_text("{}")
         capsys.readouterr()
-        out = chain_dir / "bt"
-        code = run(["backtest", "--prices", paths["prices"], "--sentiments", paths["sentiments"],
-                    "--benchmark", paths["benchmark"], "--config", golden_dir / "backtest_config.json",
-                    "--out", out])
+        out = chain_dir / "out"
+        argv = {
+            "levels": ["report", "--in", run_dir],
+            "weights": ["optimize", "--sentiments", paths["weights"], "--prior", paths["weights"],
+                        "--config", chain_dir / "optimizer.json"],
+        }.get(target, ["backtest", "--prices", paths["prices"], "--sentiments", paths["sentiments"],
+                       "--benchmark", paths["benchmark"], "--config", golden_dir / "backtest_config.json"])
+        code = run([*argv, "--out", out])
         err = capsys.readouterr().err
         assert code == 1
-        what = {"prices": "price", "sentiments": "sentiment", "benchmark": "benchmark"}[target]
+        what = {"prices": "price", "sentiments": "sentiment", "benchmark": "benchmark",
+                "levels": "levels", "weights": "sentiment"}[target]
         assert "Traceback" not in err and f"{paths[target]}: {message.format(what=what)}" in err
         assert not out.exists()
 
@@ -508,45 +547,103 @@ def lines_st(base: dict):
     return st.lists(line, max_size=6).map(lambda lines: "".join(f"{x}\n" for x in lines))
 
 
+GOLDEN = Path(__file__).resolve().parent / "golden"
+GOLDEN_DATES = sorted({line[:10] for line in (GOLDEN / "prices.csv").read_text().splitlines()[1:]})
+# the CSV inputs of optimize, backtest and report, each a valid file to start from
+CSV_INPUTS = {
+    "prices.csv": (GOLDEN / "prices.csv").read_text(),
+    "daily.csv": (GOLDEN / "expected_daily_sentiment.csv").read_text(),
+    "benchmark.csv": "date,level\n" + "".join(f"{d},{1000.0 + i}\n" for i, d in enumerate(GOLDEN_DATES)),
+    "signal.csv": "company,sentiment\nalpha,0.8\nbeta,0.4\ngamma,-0.2\ndelta,0.0\n",
+    "prior.csv": "company,weight\nalpha,0.0\nbeta,0.3\ngamma,0.5\ndelta,0.1\n",
+    "run/levels.csv": (GOLDEN / "expected_levels.csv").read_text(),
+    "run/trades.csv": (GOLDEN / "expected_trades.csv").read_text(),
+}
+field_st = st.one_of(
+    st.sampled_from(["nan", "-inf", "1e309", "5e-324", "1.7976931348623157e308", "-1e308", "0", "",
+                     "abc", "2021-13-05", GOLDEN_DATES[-1]]),
+    st.floats().map(repr), st.text(max_size=6))
+
+
+def csv_st(text: str):
+    """text with up to two line edits: a field replaced, or the line dropped, repeated, cut short or
+    preceded by a blank line."""
+    def build(edits):
+        lines = text.splitlines()
+        for kind, at, column, value in edits:
+            i = at % len(lines)
+            fields = lines[i].split(",")
+            if kind == "field":
+                fields[column % len(fields)] = value
+                lines[i] = ",".join(fields)
+            elif kind == "drop":
+                del lines[i]
+            elif kind == "repeat":
+                lines.insert(i, lines[i])
+            elif kind == "cut":
+                lines[i] = ",".join(fields[:-1])
+            else:
+                lines.insert(i, " ")
+        return "".join(f"{x}\n" for x in lines)
+    edit = st.tuples(st.sampled_from(["field", "field", "field", "drop", "repeat", "cut", "blank"]),
+                     st.integers(0, 400), st.integers(0, 5), field_st)
+    return st.lists(edit, max_size=2).map(build)
+
+
 def _assert_finite(path: Path) -> None:
-    """Every number in a written JSON-lines or CSV file is finite."""
-    if not path.exists():
-        return
+    """Every number in a written JSON, JSON-lines, CSV or SVG file is finite."""
     text = path.read_text(encoding="utf-8")
-    if path.suffix == ".csv":
-        for row in text.splitlines()[1:]:
-            _, _, *numbers = row.split(",")
-            assert all(math.isfinite(float(x)) for x in numbers), row
-        return
-    for line in text.splitlines():
-        record = json.loads(line, parse_constant=lambda name: pytest.fail(f"{name} in {path.name}"))
-        if "score" in record:
-            assert math.isfinite(record["score"]), line
+    if path.suffix == ".svg":
+        assert not re.search(r"\b(nan|inf)\b", text), path.name
+    elif path.suffix == ".csv":
+        header, *rows = text.splitlines()
+        numeric = [i for i, name in enumerate(header.split(",")) if name not in ("date", "company", "metric")]
+        for row in rows:
+            fields = row.split(",")
+            if path.name == "report.csv" and fields[0].endswith("_date"):
+                continue
+            assert all(math.isfinite(float(fields[i])) for i in numeric), (path.name, row)
+    else:
+        for line in [text] if path.suffix == ".json" else text.splitlines():
+            json.loads(line, parse_constant=lambda name: pytest.fail(f"{name} in {path.name}"),
+                       parse_float=lambda x: math.isfinite(float(x)) or pytest.fail(f"{x} in {path.name}"))
 
 
 @settings(max_examples=80, deadline=None)
-@given(articles=lines_st(ARTICLE), prescored=lines_st(PRESCORED), scored=lines_st(SCORED))
-def test_fuzzed_inputs_exit_zero_or_one(articles, prescored, scored):
-    g = Path(__file__).resolve().parent / "golden"
+@given(articles=lines_st(ARTICLE), prescored=lines_st(PRESCORED), scored=lines_st(SCORED),
+       csvs=st.fixed_dictionaries({name: csv_st(text) for name, text in CSV_INPUTS.items()}))
+def test_fuzzed_inputs_exit_zero_or_one(articles, prescored, scored, csvs):
+    g = GOLDEN
     with tempfile.TemporaryDirectory() as tmp:
-        d = Path(tmp)
-        for name, text in (("articles.jsonl", articles), ("prescored.jsonl", prescored),
-                           ("scored.jsonl", scored)):
+        d, out = Path(tmp) / "in", Path(tmp) / "out"
+        (d / "run").mkdir(parents=True)
+        out.mkdir()
+        inputs = {"articles.jsonl": articles, "prescored.jsonl": prescored, "scored.jsonl": scored,
+                  **csvs, "optimizer.json": "{}", "run/summary.json": (g / "expected_summary.json").read_text()}
+        for name, text in inputs.items():
             (d / name).write_text(text, encoding="utf-8")
         aggregate = ["--prices", g / "prices.csv", "--config", g / "aggregation_config.json"]
         codes = [
             run(["filter", "--articles", d / "articles.jsonl", "--config", g / "filter_config.json",
-                 "--out", d / "kept.jsonl", "--removed", d / "removed.jsonl"]),
+                 "--out", out / "kept.jsonl", "--removed", out / "removed.jsonl"]),
             run(["score", "--articles", d / "articles.jsonl", "--provider", "lexicon",
-                 "--provider-file", g / "lexicon.json", "--out", d / "lexicon_scored.jsonl"]),
+                 "--provider-file", g / "lexicon.json", "--out", out / "lexicon_scored.jsonl"]),
             run(["score", "--articles", d / "articles.jsonl", "--provider", "prescored",
                  "--provider-file", d / "prescored.jsonl", "--mode", "expectation",
-                 "--out", d / "prescored_scored.jsonl"]),
-            run(["aggregate", "--scored", d / "scored.jsonl", *aggregate, "--out", d / "daily.csv"]),
-            run(["aggregate", "--scored", d / "lexicon_scored.jsonl", *aggregate,
-                 "--out", d / "chain_daily.csv"]),
+                 "--out", out / "prescored_scored.jsonl"]),
+            run(["aggregate", "--scored", d / "scored.jsonl", *aggregate, "--out", out / "daily.csv"]),
+            run(["aggregate", "--scored", out / "lexicon_scored.jsonl", *aggregate,
+                 "--out", out / "chain_daily.csv"]),
+            run(["optimize", "--sentiments", d / "signal.csv", "--prior", d / "prior.csv",
+                 "--config", d / "optimizer.json", "--out", out / "weights.csv"]),
+            run(["backtest", "--prices", d / "prices.csv", "--sentiments", d / "daily.csv",
+                 "--benchmark", d / "benchmark.csv", "--config", g / "backtest_config.json",
+                 "--out", out / "bt"]),
+            run(["backtest", "--prices", d / "prices.csv", "--sentiments", d / "daily.csv",
+                 "--config", g / "backtest_config.json", "--out", out / "bt_basket"]),
+            run(["report", "--in", d / "run", "--out", out / "report"]),
         ]
         assert set(codes) <= {0, 1}, codes
-        for path in d.iterdir():
-            if path.name not in ("articles.jsonl", "prescored.jsonl", "scored.jsonl"):
+        for path in out.rglob("*"):
+            if path.is_file():
                 _assert_finite(path)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import re
 import shutil
 import xml.etree.ElementTree as ET
 from pathlib import Path
@@ -64,7 +65,7 @@ class TestRenderReport:
         # only the legend swatch keeps the trade stroke; no impulse bars
         assert svg.count('stroke="#8a97a5"') == 1
 
-    def test_date_filter_crops_chart(self, staged, tmp_path):
+    def test_date_filter_crops_chart(self, staged, tmp_path, golden_dir):
         out_full = tmp_path / "full"
         out_cut = tmp_path / "cut"
         render_report(ReportSpec(input_dir=staged, output_dir=out_full))
@@ -75,12 +76,33 @@ class TestRenderReport:
         cut_svg = (out_cut / "report.svg").read_text()
         assert "2021-03-01" in full_svg and "2021-03-01" not in cut_svg
         assert "2021-03-10" in cut_svg
+        # the crop draws exactly what an uncropped render of the window's rows draws
+        window = stage_golden_inputs(golden_dir, tmp_path / "window")
+        for name in ("levels.csv", "trades.csv"):
+            header, *rows = (staged / name).read_text().splitlines()
+            kept = [row for row in rows if "2021-03-10" <= row[:10] <= "2021-03-31"]
+            assert 0 < len(kept) < len(rows)
+            (window / name).write_text("\n".join([header, *kept]) + "\n")
+        render_report(ReportSpec(input_dir=window, output_dir=tmp_path / "window_out"))
+        assert (tmp_path / "window_out" / "report.svg").read_bytes() == (out_cut / "report.svg").read_bytes()
 
     def test_filter_excluding_everything_is_an_error(self, staged, tmp_path):
         from datetime import date
         with pytest.raises(ValueError, match="excludes"):
             render_report(ReportSpec(input_dir=staged, output_dir=tmp_path / "out",
                                      date_from=date(2030, 1, 1)))
+
+    @pytest.mark.parametrize("level, message", [
+        ("nan", "levels.csv: line 4: non-finite level on 2021-03-03: index 101.79912107349776, benchmark nan"),
+        ("1e308", "levels from 99.95049999999999 to 1e+308 are too far apart to draw"),
+    ], ids=["nan", "overflow"])
+    def test_bad_level_is_rejected(self, staged, tmp_path, level, message):
+        lines = (staged / "levels.csv").read_text().splitlines()
+        lines[3] = lines[3].rsplit(",", 1)[0] + f",{level}"
+        (staged / "levels.csv").write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=re.escape(message)):
+            render_report(ReportSpec(input_dir=staged, output_dir=tmp_path / "out"))
+        assert not (tmp_path / "out").exists()
 
     def test_missing_input_named(self, tmp_path):
         (tmp_path / "in").mkdir()
