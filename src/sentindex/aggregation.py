@@ -8,7 +8,6 @@ today's unique-source count falls below the company's historical mean.
 
 from __future__ import annotations
 
-import math
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from datetime import date, datetime, time, timedelta
@@ -16,7 +15,9 @@ from pathlib import Path
 from typing import TYPE_CHECKING, NamedTuple
 from zoneinfo import ZoneInfo
 
-from .inputs import config_from_dict, load_json_object, read_csv
+from .inputs import config_from_dict, load_json_object
+# kept here only because perfbench/inproc.py calls aggregation.load_daily_sentiment_csv
+from .inputs import load_daily_sentiment_csv  # noqa: F401
 
 if TYPE_CHECKING:
     from .sentiment import ScoredArticle
@@ -52,6 +53,11 @@ class AggregationConfig:
         if self.adjustment_history not in HISTORY_MODES:
             raise ValueError(
                 f"adjustment_history must be one of {HISTORY_MODES}, got {self.adjustment_history!r}")
+        try:
+            self.cutoff
+        except (ValueError, OverflowError) as exc:  # time() overflows on an hour of 20 digits
+            raise ValueError(
+                f"cutoff_local_time must be HH:MM, got {self.cutoff_local_time!r} ({exc})") from None
 
     @property
     def cutoff(self) -> time:
@@ -196,28 +202,3 @@ def write_daily_sentiment_csv(path: str | Path, result: AggregationResult) -> No
                 day = iso[trading_date] = trading_date.isoformat()
             fh.write(f"{day},{company},{raw!r},{u},{adj!r},{adjusted!r}\n")
 
-
-def load_daily_sentiment_csv(path: str | Path) -> dict[date, dict[str, float]]:
-    """Read the adjusted-sentiment column back as a date -> company -> value map.
-
-    A non-finite value, a repeated (company, date) row or a malformed row is
-    rejected with the file and its line named.
-    """
-    out: dict[date, dict[str, float]] = {}
-    by_text: dict[str, dict[str, float]] = {}  # date text -> that date's map, parsed once
-
-    def row(fields: tuple[str, ...]) -> None:
-        text, company, value = fields
-        day = by_text.get(text)
-        if day is None:
-            day = by_text[text] = out.setdefault(date.fromisoformat(text), {})
-        if company in day:
-            raise ValueError(f"duplicate sentiment row for ({company}, {date.fromisoformat(text)})")
-        value = float(value)
-        if not math.isfinite(value):
-            raise ValueError(
-                f"non-finite adjusted {value!r} for ({company}, {date.fromisoformat(text)})")
-        day[company] = value
-
-    read_csv(path, ("date", "company", "adjusted"), "sentiment", row)
-    return out

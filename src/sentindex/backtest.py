@@ -11,61 +11,16 @@ from __future__ import annotations
 
 import json
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from datetime import date, datetime
 from functools import partial
 from pathlib import Path
 
-from .inputs import config_from_dict, load_json_object, read_csv
+from .inputs import PriceSeries, config_from_dict, load_json_object, read_csv
+# kept here only because perfbench/inproc.py calls backtest.load_prices
+from .inputs import load_prices  # noqa: F401
 from .optimizer import OptimizerConfig, optimize_weights, trades_from_moves
-
-
-@dataclass(frozen=True)
-class PriceSeries:
-    """Closes on a gap-free grid: rows[i][j] is the close of companies[j] on dates[i]."""
-
-    dates: tuple[date, ...]
-    companies: tuple[str, ...]  # sorted when loaded
-    rows: list[list[float]]
-
-
-def load_prices(path: str | Path) -> PriceSeries:
-    """Read a date,company,close CSV into a gap-free grid.
-
-    Every company must have a finite positive close for every date; a name
-    with missing rows is rejected with its first gap named. A malformed row
-    is rejected with the file and its line named.
-    """
-    by_date: dict[date, dict[str, float]] = {}  # date -> company -> close
-    by_text: dict[str, dict[str, float]] = {}  # date text -> that date's closes, parsed once
-
-    def row(fields: tuple[str, ...]) -> None:
-        text, company, close = fields
-        closes = by_text.get(text)
-        if closes is None:
-            closes = by_text[text] = by_date.setdefault(date.fromisoformat(text), {})
-        close = float(close)
-        if not 0.0 < close < math.inf:  # also false for nan
-            kind = "non-finite" if not math.isfinite(close) else "nonpositive"
-            raise ValueError(f"{kind} close {close!r} for {company}")
-        if company in closes:
-            raise ValueError(f"duplicate price row for ({company}, {date.fromisoformat(text)})")
-        closes[company] = close
-
-    read_csv(path, ("date", "company", "close"), "price", row)
-    if not by_date:
-        raise ValueError(f"{path}: price CSV contains no rows")
-    dates = tuple(sorted(by_date))
-    companies = tuple(sorted(set().union(*by_date.values())))
-    # each date holds a subset of the companies, so the grid is complete
-    # exactly when every date holds all of them
-    if any(len(closes) != len(companies) for closes in by_date.values()):
-        for company in companies:
-            for d in dates:
-                if company not in by_date[d]:
-                    raise ValueError(f"price series has a gap: no close for ({company}, {d})")
-    rows = [[closes[c] for c in companies] for closes in map(by_date.__getitem__, dates)]
-    return PriceSeries(dates=dates, companies=companies, rows=rows)
 
 
 def load_benchmark_levels(path: str | Path) -> dict[date, float]:
@@ -113,7 +68,7 @@ def _drift(w: list[float], r: list[float]) -> tuple[list[float], float]:
     return [w_k * (1.0 + r_k) / denom for w_k, r_k in zip(w, r)], r_gross
 
 
-def _cost(moves: list[float], tc_rate: float) -> float:
+def _cost(moves: Iterable[float], tc_rate: float) -> float:
     return tc_rate * sum(map(abs, moves))
 
 
@@ -164,7 +119,7 @@ def run_backtest(
     """Run the full day loop and return per-day records plus the summary.
 
     sentiments maps each date to the adjusted sentiment of every company, as
-    aggregation.load_daily_sentiment_csv returns it. The first date starts
+    inputs.load_daily_sentiment_csv returns it. The first date starts
     from all-zero weights; its rebalance into the band is charged costs but
     excluded from trade-count statistics. The signal for the weights held
     into date t+1 is the sentiment of date t+1-lag; dates before the
@@ -313,7 +268,8 @@ def write_trades_csv(path: str | Path, result: BacktestResult, tc_rate: float) -
         fh.write("date,company,delta_weight,cost\n")
         for day in result.days:
             for company, delta in day.trades:
-                fh.write(f"{day.date.isoformat()},{company},{delta!r},{tc_rate * abs(delta)!r}\n")
+                cost = _cost((delta,), tc_rate)
+                fh.write(f"{day.date.isoformat()},{company},{delta!r},{cost!r}\n")
 
 
 def write_summary_json(path: str | Path, result: BacktestResult) -> None:

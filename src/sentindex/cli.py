@@ -49,10 +49,10 @@ def _cmd_score(args: argparse.Namespace) -> int:
 
 
 def _cmd_aggregate(args: argparse.Namespace) -> int:
-    from . import aggregation, backtest, sentiment
+    from . import aggregation, inputs, sentiment
 
     config = aggregation.load_aggregation_config(args.config)
-    prices = backtest.load_prices(args.prices)
+    prices = inputs.load_prices(args.prices)
     calendar = aggregation.TradingCalendar(
         dates=prices.dates, timezone=config.market_timezone, cutoff=config.cutoff)
     scored = sentiment.load_scored(args.scored)
@@ -81,11 +81,11 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
 
 
 def _cmd_backtest(args: argparse.Namespace) -> int:
-    from . import aggregation, backtest
+    from . import backtest, inputs
 
     cfg = backtest.load_backtest_config(args.config)
-    prices = backtest.load_prices(args.prices)
-    sentiments = aggregation.load_daily_sentiment_csv(args.sentiments)
+    prices = inputs.load_prices(args.prices)
+    sentiments = inputs.load_daily_sentiment_csv(args.sentiments)
     benchmark = backtest.load_benchmark_levels(args.benchmark) if args.benchmark else None
     result = backtest.run_backtest(prices, sentiments, cfg, benchmark=benchmark)
     backtest.write_backtest_outputs(args.out, result, cfg)

@@ -1,4 +1,4 @@
-"""Reading input files: JSON objects that configure a stage, JSON lines, headed CSV tables."""
+"""Reading input files: stage configs, JSON lines, headed CSV tables, the close and sentiment grids."""
 
 from __future__ import annotations
 
@@ -6,9 +6,10 @@ import json
 import math
 import sys
 from dataclasses import fields
+from datetime import date, datetime
 from operator import itemgetter
 from pathlib import Path
-from typing import Callable
+from typing import Callable, NamedTuple
 
 _raw_decode = json.JSONDecoder().raw_decode
 
@@ -55,18 +56,40 @@ def parse_json(text: str):
         raise json.JSONDecodeError("nested too deeply", text, 0) from None
 
 
+def decoded_lines(path: str | Path, bad: Callable[[int, UnicodeDecodeError], None]):
+    """Yield (line number, text) for each line of path that decodes as UTF-8.
+
+    The file is read as bytes and each line decoded on its own; bad gets the
+    number and the decode error of every line that fails. A line ends at \n,
+    \r\n or \r, as in a text-mode read, so the line numbers agree with one.
+    """
+    lineno = 0
+    with open(path, "rb") as fh:
+        for raw in fh:
+            for piece in raw.splitlines(keepends=True) if b"\r" in raw else (raw,):
+                lineno += 1
+                try:
+                    line = piece.decode("utf-8")
+                except UnicodeDecodeError as exc:
+                    bad(lineno, exc)
+                    continue
+                yield lineno, line
+
+
 def not_utf8(path: str | Path, exc: UnicodeDecodeError) -> ValueError:
     """The error for a file that is not UTF-8, naming the first line that fails to decode.
 
     The file is read again as bytes, so that the reason is the line's own
     decode error and not one at an offset into the chunk being decoded.
     """
-    with open(path, "rb") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            try:
-                raw.decode("utf-8")
-            except UnicodeDecodeError as line_exc:
-                return ValueError(f"{path}: line {lineno}: {line_exc}")
+    def first_bad(lineno: int, line_exc: UnicodeDecodeError) -> None:
+        raise ValueError(f"{path}: line {lineno}: {line_exc}")
+
+    try:
+        for _ in decoded_lines(path, first_bad):
+            pass
+    except ValueError as bad:
+        return bad
     return ValueError(f"{path}: {exc}")  # the file changed since it failed to decode
 
 
@@ -144,3 +167,76 @@ def read_csv(path: str | Path, names: tuple[str, ...], what: str,
             raise
         reason = "too few fields" if isinstance(exc, IndexError) else str(exc)
         raise ValueError(f"{path}: line {lineno}: {reason}") from None
+
+
+def parse_timestamp(raw: str) -> datetime:
+    """Parse an ISO-8601 timestamp with offset; naive timestamps are rejected."""
+    # Python 3.10 fromisoformat does not accept a trailing Z
+    if raw.endswith("Z") or raw.endswith("z"):
+        raw = raw[:-1] + "+00:00"
+    ts = datetime.fromisoformat(raw)
+    if ts.tzinfo is None:
+        raise ValueError("timestamp lacks a UTC offset")
+    return ts
+
+
+class PriceSeries(NamedTuple):
+    """Closes on a gap-free grid: rows[i][j] is the close of companies[j] on dates[i]."""
+
+    dates: tuple[date, ...]
+    companies: tuple[str, ...]  # sorted when loaded
+    rows: list[list[float]]
+
+
+def load_prices(path: str | Path) -> PriceSeries:
+    """Read a date,company,close CSV into a gap-free grid.
+
+    Every company must have a finite positive close for every date; a name
+    with missing rows is rejected with its first gap named. A malformed row
+    is rejected with the file and its line named (see _read_grid).
+    """
+    by_date = _read_grid(path, "close", "price", 0.0)
+    if not by_date:
+        raise ValueError(f"{path}: price CSV contains no rows")
+    dates = tuple(sorted(by_date))
+    companies = tuple(sorted(set().union(*by_date.values())))
+    # each date holds a subset of the companies, so the grid is complete
+    # exactly when every date holds all of them
+    if any(len(closes) != len(companies) for closes in by_date.values()):
+        for company in companies:
+            for d in dates:
+                if company not in by_date[d]:
+                    raise ValueError(f"price series has a gap: no close for ({company}, {d})")
+    rows = [[closes[c] for c in companies] for closes in map(by_date.__getitem__, dates)]
+    return PriceSeries(dates=dates, companies=companies, rows=rows)
+
+
+def load_daily_sentiment_csv(path: str | Path) -> dict[date, dict[str, float]]:
+    """The adjusted column of a daily sentiment CSV as a date -> company -> value map (see _read_grid)."""
+    return _read_grid(path, "adjusted", "sentiment", -math.inf)
+
+
+def _read_grid(path: str | Path, column: str, what: str, lo: float) -> dict[date, dict[str, float]]:
+    """The column of a date,company,<column> CSV as a date -> company -> value map.
+
+    A repeated (company, date) row, checked first, or a value outside lo < value < inf (lo is 0.0
+    or -inf) raises ValueError naming the file and the line (see read_csv).
+    """
+    out: dict[date, dict[str, float]] = {}
+    by_text: dict[str, dict[str, float]] = {}  # date text -> that date's map, parsed once
+
+    def row(fields: tuple[str, ...]) -> None:
+        text, company, value = fields
+        day = by_text.get(text)
+        if day is None:
+            day = by_text[text] = out.setdefault(date.fromisoformat(text), {})
+        if company in day:
+            raise ValueError(f"duplicate {what} row for ({company}, {date.fromisoformat(text)})")
+        value = float(value)
+        if not lo < value < math.inf:  # also false for nan
+            kind = "nonpositive" if math.isfinite(value) else "non-finite"
+            raise ValueError(f"{kind} {column} {value!r} for ({company}, {date.fromisoformat(text)})")
+        day[company] = value
+
+    read_csv(path, ("date", "company", column), what, row)
+    return out

@@ -24,6 +24,7 @@ PLOT_H = HEIGHT - MARGIN_TOP - MARGIN_BOTTOM
 INDEX_COLOR = "#1f6fb2"
 BENCH_COLOR = "#b2701f"
 TRADE_COLOR = "#8a97a5"
+TITLE = "Sentiment index vs benchmark"
 
 
 @dataclass(frozen=True)
@@ -31,7 +32,6 @@ class ReportSpec:
     input_dir: Path
     output_dir: Path
     formats: tuple[str, ...] = ("svg", "csv")
-    title: str = "Sentiment index vs benchmark"
     date_from: date | None = None
     date_to: date | None = None
 
@@ -65,6 +65,8 @@ def _read_inputs(input_dir: Path) -> _Inputs:
         d, index_level, bench_level = date.fromisoformat(text), float(index_level), float(bench_level)
         if not (math.isfinite(index_level) and math.isfinite(bench_level)):
             raise ValueError(f"non-finite level on {d}: index {index_level!r}, benchmark {bench_level!r}")
+        if dates and d <= dates[-1]:
+            raise ValueError(f"date {d} does not follow {dates[-1]}")
         dates.append(d)
         index_levels.append(index_level)
         bench_levels.append(bench_level)
@@ -104,7 +106,7 @@ def _nice_ticks(lo: float, hi: float, count: int = 5) -> list[float]:
     return [lo + (hi - lo) * k / (count - 1) for k in range(count)]
 
 
-def _render_svg(data: _Inputs, title: str) -> str:
+def _render_svg(data: _Inputs) -> str:
     n = len(data.dates)
     level_min = min(min(data.index_levels), min(data.bench_levels))
     level_max = max(max(data.index_levels), max(data.bench_levels))
@@ -131,7 +133,7 @@ def _render_svg(data: _Inputs, title: str) -> str:
     parts.append(f'<rect width="{WIDTH}" height="{HEIGHT}" fill="white"/>')
     parts.append(
         f'<text x="{WIDTH / 2:.2f}" y="28" font-size="17" text-anchor="middle">'
-        f"{_escape(title)}</text>")
+        f"{TITLE}</text>")
 
     # plot frame and horizontal gridlines with left-axis labels
     parts.append(
@@ -255,7 +257,7 @@ def render_report(spec: ReportSpec) -> list[Path]:
 
     texts = {}  # all rendered before any is written, so that a failure writes nothing
     if "svg" in spec.formats:
-        texts["report.svg"] = _render_svg(data, spec.title)
+        texts["report.svg"] = _render_svg(data)
     if "csv" in spec.formats:
         texts["report.csv"] = _render_summary_csv(data.summary)
     out_dir = Path(spec.output_dir)

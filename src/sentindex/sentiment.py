@@ -14,10 +14,12 @@ from datetime import datetime
 from json.encoder import encode_basestring
 from operator import itemgetter
 from pathlib import Path
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
-from .corpus import NewsArticle, parse_timestamp
-from .inputs import config_value, load_json_object, not_utf8, parse_json
+from .inputs import config_value, load_json_object, not_utf8, parse_json, parse_timestamp
+
+if TYPE_CHECKING:
+    from .corpus import NewsArticle
 
 PROB_SUM_TOL = 1e-6
 PRESCORED_FIELDS = (("id",), ("p_negative", "p_neutral", "p_positive"))

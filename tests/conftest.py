@@ -10,14 +10,14 @@ from pathlib import Path
 import pytest
 
 from dict_adapters import daily_maps
-from sentindex import aggregation, backtest, corpus, sentiment
+from sentindex import aggregation, backtest, corpus, inputs, sentiment
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 @dataclass
 class GoldenRun:
-    prices: backtest.PriceSeries
+    prices: inputs.PriceSeries
     filter_result: corpus.FilterResult
     aggregation_result: aggregation.AggregationResult
     sentiments: dict  # date -> company -> adjusted
@@ -43,7 +43,7 @@ def golden_run() -> GoldenRun:
     provider = sentiment.LexiconProvider.from_file(GOLDEN / "lexicon.json")
     scored = sentiment.score_articles(filter_result.kept, provider)
 
-    prices = backtest.load_prices(GOLDEN / "prices.csv")
+    prices = inputs.load_prices(GOLDEN / "prices.csv")
     agg_config = aggregation.load_aggregation_config(GOLDEN / "aggregation_config.json")
     calendar = aggregation.TradingCalendar(
         dates=prices.dates, timezone=agg_config.market_timezone, cutoff=agg_config.cutoff)

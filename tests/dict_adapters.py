@@ -13,7 +13,8 @@ from __future__ import annotations
 from datetime import date
 
 from sentindex.aggregation import _shrink
-from sentindex.backtest import PriceSeries, _cost, _drift
+from sentindex.backtest import _cost, _drift
+from sentindex.inputs import PriceSeries
 from sentindex.optimizer import _check_keys
 
 

@@ -14,7 +14,8 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-from sentindex.corpus import REQUIRED_FIELDS, LoadReport, NewsArticle, parse_timestamp
+from sentindex.corpus import REQUIRED_FIELDS, LoadReport, NewsArticle
+from sentindex.inputs import parse_timestamp
 from sentindex.sentiment import PROB_SUM_TOL, ClassProbabilities, ScoredArticle
 
 

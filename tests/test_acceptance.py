@@ -15,7 +15,8 @@ import pytest
 
 from dict_adapters import daily_maps, objective_value, price_series, source_adjustment
 from grid_oracle import brute_force_oracle
-from sentindex.backtest import BacktestConfig, PriceSeries, run_backtest
+from sentindex.backtest import BacktestConfig, run_backtest
+from sentindex.inputs import PriceSeries
 from sentindex.optimizer import (
     InfeasibleProblemError,
     OptimizerConfig,

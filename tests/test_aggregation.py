@@ -19,9 +19,9 @@ from sentindex.aggregation import (
     TradingCalendar,
     aggregate_daily,
     effective_trading_date,
-    load_daily_sentiment_csv,
     write_daily_sentiment_csv,
 )
+from sentindex.inputs import load_daily_sentiment_csv
 from sentindex.sentiment import ScoredArticle
 
 BERLIN = ZoneInfo("Europe/Berlin")

@@ -27,11 +27,11 @@ from sentindex.backtest import (
     DayRecord,
     annualized_return,
     load_benchmark_levels,
-    load_prices,
     run_backtest,
     trade_statistics,
     write_backtest_outputs,
 )
+from sentindex.inputs import load_prices
 from sentindex.optimizer import OptimizerConfig, extract_trades
 
 
@@ -298,7 +298,7 @@ class TestLoaders:
     def test_load_prices_rejects_non_finite(self, tmp_path, close):
         path = tmp_path / "prices.csv"
         path.write_text(f"date,company,close\n2021-03-01,a,10.0\n2021-03-01,b,{close}\n")
-        with pytest.raises(ValueError, match=f"line 3: non-finite close {close} for b"):
+        with pytest.raises(ValueError, match=rf"line 3: non-finite close {close} for \(b, 2021-03-01\)"):
             load_prices(path)
 
     def test_load_benchmark_roundtrip(self, tmp_path):

@@ -13,7 +13,7 @@ from datetime import datetime, timedelta, timezone
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sentindex.cli import main
@@ -71,6 +71,10 @@ class TestPipelineChain:
         summary = json.loads((out / "summary.json").read_text())
         expected_summary = json.loads((golden_dir / "expected_summary.json").read_text())
         assert summary["trade_stats"] == expected_summary["trade_stats"]
+        tc_rate = json.loads((golden_dir / "backtest_config.json").read_text())["tc_rate"]
+        trades = [line.split(",") for line in (out / "trades.csv").read_text().splitlines()[1:]]
+        assert any(float(delta) < 0 for _, _, delta, _ in trades)
+        assert all(float(cost) == tc_rate * abs(float(delta)) for _, _, delta, cost in trades)
 
         rep = chain_dir / "rep"
         assert run(["report", "--in", out, "--out", rep]) == 0
@@ -301,10 +305,10 @@ def test_each_command_loads_only_its_stage_modules(tmp_path, golden_dir):
         ("score", {"cli", "corpus", "inputs", "sentiment"},
          ["--articles", t / "kept.jsonl", "--provider", "lexicon", "--provider-file", g / "lexicon.json",
           "--out", t / "scored.jsonl"]),
-        ("aggregate", {"cli", "corpus", "inputs", "sentiment", "aggregation", "backtest", "optimizer"},
+        ("aggregate", {"cli", "inputs", "sentiment", "aggregation"},
          ["--scored", t / "scored.jsonl", "--prices", g / "prices.csv",
           "--config", g / "aggregation_config.json", "--out", t / "daily.csv"]),
-        ("backtest", {"cli", "inputs", "aggregation", "backtest", "optimizer"},
+        ("backtest", {"cli", "inputs", "backtest", "optimizer"},
          ["--prices", g / "prices.csv", "--sentiments", t / "daily.csv",
           "--config", g / "backtest_config.json", "--out", t / "bt"]),
         ("report", {"cli", "inputs", "report"}, ["--in", t / "bt", "--out", t / "rep"]),
@@ -437,6 +441,12 @@ class TestStrictInputs:
             ("number", "line 4: could not convert string to float: 'abc'"),
             ("header", "{what} CSV lacks a"),
             ("utf8", "line 4: 'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"),
+            # line 4 repeats line 3, whose fields fill the message
+            ("repeat", "line 4: " + {"prices": "duplicate price row for ({1}, {0})",
+                                     "sentiments": "duplicate sentiment row for ({1}, {0})",
+                                     "benchmark": "duplicate benchmark row for {0}",
+                                     "levels": "date {0} does not follow {0}",
+                                     "weights": "duplicate row for {0}"}[target]),
         )
         if (target, defect) != ("weights", "date")  # a weights row has no date
     ])
@@ -459,6 +469,8 @@ class TestStrictInputs:
             fields[0] = "2021-13-05"
         elif defect == "utf8":
             fields[0] = "\udcff" + fields[0]  # written as the byte 0xff
+        elif defect == "repeat":
+            fields = files[target][lineno - 1].split(",")
         else:
             fields[-1] = "abc"
         files[target][lineno] = ",".join(fields)
@@ -485,7 +497,7 @@ class TestStrictInputs:
         assert code == 1
         what = {"prices": "price", "sentiments": "sentiment", "benchmark": "benchmark",
                 "levels": "levels", "weights": "sentiment"}[target]
-        assert "Traceback" not in err and f"{paths[target]}: {message.format(what=what)}" in err
+        assert "Traceback" not in err and f"{paths[target]}: {message.format(*fields, what=what)}" in err
         assert not out.exists()
 
     def test_unknown_company_is_counted_and_dropped(self, chain_dir, golden_dir, capsys):
@@ -590,6 +602,37 @@ def csv_st(text: str):
     return st.lists(edit, max_size=2).map(build)
 
 
+# the four JSON configs, each a valid object to start from
+CONFIGS = {name: json.loads((GOLDEN / name).read_text())
+           for name in ("filter_config.json", "aggregation_config.json", "backtest_config.json")}
+CONFIGS["optimizer.json"] = CONFIGS["backtest_config.json"]["optimizer"]
+number_st = st.one_of(
+    st.sampled_from([-1, 0, -0.0, 1, 2, 0.5, 0.999, 1e-300, 5e-324, 1e308, -1e308, 1.7976931348623157e308,
+                     2**63, 10**30, 10**400]),
+    st.integers(), st.floats())
+zone_or_time_st = st.one_of(
+    st.sampled_from(["UTC", "Etc/GMT-14", "Pacific/Kiritimati", "Mars/Olympus", "", "Europe/", "../etc",
+                     "/Europe/Berlin", "zone.tab", "\x00", "00:00", "23:59", "24:00", "17", "17:00:00", "-1:30",
+                     "7:5", ":", "17:60", " 17:00", "1_7:00", "99999999999999999999:00", "17:-0"]),
+    st.text(max_size=8))
+
+
+def config_st(base: dict):
+    """base as JSON text with up to two edits: a value of a wrong kind or a number out of range, an
+    unknown key, a bad market_timezone or cutoff_local_time, or one value of a nested object edited."""
+    keys = sorted(base)
+    edits = [st.tuples(st.sampled_from(keys), json_st | number_st), st.tuples(st.text(max_size=6), json_st)]
+    if "market_timezone" in base:
+        edits.append(st.tuples(st.sampled_from(["market_timezone", "cutoff_local_time"]), zone_or_time_st))
+    for key in keys:
+        if type(base[key]) is dict:  # the backtest's optimizer block or the filter's exclusions
+            edits.append(st.tuples(st.just(key), st.builds(
+                lambda inner, value, key=key: {**base[key], inner: value},
+                st.sampled_from(sorted(base[key])) | st.text(max_size=6),
+                number_st | json_st | st.lists(st.text(max_size=4), max_size=2))))
+    return st.lists(st.one_of(edits), max_size=2).map(lambda changes: json.dumps({**base, **dict(changes)}))
+
+
 def _assert_finite(path: Path) -> None:
     """Every number in a written JSON, JSON-lines, CSV or SVG file is finite."""
     text = path.read_text(encoding="utf-8")
@@ -610,21 +653,26 @@ def _assert_finite(path: Path) -> None:
 
 
 @settings(max_examples=80, deadline=None)
+# an hour too large for datetime.time raised OverflowError, which the CLI let through as a traceback
+@example(articles="", prescored="", scored="", csvs=CSV_INPUTS,
+         configs={**{name: json.dumps(base) for name, base in CONFIGS.items()}, "aggregation_config.json":
+                  json.dumps({**CONFIGS["aggregation_config.json"], "cutoff_local_time": "99999999999999999999:00"})})
 @given(articles=lines_st(ARTICLE), prescored=lines_st(PRESCORED), scored=lines_st(SCORED),
-       csvs=st.fixed_dictionaries({name: csv_st(text) for name, text in CSV_INPUTS.items()}))
-def test_fuzzed_inputs_exit_zero_or_one(articles, prescored, scored, csvs):
+       csvs=st.fixed_dictionaries({name: csv_st(text) for name, text in CSV_INPUTS.items()}),
+       configs=st.fixed_dictionaries({name: config_st(base) for name, base in CONFIGS.items()}))
+def test_fuzzed_inputs_exit_zero_or_one(articles, prescored, scored, csvs, configs):
     g = GOLDEN
     with tempfile.TemporaryDirectory() as tmp:
         d, out = Path(tmp) / "in", Path(tmp) / "out"
         (d / "run").mkdir(parents=True)
         out.mkdir()
         inputs = {"articles.jsonl": articles, "prescored.jsonl": prescored, "scored.jsonl": scored,
-                  **csvs, "optimizer.json": "{}", "run/summary.json": (g / "expected_summary.json").read_text()}
+                  **csvs, **configs, "run/summary.json": (g / "expected_summary.json").read_text()}
         for name, text in inputs.items():
             (d / name).write_text(text, encoding="utf-8")
-        aggregate = ["--prices", g / "prices.csv", "--config", g / "aggregation_config.json"]
+        aggregate = ["--prices", g / "prices.csv", "--config", d / "aggregation_config.json"]
         codes = [
-            run(["filter", "--articles", d / "articles.jsonl", "--config", g / "filter_config.json",
+            run(["filter", "--articles", d / "articles.jsonl", "--config", d / "filter_config.json",
                  "--out", out / "kept.jsonl", "--removed", out / "removed.jsonl"]),
             run(["score", "--articles", d / "articles.jsonl", "--provider", "lexicon",
                  "--provider-file", g / "lexicon.json", "--out", out / "lexicon_scored.jsonl"]),
@@ -637,10 +685,10 @@ def test_fuzzed_inputs_exit_zero_or_one(articles, prescored, scored, csvs):
             run(["optimize", "--sentiments", d / "signal.csv", "--prior", d / "prior.csv",
                  "--config", d / "optimizer.json", "--out", out / "weights.csv"]),
             run(["backtest", "--prices", d / "prices.csv", "--sentiments", d / "daily.csv",
-                 "--benchmark", d / "benchmark.csv", "--config", g / "backtest_config.json",
+                 "--benchmark", d / "benchmark.csv", "--config", d / "backtest_config.json",
                  "--out", out / "bt"]),
             run(["backtest", "--prices", d / "prices.csv", "--sentiments", d / "daily.csv",
-                 "--config", g / "backtest_config.json", "--out", out / "bt_basket"]),
+                 "--config", d / "backtest_config.json", "--out", out / "bt_basket"]),
             run(["report", "--in", d / "run", "--out", out / "report"]),
         ]
         assert set(codes) <= {0, 1}, codes

@@ -22,11 +22,11 @@ from sentindex.corpus import (
     load_articles,
     load_filter_config,
     normalize_and_gate,
-    parse_timestamp,
     remove_auto_generated,
     run_filter_pipeline,
     write_articles,
 )
+from sentindex.inputs import parse_timestamp
 
 TS = datetime(2021, 3, 1, 10, 0, tzinfo=timezone.utc)
 
@@ -348,17 +348,35 @@ def test_load_articles_matches_reference(tmp_path, seed):
     assert [d for d in got.diagnostics if d not in new] == expected.diagnostics
     assert [int(d.split(":")[0].removeprefix("line ")) for d in new] == sorted(rejected)
 
+    # a line that is not UTF-8 adds only its own diagnostic, also with \r\n line ends,
+    # and a bare \r still ends a line, as in a text-mode read (so lines[149] is line 151)
+    blank, bad = tmp_path / "blank.jsonl", tmp_path / "bad.jsonl"
+    lines[20] += "\r[]"
+    lines[149] = ""
+    blank.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    lines[149] = '{"id": "\udcff"}'
+    bad.write_text("\r\n".join(lines) + "\r\n", encoding="utf-8", errors="surrogateescape")
+    got, expected = load_articles(bad), load_articles(blank)
+    assert [repr(a) for a in got.articles] == [repr(a) for a in expected.articles]
+    assert got.diagnostics == sorted(
+        expected.diagnostics + ["line 151: not UTF-8 ('utf-8' codec can't decode byte 0xff in position 8: "
+                                "invalid start byte)"],
+        key=lambda d: int(d.split(":")[0].removeprefix("line ")))
+
 
 class TestLoaderRejections:
-    @pytest.mark.parametrize("line, kind", [
-        ("[1]", "list"), ('"x"', "str"), ("3", "int"), ("null", "NoneType"),
-    ], ids=["list", "string", "number", "null"])
-    def test_non_object_line_diagnosed(self, tmp_path, line, kind):
+    @pytest.mark.parametrize("line, diagnostic", [
+        ("[1]", "not a JSON object (list)"), ('"x"', "not a JSON object (str)"),
+        ("3", "not a JSON object (int)"), ("null", "not a JSON object (NoneType)"),
+        ('{"id": "\udcff"}', "not UTF-8 ('utf-8' codec can't decode byte 0xff in position 8: invalid start byte)"),
+    ], ids=["list", "string", "number", "null", "not-utf8"])
+    def test_non_object_line_diagnosed(self, tmp_path, line, diagnostic):
         path = tmp_path / "a.jsonl"
-        path.write_text(json.dumps(valid_line("a1")) + "\n" + line + "\n")
+        path.write_text("\n".join([json.dumps(valid_line("a1")), line, json.dumps(valid_line("a2"))]) + "\n",
+                        encoding="utf-8", errors="surrogateescape")
         report = load_articles(path)
-        assert [a.id for a in report.articles] == ["a1"]
-        assert report.diagnostics == [f"line 2: not a JSON object ({kind})"]
+        assert [a.id for a in report.articles] == ["a1", "a2"]
+        assert report.diagnostics == [f"line 2: {diagnostic}"]
 
     def test_non_string_body_diagnosed(self, tmp_path):
         path = tmp_path / "a.jsonl"

@@ -92,14 +92,17 @@ class TestRenderReport:
             render_report(ReportSpec(input_dir=staged, output_dir=tmp_path / "out",
                                      date_from=date(2030, 1, 1)))
 
-    @pytest.mark.parametrize("level, message", [
-        ("nan", "levels.csv: line 4: non-finite level on 2021-03-03: index 101.79912107349776, benchmark nan"),
-        ("1e308", "levels from 99.95049999999999 to 1e+308 are too far apart to draw"),
-    ], ids=["nan", "overflow"])
-    def test_bad_level_is_rejected(self, staged, tmp_path, level, message):
+    @pytest.mark.parametrize("edit, message", [
+        (lambda lines: lines[:3] + [lines[3].rsplit(",", 1)[0] + ",nan"] + lines[4:],
+         "levels.csv: line 4: non-finite level on 2021-03-03: index 101.79912107349776, benchmark nan"),
+        (lambda lines: lines[:3] + [lines[3].rsplit(",", 1)[0] + ",1e308"] + lines[4:],
+         "levels from 99.95049999999999 to 1e+308 are too far apart to draw"),
+        (lambda lines: lines[:1] + lines[:0:-1], "levels.csv: line 3: date 2021-04-08 does not follow 2021-04-09"),
+        (lambda lines: lines[:3] + lines[2:], "levels.csv: line 4: date 2021-03-02 does not follow 2021-03-02"),
+    ], ids=["nan", "overflow", "reversed", "repeated"])
+    def test_bad_level_is_rejected(self, staged, tmp_path, edit, message):
         lines = (staged / "levels.csv").read_text().splitlines()
-        lines[3] = lines[3].rsplit(",", 1)[0] + f",{level}"
-        (staged / "levels.csv").write_text("\n".join(lines) + "\n")
+        (staged / "levels.csv").write_text("\n".join(edit(lines)) + "\n")
         with pytest.raises(ValueError, match=re.escape(message)):
             render_report(ReportSpec(input_dir=staged, output_dir=tmp_path / "out"))
         assert not (tmp_path / "out").exists()
