@@ -50,6 +50,10 @@ class AggregationConfig:
     adjustment_history: str = "nonzero_days"
 
     def __post_init__(self) -> None:
+        try:
+            ZoneInfo(self.market_timezone)
+        except (LookupError, ValueError, OSError):
+            raise ValueError(f"market_timezone must name a known time zone, got {self.market_timezone!r}") from None
         if self.adjustment_history not in HISTORY_MODES:
             raise ValueError(
                 f"adjustment_history must be one of {HISTORY_MODES}, got {self.adjustment_history!r}")

@@ -93,7 +93,6 @@ def annualized_return(levels: list[float], dates: list[date] | list[datetime]) -
 @dataclass
 class DayRecord:
     date: date
-    returns: dict[str, float]
     r_gross: float
     drifted: dict[str, float]
     weights: dict[str, float]  # target held into the next date
@@ -118,10 +117,11 @@ def run_backtest(
 ) -> BacktestResult:
     """Run the full day loop and return per-day records plus the summary.
 
-    sentiments maps each date to the adjusted sentiment of every company, as
-    inputs.load_daily_sentiment_csv returns it. The first date starts
-    from all-zero weights; its rebalance into the band is charged costs but
-    excluded from trade-count statistics. The signal for the weights held
+    prices.companies must be strictly increasing, as inputs.load_prices
+    sorts them. sentiments maps each date to the adjusted sentiment of every
+    company, as inputs.load_daily_sentiment_csv returns it. The first date
+    starts from all-zero weights; its rebalance into the band is charged
+    costs but excluded from trade-count statistics. The signal for the weights held
     into date t+1 is the sentiment of date t+1-lag; dates before the
     sentiment history use a zero signal. The benchmark is a supplied level
     series renormalized to the initial level, or an equal-weight
@@ -135,13 +135,11 @@ def run_backtest(
     n = len(companies)
     if len(prices.rows) != len(dates) or any(len(row) != n for row in prices.rows):
         raise ValueError(f"price series needs {len(dates)} rows of {n} closes")
-    # weights, drift, moves and the solve follow the sorted keys, the order in
-    # which the dict helpers sum; closes, returns and the equal-weight
-    # benchmark follow prices.companies, and order maps the one onto the other
-    keys = sorted(companies)
-    order = sorted(range(n), key=companies.__getitem__)
-    in_order = order == list(range(n))
-    signals = [_signal(sentiments, d, companies, keys) for d in dates]
+    # every vector follows the sorted companies, the order in which the dict
+    # helpers sum
+    if any(b <= a for a, b in zip(companies, companies[1:])):
+        raise ValueError("price series companies must be strictly increasing")
+    signals = [_signal(sentiments, d, companies) for d in dates]
     if benchmark is not None:
         for d in dates:
             if d not in benchmark:
@@ -157,20 +155,20 @@ def run_backtest(
 
     for i, d in enumerate(dates):
         r = _returns(closes[i], closes[i - 1]) if i else [0.0] * n
-        drifted_w, r_gross = _drift(weights, r if in_order else [r[j] for j in order])
-        drifted = dict(zip(keys, drifted_w))
+        drifted_w, r_gross = _drift(weights, r)
+        drifted = dict(zip(companies, drifted_w))
 
         # the target held into date i+1 uses the sentiment of date i+1-lag;
         # beyond the final date (lag 0 only) there is nothing to trade on
         signal_idx = i + 1 - cfg.signal_lag_days
         if signal_idx < 0:
-            target = optimize_weights(dict.fromkeys(keys, 0.0), drifted, cfg.optimizer)
+            target = optimize_weights(dict.fromkeys(companies, 0.0), drifted, cfg.optimizer)
         elif signal_idx >= len(dates):
             target = dict(drifted)
         else:
             target = optimize_weights(signals[signal_idx], drifted, cfg.optimizer)
 
-        weights = [target[k] for k in keys]
+        weights = [target[k] for k in companies]
         moves = [w_k - d_k for w_k, d_k in zip(weights, drifted_w)]
         cost = _cost(moves, cfg.tc_rate)
         level *= 1.0 + r_gross - cost
@@ -181,8 +179,8 @@ def run_backtest(
             bench_level *= 1.0 + sum(r) / n
 
         days.append(DayRecord(
-            date=d, returns=dict(zip(companies, r)), r_gross=r_gross, drifted=drifted,
-            weights=target, trades=trades_from_moves(keys, moves, cfg.optimizer.trade_epsilon),
+            date=d, r_gross=r_gross, drifted=drifted,
+            weights=target, trades=trades_from_moves(companies, moves, cfg.optimizer.trade_epsilon),
             cost=cost, level=level, benchmark_level=bench_level,
         ))
 
@@ -190,9 +188,7 @@ def run_backtest(
     return BacktestResult(dates=dates, days=days, summary=summary)
 
 
-def _signal(
-    sentiments: dict[date, dict[str, float]], d: date, companies: tuple[str, ...], keys: list[str]
-) -> dict[str, float]:
+def _signal(sentiments: dict[date, dict[str, float]], d: date, keys: tuple[str, ...]) -> dict[str, float]:
     """The sentiment map of date d over exactly the keys; a missing one is named."""
     # keyed by the loop's own key strings, so the solver's key checks and
     # lookups meet the same objects and compare by identity
@@ -200,7 +196,7 @@ def _signal(
     try:
         return {k: signal[k] for k in keys}
     except KeyError:
-        c = next(c for c in companies if c not in signal)
+        c = next(c for c in keys if c not in signal)
         raise ValueError(f"missing sentiment for ({c!r}, {d})") from None
 
 

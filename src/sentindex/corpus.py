@@ -1,9 +1,9 @@
 """Article loading, relevance/hygiene filtering, and headline normalization.
 
-The filter chain runs in four stages: per-company exclusion keywords,
-auto-generated-content phrases, duplicate removal, then lowercasing plus the
-headline length gate. Each stage partitions its input into (kept, removed);
-nothing is modified except the final normalization step.
+The filter runs four stages in one pass over the articles: per-company
+exclusion keywords, auto-generated-content phrases, duplicate removal, then
+the headline length gate. Each article is removed by the first stage it
+fails; the survivors get a lowercased headline and no body.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ class NewsArticle(NamedTuple):
 
 @dataclass(frozen=True)
 class FilterConfig:
-    """Filter rules; keywords and phrases must already be lowercase."""
+    """Filter rules; keywords and phrases match lowercased text, so they must be lower case."""
 
     exclusions: dict[str, tuple[str, ...]] = field(default_factory=dict)
     auto_generated_phrases: tuple[str, ...] = ()
@@ -40,6 +40,14 @@ class FilterConfig:
     def __post_init__(self) -> None:
         if self.max_headline_tokens < 1:
             raise ValueError(f"max_headline_tokens must be >= 1, got {self.max_headline_tokens}")
+        # an empty rule matches every article, one with upper case none
+        for company, keywords in self.exclusions.items():
+            for k in keywords:
+                if not k or k != k.lower():
+                    raise ValueError(f"exclusion keyword {k!r} of {company!r} must be lower case and not empty")
+        for p in self.auto_generated_phrases:
+            if not p or p != p.lower():
+                raise ValueError(f"auto-generated phrase {p!r} must be lower case and not empty")
 
 
 @dataclass
@@ -133,79 +141,6 @@ def _exclusions(obj: dict, where: str) -> dict[str, tuple[str, ...]]:
     return {company: config_value(obj, company, list, where) for company in obj}
 
 
-def _text_blob(article: NewsArticle) -> str:
-    blob = article.headline.lower()
-    if article.body:
-        blob += "\n" + article.body.lower()
-    return blob
-
-
-def filter_exclusion_keywords(
-    articles: list[NewsArticle], config: FilterConfig
-) -> tuple[list[NewsArticle], list[NewsArticle]]:
-    """Drop articles whose company has an exclusion keyword in headline or body.
-
-    Matching is plain substring on lowercased text; companies without a rule
-    pass unchanged.
-    """
-    kept, removed = [], []
-    for a in articles:
-        keywords = config.exclusions.get(a.company_id, ())
-        if keywords and any(k in _text_blob(a) for k in keywords):
-            removed.append(a)
-        else:
-            kept.append(a)
-    return kept, removed
-
-
-def remove_auto_generated(
-    articles: list[NewsArticle], config: FilterConfig
-) -> tuple[list[NewsArticle], list[NewsArticle]]:
-    """Drop articles containing any auto-generated-content phrase."""
-    kept, removed = [], []
-    for a in articles:
-        if config.auto_generated_phrases and any(
-            p in _text_blob(a) for p in config.auto_generated_phrases
-        ):
-            removed.append(a)
-        else:
-            kept.append(a)
-    return kept, removed
-
-
-def deduplicate(articles: list[NewsArticle]) -> tuple[list[NewsArticle], list[NewsArticle]]:
-    """Keep only the earliest article per (company_id, lowercased headline).
-
-    Ties on published_at break by lexicographic id. Output preserves input
-    order among survivors.
-    """
-    best: dict[tuple[str, str], NewsArticle] = {}
-    for a in articles:
-        key = (a.company_id, a.headline.lower())
-        cur = best.get(key)
-        if cur is None or (a.published_at, a.id) < (cur.published_at, cur.id):
-            best[key] = a
-    kept, removed = [], []
-    for a in articles:
-        if best[(a.company_id, a.headline.lower())] is a:
-            kept.append(a)
-        else:
-            removed.append(a)
-    return kept, removed
-
-
-def normalize_and_gate(article: NewsArticle, config: FilterConfig) -> NewsArticle | None:
-    """Lowercase the headline and drop the body; None if the headline is too long.
-
-    A token is a maximal run of non-whitespace characters. The limit is
-    strict: exactly max_headline_tokens tokens still passes.
-    """
-    headline = article.headline.lower()
-    if len(headline.split()) > config.max_headline_tokens:
-        return None
-    return article._replace(headline=headline, body=None)
-
-
 @dataclass
 class FilterResult:
     kept: list[NewsArticle]
@@ -217,26 +152,51 @@ class FilterResult:
 
 
 def run_filter_pipeline(articles: list[NewsArticle], config: FilterConfig) -> FilterResult:
-    """Apply all filter stages in order and report removals per stage."""
-    kept, by_keyword = filter_exclusion_keywords(articles, config)
-    kept, by_phrase = remove_auto_generated(kept, config)
-    kept, by_dedup = deduplicate(kept)
-    survivors, by_length = [], []
-    for a in kept:
-        norm = normalize_and_gate(a, config)
-        if norm is None:
+    """Filter articles and report removals per stage, each list in input order.
+
+    An article is removed by the first stage it fails, in the order of
+    removed_by_stage: an exclusion keyword of its company, then an
+    auto-generated phrase, each a plain substring of the lowercased headline
+    and body; then a duplicate, which is every copy of a (company_id,
+    lowercased headline) among the survivors of the first two stages but the
+    earliest (ties on published_at break by id); then a headline of more
+    than max_headline_tokens tokens, a token being a maximal run of
+    non-whitespace characters. A kept article has its headline lowercased
+    and its body dropped.
+    """
+    exclusions, phrases = config.exclusions, config.auto_generated_phrases
+    # heads[i] is passed[i]'s lowercased headline, and earliest maps company -> lowercased
+    # headline -> earliest copy: no tuple per article, which would raise the peak memory
+    by_keyword, by_phrase, passed, heads = [], [], [], []
+    earliest: dict[str, dict[str, NewsArticle]] = {}
+    for a in articles:
+        headline = a.headline.lower()
+        keywords = exclusions.get(a.company_id)
+        if keywords or phrases:
+            text = f"{headline}\n{a.body.lower()}" if a.body else headline
+            if keywords and any(k in text for k in keywords):
+                by_keyword.append(a)
+                continue
+            if any(p in text for p in phrases):
+                by_phrase.append(a)
+                continue
+        passed.append(a)
+        heads.append(headline)
+        by_headline = earliest.setdefault(a.company_id, {})
+        cur = by_headline.get(headline)
+        if cur is None or (a.published_at, a.id) < (cur.published_at, cur.id):
+            by_headline[headline] = a
+
+    kept, by_dedup, by_length = [], [], []
+    for a, headline in zip(passed, heads):
+        if earliest[a.company_id][headline] is not a:
+            by_dedup.append(a)
+        elif len(headline.split()) > config.max_headline_tokens:
             by_length.append(a)
         else:
-            survivors.append(norm)
-    return FilterResult(
-        kept=survivors,
-        removed_by_stage={
-            "exclusion_keyword": by_keyword,
-            "auto_generated": by_phrase,
-            "duplicate": by_dedup,
-            "headline_length": by_length,
-        },
-    )
+            kept.append(a._replace(headline=headline, body=None))
+    return FilterResult(kept, {"exclusion_keyword": by_keyword, "auto_generated": by_phrase,
+                               "duplicate": by_dedup, "headline_length": by_length})
 
 
 def write_articles(path: str | Path, articles: list[NewsArticle]) -> None:

@@ -41,8 +41,9 @@ def load_json_object(path: str | Path) -> dict:
 def parse_json(text: str):
     """json.loads(text), quicker when the document starts at the first character.
 
-    A document nested too deeply for the parser raises JSONDecodeError
-    instead of RecursionError.
+    A document nested too deeply for the parser, or holding an integer of
+    more digits than int() converts (sys.get_int_max_str_digits()), raises
+    JSONDecodeError instead of RecursionError or ValueError.
     """
     try:
         try:
@@ -54,6 +55,10 @@ def parse_json(text: str):
         return json.loads(text)  # leading whitespace, a byte-order mark, extra data or an error
     except RecursionError:
         raise json.JSONDecodeError("nested too deeply", text, 0) from None
+    except json.JSONDecodeError:
+        raise
+    except ValueError as exc:  # the only other error the parser raises
+        raise json.JSONDecodeError(str(exc).partition(";")[0], text, 0) from None
 
 
 def decoded_lines(path: str | Path, bad: Callable[[int, UnicodeDecodeError], None]):
@@ -123,7 +128,8 @@ def config_from_dict(cls: type, obj: dict, where: str | Path, **nested: Callable
     where a tuple default takes a list of strings. A field named in nested
     takes a JSON object, which nested[name](object, where) turns into the
     field's value. A key that is no field of cls, or a value of another kind,
-    raises ValueError naming where and the key.
+    raises ValueError naming where and the key; a ValueError from cls itself
+    is raised again with where in front.
     """
     defaults = {f.name: f.default for f in fields(cls)}
     values = {}
@@ -135,7 +141,10 @@ def config_from_dict(cls: type, obj: dict, where: str | Path, **nested: Callable
         else:
             kind = list if type(defaults[key]) is tuple else type(defaults[key])
             values[key] = config_value(obj, key, kind, where)
-    return cls(**values)
+    try:
+        return cls(**values)
+    except ValueError as exc:
+        raise ValueError(f"{where}: {exc}") from None
 
 
 def read_csv(path: str | Path, names: tuple[str, ...], what: str,

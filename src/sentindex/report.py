@@ -147,7 +147,11 @@ def _render_svg(data: _Inputs) -> str:
         parts.append(
             f'<text x="{MARGIN_LEFT - 8}" y="{y + 4:.2f}" font-size="11" '
             f'text-anchor="end">{tick:.1f}</text>')
-    for k in range(0, max_trades + 1):
+    # a label every step trades, step the first of 1, 2, 5, 10, 20, 50, ...
+    # that leaves at most 11 of them (10 ** (digits - 1) always does)
+    steps = (m * 10 ** e for e in range(len(str(max_trades))) for m in (1, 2, 5))
+    step = next(s for s in steps if max_trades // s <= 10)
+    for k in range(0, max_trades + 1, step):
         y = y_trades(k)
         parts.append(
             f'<text x="{MARGIN_LEFT + PLOT_W + 8}" y="{y + 4:.2f}" font-size="11" '

@@ -109,7 +109,11 @@ class LexiconProvider:
     @classmethod
     def from_file(cls, path: str | Path) -> "LexiconProvider":
         obj = load_json_object(path)
-        return cls({token: config_value(obj, token, float, path) for token in obj})
+        lexicon = {token: config_value(obj, token, float, path) for token in obj}
+        try:
+            return cls(lexicon)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
 
     def probabilities(self, article: NewsArticle) -> ClassProbabilities:
         return lexicon_score(article.headline, self._lexicon)

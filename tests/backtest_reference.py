@@ -176,7 +176,7 @@ def run_backtest(
             bench_level *= 1.0 + sum(returns[c] for c in companies) / len(companies)
 
         days.append(DayRecord(
-            date=d, returns=returns, r_gross=r_gross, drifted=drifted,
+            date=d, r_gross=r_gross, drifted=drifted,
             weights=target, trades=trades, cost=cost,
             level=level, benchmark_level=bench_level,
         ))

@@ -173,17 +173,20 @@ def test_criterion_4_backtest_identities_long_run():
 
     prev_level = 100.0
     prev_weights = {c: 0.0 for c in companies}
-    for day in result.days:
+    prev_row = prices.rows[0]
+    for day, row in zip(result.days, prices.rows):
         # self-financing: the level recursion equals gross return minus costs
         lhs = day.level / prev_level - 1.0
         rhs = day.r_gross - day.cost
         assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(rhs))
         # drift conservation: drifted wealth equals grown held wealth
-        grown = sum(prev_weights[c] * (1.0 + day.returns[c]) for c in companies)
+        returns = {c: (p - q) / q for c, p, q in zip(prices.companies, row, prev_row)}
+        grown = sum(prev_weights[c] * (1.0 + returns[c]) for c in companies)
         drifted_scaled = sum(day.drifted[c] for c in companies) * (1.0 + day.r_gross)
         assert abs(drifted_scaled - grown) <= 1e-12 * max(1.0, abs(grown))
         prev_level = day.level
         prev_weights = day.weights
+        prev_row = row
     _passed(4, "self-financing and drift conservation at 1e-12 over 12x250 days")
 
 

@@ -146,7 +146,7 @@ class TestAnnualizedReturn:
 class TestTradeStatistics:
     @staticmethod
     def day(d, n_trades):
-        return DayRecord(date=d, returns={}, r_gross=0.0, drifted={}, weights={},
+        return DayRecord(date=d, r_gross=0.0, drifted={}, weights={},
                          trades=[(f"c{i}", 0.01) for i in range(n_trades)],
                          cost=0.0, level=100.0, benchmark_level=100.0)
 
@@ -260,6 +260,14 @@ class TestRunBacktest:
         with pytest.raises(ValueError, match="empty"):
             run_backtest(prices, {}, BacktestConfig())
 
+    @pytest.mark.parametrize("companies", [("b", "a"), ("a", "a"), ("a", "c", "b")])
+    def test_companies_not_strictly_increasing_rejected(self, companies):
+        dates = weekdays(date(2021, 3, 1), 2)
+        closes = {(c, d): 10.0 for c in companies for d in dates}
+        sentiments = {(c, d): 0.0 for c in companies for d in dates}
+        with pytest.raises(ValueError, match="companies must be strictly increasing"):
+            run_backtest(price_series(dates, companies, closes), daily_maps(sentiments), BacktestConfig())
+
     def test_truncation_preserves_prefix(self):
         full = constant_price_run(n_days=6)
         truncated = constant_price_run(n_days=4)
@@ -340,10 +348,8 @@ def backtest_case(rng: random.Random, lag: int, with_benchmark: bool):
     """A seeded backtest for the reference comparison.
 
     Returns the case twice: as run_backtest takes it, and keyed by (company,
-    date) as the reference takes it. Half the cases hand over a PriceSeries
-    whose companies tuple is not sorted: the returns record and the
-    equal-weight benchmark follow that order, the sums of the day loop the
-    sorted one. Closes repeat exactly now and then, sentiments tie, and
+    date) as the reference takes it, with the companies sorted as load_prices
+    sorts them. Closes repeat exactly now and then, sentiments tie, and
     delta, tc_rate and trade_epsilon may be zero. A few cases lack a
     sentiment or have a budget_lo out of reach.
     """
@@ -356,7 +362,7 @@ def backtest_case(rng: random.Random, lag: int, with_benchmark: bool):
             move = rng.choice([0.0, rng.gauss(0.0, 0.02), rng.gauss(0.0, 0.2)])
             row[c] = max(round(row[c] * (1.0 + move), rng.choice([2, 6])), 0.01)
             closes[(c, d)] = row[c]
-    companies = sorted(names) if rng.random() < 0.5 else rng.sample(names, n)
+    companies = sorted(names)
     ref_prices = backtest_reference.PriceSeries(
         dates=tuple(dates), companies=tuple(companies), closes=closes)
     ties = [0.0, 0.25, -0.25, 0.5, -0.5, 1.0]

@@ -347,8 +347,36 @@ class TestStrictInputs:
             "aggregate-str-kind"])
     def test_config_value_of_wrong_type_exits_one(self, tmp_path, golden_dir, capsys,
                                                    command, config, message):
+        self._config_exits_one(tmp_path, golden_dir, capsys, command, json.dumps(config), message)
+
+    @pytest.mark.parametrize("command, text, message", [
+        ("backtest", '{"tc_rate": 2.0}', "tc_rate must be in [0, 1), got 2.0"),
+        ("backtest", '{"optimizer": {"cap": 1.5}}', "'optimizer': cap must be in (0, 1], got 1.5"),
+        ("optimize", '{"delta": -1}', "delta must be nonnegative, got -1.0"),
+        ("score", '{"gut": 0.5, "schlecht": -2}', "lexicon values outside [-1, 1]: {'schlecht': -2.0}"),
+        ("aggregate", '{"market_timezone": "Mars/Olympus"}',
+         "market_timezone must name a known time zone, got 'Mars/Olympus'"),
+        ("aggregate", '{"market_timezone": "../etc"}', "market_timezone must name a known time zone, got '../etc'"),
+        ("aggregate", '{"cutoff_local_time": "25:00"}', "cutoff_local_time must be HH:MM, got '25:00'"),
+        ("filter", '{"max_headline_tokens": 0}', "max_headline_tokens must be >= 1, got 0"),
+        ("filter", '{"exclusions": {"adlerwerke": ["tierpark", "Tierpark"]}}',
+         "exclusion keyword 'Tierpark' of 'adlerwerke' must be lower case and not empty"),
+        ("filter", '{"auto_generated_phrases": [""]}', "auto-generated phrase '' must be lower case and not empty"),
+        *[(command, '{"x": ' + "7" * 5000 + "}",
+           "invalid JSON (Exceeds the limit (4300 digits) for integer string conversion: value has 5000 digits")
+          for command in ("filter", "score", "aggregate", "optimize", "backtest")],
+    ], ids=["backtest-range", "backtest-optimizer-range", "optimize-range", "score-lexicon-range", "aggregate-zone",
+            "aggregate-zone-path", "aggregate-cutoff", "filter-tokens", "filter-keyword-case",
+            "filter-phrase-empty", "filter-huge-int", "score-huge-int", "aggregate-huge-int",
+            "optimize-huge-int", "backtest-huge-int"])
+    def test_config_error_after_kind_check_names_file(self, tmp_path, golden_dir, capsys, command, text, message):
+        self._config_exits_one(tmp_path, golden_dir, capsys, command, text, message)
+
+    @staticmethod
+    def _config_exits_one(tmp_path, golden_dir, capsys, command, text, message):
+        """command exits 1 on a config file of text, naming the file and then message."""
         path = tmp_path / "config.json"
-        path.write_text(json.dumps(config))
+        path.write_text(text)
         (tmp_path / "w.csv").write_text("company,weight\nalpha,0.0\n")
         g = golden_dir
         argv = {
@@ -367,6 +395,21 @@ class TestStrictInputs:
         assert "Traceback" not in err
         assert f"{path}: {message}" in err
         assert not (tmp_path / "out").exists()
+
+    def test_huge_integer_article_is_skipped(self, tmp_path, golden_dir, capsys):
+        lines = (golden_dir / "articles.jsonl").read_text(encoding="utf-8").splitlines()
+        lines.insert(3, '{"id": "x", "n": ' + "7" * 5000 + "}")
+        articles = tmp_path / "articles.jsonl"
+        articles.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        config = ["--config", golden_dir / "filter_config.json"]
+        assert run(["filter", "--articles", golden_dir / "articles.jsonl", *config,
+                    "--out", tmp_path / "all.jsonl"]) == 0
+        capsys.readouterr()
+        assert run(["filter", "--articles", articles, *config, "--out", tmp_path / "kept.jsonl"]) == 0
+        assert capsys.readouterr().err.startswith(
+            "filter: line 4: invalid JSON (Exceeds the limit (4300 digits) for integer string conversion: "
+            "value has 5000 digits)\n")
+        assert (tmp_path / "kept.jsonl").read_bytes() == (tmp_path / "all.jsonl").read_bytes()
 
     @pytest.mark.parametrize("text, message", [
         ('{"delta": 0.5', "invalid JSON (Expecting ',' delimiter"),
@@ -417,7 +460,9 @@ class TestStrictInputs:
         ("aggregate", "[1]", "line 1: not a JSON object (list)"),
         ("score", "[1]", "line 1: not a JSON object (list)"),
         ("aggregate", '{"id": "\udcff"}', "line 1: 'utf-8' codec can't decode byte 0xff in position 8: invalid start byte"),
-    ], ids=["aggregate", "score", "aggregate-utf8"])
+        ("aggregate", '{"score": ' + "7" * 5000 + "}", "line 1: invalid JSON (Exceeds the limit (4300 digits)"),
+        ("score", '{"p_neutral": ' + "7" * 5000 + "}", "line 1: invalid JSON (Exceeds the limit (4300 digits)"),
+    ], ids=["aggregate", "score", "aggregate-utf8", "aggregate-huge-int", "score-huge-int"])
     def test_non_object_line_exits_one(self, tmp_path, golden_dir, capsys, command, line, message):
         data = tmp_path / "data.jsonl"
         data.write_text(f"{line}\n", errors="surrogateescape")
@@ -515,9 +560,29 @@ class TestStrictInputs:
         assert out.read_bytes() == (chain_dir / "daily.csv").read_bytes()
 
 
+class Huge(int):
+    """An integer of more digits than int() turns into text or back by default; only its repr is short."""
+
+    def __repr__(self) -> str:
+        return "10 ** 4400"
+
+
+HUGE = Huge(10 ** 4400)
+
+
+def dumps(obj) -> str:
+    """json.dumps that also writes HUGE, which json.loads then rejects."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return json.dumps(obj)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 # the CLI fuzz gate: lines of arbitrary JSON, junk text and almost-valid records
 json_st = st.recursive(
-    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    st.none() | st.booleans() | st.integers() | st.just(HUGE) | st.floats() | st.text(max_size=6),
     lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
     max_leaves=6)
 stamp_st = st.one_of(
@@ -548,13 +613,13 @@ def record_st(base: dict):
                 del record[key]
             else:
                 record[key] = value
-        return json.dumps(record)
+        return dumps(record)
     edit = st.tuples(st.sampled_from(sorted(base)), st.one_of(json_st, st.floats()), st.booleans())
     return st.builds(build, st.sampled_from(["a1", "a2", "a3"]), stamp_st, st.none() | edit)
 
 
 def lines_st(base: dict):
-    line = st.one_of(json_st.map(json.dumps), st.text(max_size=12), record_st(base),
+    line = st.one_of(json_st.map(dumps), st.text(max_size=12), record_st(base),
                      record_st(base).map(lambda x: f"{x}\n{x}"), st.just(json.dumps(base)))
     return st.lists(line, max_size=6).map(lambda lines: "".join(f"{x}\n" for x in lines))
 
@@ -608,7 +673,7 @@ CONFIGS = {name: json.loads((GOLDEN / name).read_text())
 CONFIGS["optimizer.json"] = CONFIGS["backtest_config.json"]["optimizer"]
 number_st = st.one_of(
     st.sampled_from([-1, 0, -0.0, 1, 2, 0.5, 0.999, 1e-300, 5e-324, 1e308, -1e308, 1.7976931348623157e308,
-                     2**63, 10**30, 10**400]),
+                     2**63, 10**30, 10**400, HUGE]),
     st.integers(), st.floats())
 zone_or_time_st = st.one_of(
     st.sampled_from(["UTC", "Etc/GMT-14", "Pacific/Kiritimati", "Mars/Olympus", "", "Europe/", "../etc",
@@ -630,7 +695,7 @@ def config_st(base: dict):
                 lambda inner, value, key=key: {**base[key], inner: value},
                 st.sampled_from(sorted(base[key])) | st.text(max_size=6),
                 number_st | json_st | st.lists(st.text(max_size=4), max_size=2))))
-    return st.lists(st.one_of(edits), max_size=2).map(lambda changes: json.dumps({**base, **dict(changes)}))
+    return st.lists(st.one_of(edits), max_size=2).map(lambda changes: dumps({**base, **dict(changes)}))
 
 
 def _assert_finite(path: Path) -> None:
@@ -692,6 +757,8 @@ def test_fuzzed_inputs_exit_zero_or_one(articles, prescored, scored, csvs, confi
             run(["report", "--in", d / "run", "--out", out / "report"]),
         ]
         assert set(codes) <= {0, 1}, codes
+        # a bad line of articles.jsonl is a diagnostic, so only an edited config fails filter
+        assert codes[0] == 0 or configs["filter_config.json"] != json.dumps(CONFIGS["filter_config.json"]), codes
         for path in out.rglob("*"):
             if path.is_file():
                 _assert_finite(path)

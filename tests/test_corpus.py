@@ -4,25 +4,23 @@ from __future__ import annotations
 
 import json
 import random
+import re
 import tempfile
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
+import filter_reference
 import sentiment_reference
 from sentindex.corpus import (
     REQUIRED_FIELDS,
     FilterConfig,
     NewsArticle,
-    deduplicate,
-    filter_exclusion_keywords,
     load_articles,
     load_filter_config,
-    normalize_and_gate,
-    remove_auto_generated,
     run_filter_pipeline,
     write_articles,
 )
@@ -111,33 +109,35 @@ class TestLoadArticles:
             load_articles(tmp_path / "missing.jsonl")
 
 
+def stage(articles, config, name):
+    """The pipeline's kept articles and its removals by the named stage."""
+    result = run_filter_pipeline(articles, config)
+    return result.kept, result.removed_by_stage[name]
+
+
 class TestExclusionKeywords:
     CFG = FilterConfig(exclusions={"puma": ("zoo",)})
 
     def test_keyword_match_removes(self):
-        kept, removed = filter_exclusion_keywords(
-            [art(headline="puma im zoo ausgebrochen")], self.CFG)
+        kept, removed = stage([art(headline="puma im zoo ausgebrochen")], self.CFG, "exclusion_keyword")
         assert kept == [] and len(removed) == 1
 
     def test_no_match_keeps(self):
-        kept, removed = filter_exclusion_keywords(
-            [art(headline="puma ag steigert gewinn")], self.CFG)
+        kept, removed = stage([art(headline="puma ag steigert gewinn")], self.CFG, "exclusion_keyword")
         assert len(kept) == 1 and removed == []
 
     def test_empty_rule_is_vacuous(self):
         cfg = FilterConfig(exclusions={"puma": ()})
-        kept, removed = filter_exclusion_keywords(
-            [art(headline="puma im zoo ausgebrochen")], cfg)
+        kept, removed = stage([art(headline="puma im zoo ausgebrochen")], cfg, "exclusion_keyword")
         assert len(kept) == 1 and removed == []
 
     def test_other_company_unaffected(self):
-        kept, removed = filter_exclusion_keywords(
-            [art(company="adidas", headline="adidas im zoo")], self.CFG)
+        kept, removed = stage([art(company="adidas", headline="adidas im zoo")], self.CFG, "exclusion_keyword")
         assert len(kept) == 1
 
     def test_match_in_body(self):
-        kept, removed = filter_exclusion_keywords(
-            [art(headline="puma quartalszahlen", body="besuch im Zoo terminiert")], self.CFG)
+        kept, removed = stage([art(headline="puma quartalszahlen", body="besuch im Zoo terminiert")],
+                              self.CFG, "exclusion_keyword")
         assert kept == [] and len(removed) == 1
 
 
@@ -145,16 +145,15 @@ class TestAutoGenerated:
     CFG = FilterConfig(auto_generated_phrases=("dieser artikel wurde automatisch erstellt",))
 
     def test_phrase_in_body_removes(self):
-        kept, removed = remove_auto_generated(
-            [art(body="Dieser Artikel wurde automatisch erstellt.")], self.CFG)
+        kept, removed = stage([art(body="Dieser Artikel wurde automatisch erstellt.")], self.CFG, "auto_generated")
         assert kept == [] and len(removed) == 1
 
     def test_clean_body_kept(self):
-        kept, removed = remove_auto_generated([art(body="redaktioneller inhalt")], self.CFG)
+        kept, removed = stage([art(body="redaktioneller inhalt")], self.CFG, "auto_generated")
         assert len(kept) == 1 and removed == []
 
     def test_empty_phrase_list_keeps_all(self):
-        kept, removed = remove_auto_generated([art()], FilterConfig())
+        kept, removed = stage([art()], FilterConfig(), "auto_generated")
         assert len(kept) == 1 and removed == []
 
 
@@ -162,52 +161,65 @@ class TestDeduplicate:
     def test_later_copy_removed(self):
         early = art(id="a1", ts=TS.replace(hour=9))
         late = art(id="a2", ts=TS.replace(hour=10))
-        kept, removed = deduplicate([late, early])
+        kept, removed = stage([late, early], FilterConfig(), "duplicate")
         assert kept == [early] and removed == [late]
 
     def test_different_companies_both_kept(self):
-        kept, removed = deduplicate([art(id="a1"), art(id="a2", company="adidas")])
+        kept, removed = stage([art(id="a1"), art(id="a2", company="adidas")], FilterConfig(), "duplicate")
         assert len(kept) == 2 and removed == []
 
     def test_timestamp_tie_breaks_by_id(self):
         a = art(id="a")
         b = art(id="b")
-        kept, removed = deduplicate([b, a])
+        kept, removed = stage([b, a], FilterConfig(), "duplicate")
         assert kept == [a] and removed == [b]
 
     def test_case_insensitive_headline_key(self):
         a = art(id="a1", headline="Puma AG Steigert Gewinn", ts=TS.replace(hour=9))
         b = art(id="a2", headline="puma ag steigert gewinn")
-        kept, _ = deduplicate([a, b])
-        assert kept == [a]
+        kept, _ = stage([a, b], FilterConfig(), "duplicate")
+        assert kept == [a._replace(headline=b.headline)]
 
     def test_idempotent(self):
         articles = [art(id=f"a{i}", ts=TS.replace(hour=9 + i % 3)) for i in range(6)]
-        once, _ = deduplicate(articles)
-        twice, removed = deduplicate(once)
+        once, _ = stage(articles, FilterConfig(), "duplicate")
+        twice, removed = stage(once, FilterConfig(), "duplicate")
         assert twice == once and removed == []
 
 
 class TestNormalizeAndGate:
     def test_lowercases_headline(self):
-        out = normalize_and_gate(art(headline="BMW Erhöht Dividende"), FilterConfig())
-        assert out.headline == "bmw erhöht dividende"
+        kept, _ = stage([art(headline="BMW Erhöht Dividende")], FilterConfig(), "headline_length")
+        assert kept[0].headline == "bmw erhöht dividende"
 
     def test_body_dropped(self):
-        out = normalize_and_gate(art(body="text"), FilterConfig())
-        assert out.body is None
+        kept, _ = stage([art(body="text")], FilterConfig(), "headline_length")
+        assert kept[0].body is None
 
     def test_over_limit_removed(self):
-        long = " ".join(["wort"] * 1001)
-        assert normalize_and_gate(art(headline=long), FilterConfig()) is None
+        long = art(headline=" ".join(["wort"] * 1001))
+        kept, removed = stage([long], FilterConfig(), "headline_length")
+        assert kept == [] and removed == [long]
 
     def test_exactly_at_limit_kept(self):
         exact = " ".join(["wort"] * 1000)
-        assert normalize_and_gate(art(headline=exact), FilterConfig()) is not None
+        kept, removed = stage([art(headline=exact)], FilterConfig(), "headline_length")
+        assert len(kept) == 1 and removed == []
 
     def test_config_rejects_zero_limit(self):
         with pytest.raises(ValueError):
             FilterConfig(max_headline_tokens=0)
+
+    @pytest.mark.parametrize("rules, message", [
+        ({"exclusions": {"puma": ("zoo", "Tierpark")}}, "exclusion keyword 'Tierpark' of 'puma' must be lower case"),
+        ({"exclusions": {"puma": ("",)}}, "exclusion keyword '' of 'puma' must be lower case and not empty"),
+        ({"auto_generated_phrases": ("Automatisch",)}, "auto-generated phrase 'Automatisch' must be lower case"),
+        ({"auto_generated_phrases": ("auto", "")}, "auto-generated phrase '' must be lower case and not empty"),
+    ], ids=["keyword-upper", "keyword-empty", "phrase-upper", "phrase-empty"])
+    def test_config_rejects_rule_that_cannot_work(self, rules, message):
+        # an upper-case rule never matches the lowercased text, an empty one matches every article
+        with pytest.raises(ValueError, match=re.escape(message)):
+            FilterConfig(**rules)
 
 
 headline_st = st.text(
@@ -234,24 +246,75 @@ def articles_st(draw):
 @given(articles=articles_st(), keyword=st.sampled_from(["zo", "oö", "ab"]),
        phrase=st.sampled_from(["ij", "de"]))
 def test_keyword_and_phrase_stages_commute(articles, keyword, phrase):
+    """The pipeline's survivors of its first two stages are the reference's with the stages swapped."""
     cfg = FilterConfig(exclusions={"puma": (keyword,), "adidas": (keyword,), "bmw": (keyword,)},
                        auto_generated_phrases=(phrase,))
-    kept_kp, _ = remove_auto_generated(filter_exclusion_keywords(articles, cfg)[0], cfg)
-    kept_pk, _ = filter_exclusion_keywords(remove_auto_generated(articles, cfg)[0], cfg)
-    assert [a.id for a in kept_kp] == [a.id for a in kept_pk]
+    by_stage = run_filter_pipeline(articles, cfg).removed_by_stage
+    first_two = {id(a) for a in by_stage["exclusion_keyword"] + by_stage["auto_generated"]}
+    kept_pk, _ = filter_reference.filter_exclusion_keywords(
+        filter_reference.remove_auto_generated(articles, cfg)[0], cfg)
+    assert [a.id for a in articles if id(a) not in first_two] == [a.id for a in kept_pk]
 
 
 @settings(max_examples=60, deadline=None)
 @given(articles=articles_st())
 def test_each_stage_partitions_input(articles):
+    """Each article is kept or removed by exactly one stage, and every list keeps input order."""
     cfg = FilterConfig(exclusions={"puma": ("zo",)}, auto_generated_phrases=("ij",))
-    for stage in (lambda a: filter_exclusion_keywords(a, cfg),
-                  lambda a: remove_auto_generated(a, cfg),
-                  deduplicate):
-        kept, removed = stage(articles)
-        assert len(kept) + len(removed) == len(articles)
-        assert {id(a) for a in kept}.isdisjoint({id(a) for a in removed})
-        assert [a for a in articles if a in kept or a in removed] == articles
+    result = run_filter_pipeline(articles, cfg)
+    assert sorted([a.id for a in result.kept] + [a.id for a in result.removed]) == sorted(a.id for a in articles)
+    kept_ids = {a.id for a in result.kept}
+    assert [a.id for a in result.kept] == [a.id for a in articles if a.id in kept_ids]
+    for removed in result.removed_by_stage.values():
+        assert [a for a in articles if any(a is r for r in removed)] == removed
+
+
+# a few words, so that copies of a headline and matches in the body are common
+word_st = st.sampled_from(["puma", "Puma", "zoo", "ZOO", "tier", "park", "auto", "erstellt", "gewinn"])
+text_of_words_st = st.lists(word_st, min_size=1, max_size=4).map(" ".join)
+headline_words_st = st.lists(st.sampled_from(["puma", "Puma", "zoo", "park"]), min_size=1, max_size=3).map(" ".join)
+
+
+@st.composite
+def filter_case_st(draw):
+    """Articles and a filter config over a few companies, words and hours; ids are shuffled, so that
+    a published_at tie breaks by an id order other than the input order."""
+    n = draw(st.integers(0, 14))
+    ids = draw(st.permutations([f"a{i}" for i in range(n)]))
+    articles = [NewsArticle(
+        id=aid,
+        company_id=draw(st.sampled_from(["puma", "adidas"])),
+        source="wire",
+        published_at=TS.replace(hour=draw(st.integers(8, 11))),
+        headline=draw(headline_words_st),
+        body=draw(st.one_of(st.none(), st.just(""), text_of_words_st)),
+    ) for aid in ids]
+    config = FilterConfig(
+        exclusions=draw(st.dictionaries(st.sampled_from(["puma", "adidas"]),
+                                        st.lists(st.sampled_from(["zoo", "tier", "o t", "ma z"]), max_size=2)
+                                        .map(tuple))),
+        auto_generated_phrases=tuple(draw(st.lists(st.sampled_from(["auto erstellt", "park", "k a"]), max_size=2))),
+        max_headline_tokens=draw(st.integers(1, 4)))
+    return articles, config
+
+
+@seed(1018)
+@settings(max_examples=300, deadline=None)
+@example(case=(  # the earliest copy falls to a keyword in its body only, so a later copy survives dedup
+    [art("a1", ts=TS.replace(hour=9), headline="puma gewinn", body="zoo"), art("a2", headline="Puma Gewinn"),
+     art("a3", headline="puma gewinn", body="")],
+    FilterConfig(exclusions={"puma": ("zoo",)}, max_headline_tokens=2)))
+@example(case=(  # a tie on published_at breaks by id, and a headline of exactly the limit passes
+    [art("b", headline="tier park auto"), art("a", headline="Tier Park Auto"), art("c", headline="tier park auto gewinn")],
+    FilterConfig(auto_generated_phrases=("erstellt",), max_headline_tokens=3)))
+@given(filter_case_st())
+def test_pipeline_matches_reference(case):
+    articles, config = case
+    got, want = run_filter_pipeline(articles, config), filter_reference.run_filter_pipeline(articles, config)
+    assert got.kept == want.kept
+    assert list(got.removed_by_stage) == list(want.removed_by_stage)
+    for name, removed in want.removed_by_stage.items():
+        assert [id(a) for a in got.removed_by_stage[name]] == [id(a) for a in removed], name
 
 
 def test_pipeline_stage_accounting(golden_dir):

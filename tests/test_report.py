@@ -65,6 +65,20 @@ class TestRenderReport:
         # only the legend swatch keeps the trade stroke; no impulse bars
         assert svg.count('stroke="#8a97a5"') == 1
 
+    @pytest.mark.parametrize("max_trades, labels", [
+        (10, "0 1 2 3 4 5 6 7 8 9 10"), (11, "0 2 4 6 8 10"), (67, "0 10 20 30 40 50 60"),
+        (109, "0 10 20 30 40 50 60 70 80 90 100"), (110, "0 20 40 60 80 100"),
+        (999, "0 100 200 300 400 500 600 700 800 900"),
+    ])
+    def test_right_axis_labels_thinned(self, staged, tmp_path, max_trades, labels):
+        day = (staged / "levels.csv").read_text().splitlines()[2].split(",")[0]
+        (staged / "trades.csv").write_text(
+            "date,company,delta_weight,cost\n" + "".join(f"{day},n{k},0.001,5e-07\n" for k in range(max_trades)))
+        out = tmp_path / "out"
+        render_report(ReportSpec(input_dir=staged, output_dir=out))
+        got = re.findall(r'text-anchor="start" fill="#8a97a5">(\d+)</text>', (out / "report.svg").read_text())
+        assert " ".join(got) == labels
+
     def test_date_filter_crops_chart(self, staged, tmp_path, golden_dir):
         out_full = tmp_path / "full"
         out_cut = tmp_path / "cut"
