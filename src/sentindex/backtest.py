@@ -17,7 +17,7 @@ from datetime import date, datetime
 from functools import partial
 from pathlib import Path
 
-from .inputs import PriceSeries, config_from_dict, load_json_object, read_csv
+from .inputs import Grid, config_from_dict, load_json_object, read_csv
 # kept here only because perfbench/inproc.py calls backtest.load_prices
 from .inputs import load_prices  # noqa: F401
 from .optimizer import OptimizerConfig, optimize_weights, trades_from_moves
@@ -110,16 +110,16 @@ class BacktestResult:
 
 
 def run_backtest(
-    prices: PriceSeries,
-    sentiments: dict[date, dict[str, float]],
+    prices: Grid,
+    sentiments: Grid,
     cfg: BacktestConfig | None = None,
     benchmark: dict[date, float] | None = None,
 ) -> BacktestResult:
     """Run the full day loop and return per-day records plus the summary.
 
     prices.companies must be strictly increasing, as inputs.load_prices
-    sorts them. sentiments maps each date to the adjusted sentiment of every
-    company, as inputs.load_daily_sentiment_csv returns it. The first date
+    sorts them. sentiments, as inputs.load_daily_sentiment_csv returns it,
+    covers the companies and dates of prices and may hold more. The first date
     starts from all-zero weights; its rebalance into the band is charged
     costs but excluded from trade-count statistics. The signal for the weights held
     into date t+1 is the sentiment of date t+1-lag; dates before the
@@ -139,7 +139,7 @@ def run_backtest(
     # helpers sum
     if any(b <= a for a, b in zip(companies, companies[1:])):
         raise ValueError("price series companies must be strictly increasing")
-    signals = [_signal(sentiments, d, companies) for d in dates]
+    signals = _signal_rows(sentiments, dates, companies)
     if benchmark is not None:
         for d in dates:
             if d not in benchmark:
@@ -166,7 +166,9 @@ def run_backtest(
         elif signal_idx >= len(dates):
             target = dict(drifted)
         else:
-            target = optimize_weights(signals[signal_idx], drifted, cfg.optimizer)
+            # keyed by the loop's own key strings, so the solver's key checks
+            # and lookups meet the same objects and compare by identity
+            target = optimize_weights(dict(zip(companies, signals[signal_idx])), drifted, cfg.optimizer)
 
         weights = [target[k] for k in companies]
         moves = [w_k - d_k for w_k, d_k in zip(weights, drifted_w)]
@@ -188,16 +190,17 @@ def run_backtest(
     return BacktestResult(dates=dates, days=days, summary=summary)
 
 
-def _signal(sentiments: dict[date, dict[str, float]], d: date, keys: tuple[str, ...]) -> dict[str, float]:
-    """The sentiment map of date d over exactly the keys; a missing one is named."""
-    # keyed by the loop's own key strings, so the solver's key checks and
-    # lookups meet the same objects and compare by identity
-    signal = sentiments.get(d, {})
-    try:
-        return {k: signal[k] for k in keys}
-    except KeyError:
-        c = next(c for c in keys if c not in signal)
-        raise ValueError(f"missing sentiment for ({c!r}, {d})") from None
+def _signal_rows(sentiments: Grid, dates: list[date], companies: tuple[str, ...]) -> list[list[float]]:
+    """The sentiment row of each date over exactly the companies; the first missing pair is named."""
+    row_of = dict(zip(sentiments.dates, sentiments.rows))
+    col = {c: j for j, c in enumerate(sentiments.companies)}
+    absent = [c for c in companies if c not in col]
+    for d in dates:  # date-major, so the first missing (company, date) is named
+        for c in companies if d not in row_of else absent:
+            raise ValueError(f"missing sentiment for ({c!r}, {d})")
+    if sentiments.companies == companies:
+        return [row_of[d] for d in dates]
+    return [[row_of[d][col[c]] for c in companies] for d in dates]
 
 
 def _returns(row: list[float], prev: list[float]) -> list[float]:

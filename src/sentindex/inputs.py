@@ -189,56 +189,40 @@ def parse_timestamp(raw: str) -> datetime:
     return ts
 
 
-class PriceSeries(NamedTuple):
-    """Closes on a gap-free grid: rows[i][j] is the close of companies[j] on dates[i]."""
+class Grid(NamedTuple):
+    """A dense table: rows[i][j] is the value of companies[j] on dates[i], both axes sorted."""
 
     dates: tuple[date, ...]
-    companies: tuple[str, ...]  # sorted when loaded
+    companies: tuple[str, ...]
     rows: list[list[float]]
 
 
-def load_prices(path: str | Path) -> PriceSeries:
-    """Read a date,company,close CSV into a gap-free grid.
-
-    Every company must have a finite positive close for every date; a name
-    with missing rows is rejected with its first gap named. A malformed row
-    is rejected with the file and its line named (see _read_grid).
-    """
-    by_date = _read_grid(path, "close", "price", 0.0)
-    if not by_date:
-        raise ValueError(f"{path}: price CSV contains no rows")
-    dates = tuple(sorted(by_date))
-    companies = tuple(sorted(set().union(*by_date.values())))
-    # each date holds a subset of the companies, so the grid is complete
-    # exactly when every date holds all of them
-    if any(len(closes) != len(companies) for closes in by_date.values()):
-        for company in companies:
-            for d in dates:
-                if company not in by_date[d]:
-                    raise ValueError(f"price series has a gap: no close for ({company}, {d})")
-    rows = [[closes[c] for c in companies] for closes in map(by_date.__getitem__, dates)]
-    return PriceSeries(dates=dates, companies=companies, rows=rows)
+def load_prices(path: str | Path) -> Grid:
+    """The closes of a date,company,close CSV, each finite and positive (see _read_grid)."""
+    return _read_grid(path, "close", "price", 0.0)
 
 
-def load_daily_sentiment_csv(path: str | Path) -> dict[date, dict[str, float]]:
-    """The adjusted column of a daily sentiment CSV as a date -> company -> value map (see _read_grid)."""
+def load_daily_sentiment_csv(path: str | Path) -> Grid:
+    """The adjusted column of a daily sentiment CSV, each value finite (see _read_grid)."""
     return _read_grid(path, "adjusted", "sentiment", -math.inf)
 
 
-def _read_grid(path: str | Path, column: str, what: str, lo: float) -> dict[date, dict[str, float]]:
-    """The column of a date,company,<column> CSV as a date -> company -> value map.
+def _read_grid(path: str | Path, column: str, what: str, lo: float) -> Grid:
+    """The column of a date,company,<column> CSV as a gap-free Grid.
 
     A repeated (company, date) row, checked first, or a value outside lo < value < inf (lo is 0.0
-    or -inf) raises ValueError naming the file and the line (see read_csv).
+    or -inf) raises ValueError naming the file and the line (see read_csv). A file with no rows,
+    or without a value for every company on every date, raises ValueError naming the file and,
+    for a gap, the first missing (company, date).
     """
-    out: dict[date, dict[str, float]] = {}
+    by_date: dict[date, dict[str, float]] = {}
     by_text: dict[str, dict[str, float]] = {}  # date text -> that date's map, parsed once
 
     def row(fields: tuple[str, ...]) -> None:
         text, company, value = fields
         day = by_text.get(text)
         if day is None:
-            day = by_text[text] = out.setdefault(date.fromisoformat(text), {})
+            day = by_text[text] = by_date.setdefault(date.fromisoformat(text), {})
         if company in day:
             raise ValueError(f"duplicate {what} row for ({company}, {date.fromisoformat(text)})")
         value = float(value)
@@ -248,4 +232,16 @@ def _read_grid(path: str | Path, column: str, what: str, lo: float) -> dict[date
         day[company] = value
 
     read_csv(path, ("date", "company", column), what, row)
-    return out
+    if not by_date:
+        raise ValueError(f"{path}: {what} CSV contains no rows")
+    dates = tuple(sorted(by_date))
+    companies = tuple(sorted(set().union(*by_date.values())))
+    # each date holds a subset of the companies, so the grid is complete
+    # exactly when every date holds all of them
+    if any(len(values) != len(companies) for values in by_date.values()):
+        for company in companies:
+            for d in dates:
+                if company not in by_date[d]:
+                    raise ValueError(f"{path}: {what} CSV has a gap: no {column} for ({company}, {d})")
+    rows = [[values[c] for c in companies] for values in map(by_date.__getitem__, dates)]
+    return Grid(dates, companies, rows)

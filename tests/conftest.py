@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from dict_adapters import daily_maps
+from dict_adapters import grid
 from sentindex import aggregation, backtest, corpus, inputs, sentiment
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -17,10 +17,10 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 
 @dataclass
 class GoldenRun:
-    prices: inputs.PriceSeries
+    prices: inputs.Grid
     filter_result: corpus.FilterResult
     aggregation_result: aggregation.AggregationResult
-    sentiments: dict  # date -> company -> adjusted
+    sentiments: inputs.Grid  # adjusted
     backtest_config: backtest.BacktestConfig
     result: backtest.BacktestResult
     expected_levels: list[tuple[str, float, float]]
@@ -48,7 +48,7 @@ def golden_run() -> GoldenRun:
     calendar = aggregation.TradingCalendar(
         dates=prices.dates, timezone=agg_config.market_timezone, cutoff=agg_config.cutoff)
     agg = aggregation.aggregate_daily(scored, list(prices.companies), calendar, agg_config)
-    sentiments = daily_maps({(row.company_id, row.trading_date): row.adjusted for row in agg.rows})
+    sentiments = grid({(row.company_id, row.trading_date): row.adjusted for row in agg.rows})
 
     cfg = backtest.load_backtest_config(GOLDEN / "backtest_config.json")
     result = backtest.run_backtest(prices, sentiments, cfg)

@@ -4,8 +4,8 @@
 ``objective_value`` and ``source_adjustment`` are the package's own earlier
 helpers, moved here unchanged: they run on the package's private kernels, so
 a test of them still tests the code the day loop and the aggregation use.
-``price_series`` and ``daily_maps`` turn (company, date) keyed closes and
-sentiments into the row-major inputs that ``run_backtest`` takes.
+``grid`` turns (company, date) keyed closes or sentiments into the
+row-major ``inputs.Grid`` that ``run_backtest`` takes for both.
 """
 
 from __future__ import annotations
@@ -14,27 +14,21 @@ from datetime import date
 
 from sentindex.aggregation import _shrink
 from sentindex.backtest import _cost, _drift
-from sentindex.inputs import PriceSeries
+from sentindex.inputs import Grid
 from sentindex.optimizer import _check_keys
 
 
-def price_series(
-    dates, companies, closes: dict[tuple[str, date], float]
-) -> PriceSeries:
-    """The closes of each date as one row in the order of companies."""
-    return PriceSeries(dates=tuple(dates), companies=tuple(companies),
-                       rows=[[closes[(c, d)] for c in companies] for d in dates])
+def grid(values: dict[tuple[str, date], float], dates=None, companies=None) -> Grid:
+    """(company, date) -> value as the row-major Grid that run_backtest takes.
+
+    The axes default to the sorted companies and dates among the keys.
+    """
+    dates = tuple(sorted({d for _, d in values}) if dates is None else dates)
+    companies = tuple(sorted({c for c, _ in values}) if companies is None else companies)
+    return Grid(dates, companies, [[values[(c, d)] for c in companies] for d in dates])
 
 
-def daily_maps(sentiments: dict[tuple[str, date], float]) -> dict[date, dict[str, float]]:
-    """(company, date) -> value as date -> company -> value."""
-    out: dict[date, dict[str, float]] = {}
-    for (company, d), value in sentiments.items():
-        out.setdefault(d, {})[company] = value
-    return out
-
-
-def price(prices: PriceSeries, company: str, d: date) -> float:
+def price(prices: Grid, company: str, d: date) -> float:
     """The close of company on date d."""
     return prices.rows[prices.dates.index(d)][prices.companies.index(company)]
 

@@ -13,10 +13,10 @@ from datetime import date, timedelta
 import numpy as np
 import pytest
 
-from dict_adapters import daily_maps, objective_value, price_series, source_adjustment
+from dict_adapters import grid, objective_value, source_adjustment
 from grid_oracle import brute_force_oracle
 from sentindex.backtest import BacktestConfig, run_backtest
-from sentindex.inputs import PriceSeries
+from sentindex.inputs import Grid
 from sentindex.optimizer import (
     InfeasibleProblemError,
     OptimizerConfig,
@@ -164,12 +164,12 @@ def test_criterion_4_backtest_identities_long_run():
         row = np.maximum(row, 1.0)
         for c, p in zip(companies, row):
             closes[(c, day)] = float(p)
-    prices = price_series(dates, companies, closes)
+    prices = grid(closes, dates, companies)
     sentiments = {
         (c, day): float(rng.uniform(-0.95, 0.95)) if rng.uniform() > 0.3 else 0.0
         for c in companies for day in dates
     }
-    result = run_backtest(prices, daily_maps(sentiments), BacktestConfig())
+    result = run_backtest(prices, grid(sentiments), BacktestConfig())
 
     prev_level = 100.0
     prev_weights = {c: 0.0 for c in companies}
@@ -197,13 +197,13 @@ def test_criterion_5_truncation_bit_identical(golden_run):
     cut_points = sorted(rng.choice(np.arange(1, len(dates) - 1), size=20, replace=False))
     for cut in cut_points:
         kept_dates = dates[: cut + 1]
-        prices = PriceSeries(
+        prices = Grid(
             dates=kept_dates,
             companies=golden_run.prices.companies,
             rows=golden_run.prices.rows[: cut + 1],
         )
-        sentiments = {d: v for d, v in golden_run.sentiments.items() if d <= dates[cut]}
-        truncated = run_backtest(prices, sentiments, golden_run.backtest_config)
+        # the full sentiment grid: the dates past the cut are never read
+        truncated = run_backtest(prices, golden_run.sentiments, golden_run.backtest_config)
         for i in range(cut + 1):
             assert truncated.days[i].level == full.days[i].level  # bit-identical
             assert truncated.days[i].benchmark_level == full.days[i].benchmark_level

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import aggregation_reference
-from dict_adapters import source_adjustment
+from dict_adapters import grid, source_adjustment
 from sentindex.aggregation import (
     HISTORY_MODES,
     AggregationConfig,
@@ -194,8 +194,7 @@ class TestAggregateDaily:
         path = tmp_path / "daily.csv"
         write_daily_sentiment_csv(path, result)
         loaded = load_daily_sentiment_csv(path)
-        for row in result.rows:
-            assert loaded[row.trading_date][row.company_id] == row.adjusted
+        assert loaded == grid({(row.company_id, row.trading_date): row.adjusted for row in result.rows})
 
     def test_csv_rejects_duplicate_row(self, tmp_path):
         path = tmp_path / "daily.csv"
@@ -206,6 +205,18 @@ class TestAggregateDaily:
             "2019-03-04,puma,0.25,1,1.0,0.25\n")
         with pytest.raises(ValueError, match=r"line 4: duplicate sentiment row for \(puma, 2019-03-04\)"):
             load_daily_sentiment_csv(path)
+
+    def test_csv_rejects_gap(self, tmp_path):
+        # a hole the backtest would never read is rejected too: aggregate writes a complete grid
+        path = tmp_path / "daily.csv"
+        path.write_text(
+            "date,company,raw_mean,unique_sources,adjustment,adjusted\n"
+            "2019-03-04,puma,0.5,1,1.0,0.5\n"
+            "2019-03-04,adidas,0.0,0,1.0,0.0\n"
+            "2019-03-05,adidas,0.0,0,1.0,0.0\n")
+        with pytest.raises(ValueError) as info:
+            load_daily_sentiment_csv(path)
+        assert str(info.value) == f"{path}: sentiment CSV has a gap: no adjusted for (puma, 2019-03-05)"
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     def test_csv_rejects_non_finite(self, tmp_path, value):

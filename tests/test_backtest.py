@@ -6,6 +6,7 @@ import dataclasses
 import json
 import math
 import random
+import re
 from datetime import date, datetime, timedelta
 
 import numpy as np
@@ -14,10 +15,9 @@ import pytest
 import backtest_reference
 from backtest_reference import outcome
 from dict_adapters import (
-    daily_maps,
     drift_weights,
+    grid,
     price,
-    price_series,
     simple_return,
     transaction_costs,
 )
@@ -41,7 +41,7 @@ def make_prices(companies, closes_by_date):
     for d, row in closes_by_date.items():
         for c, p in zip(companies, row):
             closes[(c, d)] = p
-    return price_series(sorted(closes_by_date), sorted(companies), closes)
+    return grid(closes, sorted(closes_by_date), sorted(companies))
 
 
 def weekdays(start, n):
@@ -175,7 +175,7 @@ def constant_price_run(n_days=5, tc_rate=0.0005):
     prices = make_prices(companies, {d: [50.0] * 12 for d in dates})
     sentiments = {(c, d): 0.0 for c in companies for d in dates}
     cfg = BacktestConfig(tc_rate=tc_rate)
-    return run_backtest(prices, daily_maps(sentiments), cfg)
+    return run_backtest(prices, grid(sentiments), cfg)
 
 
 class TestRunBacktest:
@@ -206,7 +206,7 @@ class TestRunBacktest:
             closes[d] = level_row
         prices = make_prices(companies, closes)
         sentiments = {(c, d): float(rng.uniform(-0.9, 0.9)) for c in companies for d in dates}
-        result = run_backtest(prices, daily_maps(sentiments), BacktestConfig())
+        result = run_backtest(prices, grid(sentiments), BacktestConfig())
         prev_level = 100.0
         for day in result.days:
             lhs = day.level / prev_level - 1.0
@@ -229,7 +229,7 @@ class TestRunBacktest:
         cfg = BacktestConfig(
             tc_rate=0.0, signal_lag_days=1,
             optimizer=OptimizerConfig(delta=0.0, cap=1.0, budget_lo=1.0, budget_hi=1.0))
-        result = run_backtest(prices, daily_maps(sentiments), cfg)
+        result = run_backtest(prices, grid(sentiments), cfg)
         base = price(prices, "beta", dates[0])
         for i, day in enumerate(result.days):
             expected = 100.0 * price(prices, "beta", dates[i]) / base
@@ -242,7 +242,7 @@ class TestRunBacktest:
         sentiments = {(c, d): 0.0 for c in companies for d in result_dates}
         benchmark = {d: 5000.0 + 100.0 * i for i, d in enumerate(result_dates)}
         cfg = BacktestConfig(optimizer=OptimizerConfig(cap=0.6, budget_lo=0.9, budget_hi=0.95))
-        result = run_backtest(prices, daily_maps(sentiments), cfg, benchmark=benchmark)
+        result = run_backtest(prices, grid(sentiments), cfg, benchmark=benchmark)
         assert result.days[0].benchmark_level == pytest.approx(100.0)
         assert result.days[1].benchmark_level == pytest.approx(100.0 * 5100.0 / 5000.0)
 
@@ -252,13 +252,35 @@ class TestRunBacktest:
         prices = make_prices(companies, {d: [10.0, 20.0] for d in dates})
         sentiments = {(c, dates[0]): 0.0 for c in companies}
         with pytest.raises(ValueError, match="'a'"):
-            run_backtest(prices, daily_maps(sentiments), BacktestConfig(
+            run_backtest(prices, grid(sentiments), BacktestConfig(
+                optimizer=OptimizerConfig(cap=0.6, budget_lo=0.9, budget_hi=0.95)))
+
+    def test_sentiment_grid_may_cover_more(self):
+        # extra companies and dates in the sentiment grid are never read
+        companies = ["a", "b", "c"]
+        dates = weekdays(date(2021, 3, 1), 4)
+        prices = make_prices(companies, {d: [10.0 + i, 20.0 - i, 30.0] for i, d in enumerate(dates)})
+        sentiments = {(c, d): 0.1 * j - 0.05 * i for i, d in enumerate(dates) for j, c in enumerate(companies)}
+        cfg = BacktestConfig(optimizer=OptimizerConfig(cap=0.5, budget_lo=0.9, budget_hi=0.95))
+        want = run_backtest(prices, grid(sentiments), cfg)
+        wider = {(c, d): 1.0 for c in ("0", "bb", "z", *companies) for d in (date(2021, 2, 26), *dates)}
+        wider.update(sentiments)
+        got = run_backtest(prices, grid(wider), cfg)
+        assert repr(got.days) == repr(want.days) and got.summary == want.summary
+
+    def test_missing_sentiment_date_named(self):
+        companies = ["a", "b"]
+        dates = weekdays(date(2021, 3, 1), 3)
+        prices = make_prices(companies, {d: [10.0, 20.0] for d in dates})
+        sentiments = {(c, d): 0.0 for c in companies for d in (dates[0], dates[2])}
+        with pytest.raises(ValueError, match=rf"missing sentiment for \('a', {dates[1]}\)"):
+            run_backtest(prices, grid(sentiments), BacktestConfig(
                 optimizer=OptimizerConfig(cap=0.6, budget_lo=0.9, budget_hi=0.95)))
 
     def test_empty_date_range_rejected(self):
-        prices = price_series((), ("a",), {})
+        prices = grid({}, (), ("a",))
         with pytest.raises(ValueError, match="empty"):
-            run_backtest(prices, {}, BacktestConfig())
+            run_backtest(prices, grid({}), BacktestConfig())
 
     @pytest.mark.parametrize("companies", [("b", "a"), ("a", "a"), ("a", "c", "b")])
     def test_companies_not_strictly_increasing_rejected(self, companies):
@@ -266,7 +288,7 @@ class TestRunBacktest:
         closes = {(c, d): 10.0 for c in companies for d in dates}
         sentiments = {(c, d): 0.0 for c in companies for d in dates}
         with pytest.raises(ValueError, match="companies must be strictly increasing"):
-            run_backtest(price_series(dates, companies, closes), daily_maps(sentiments), BacktestConfig())
+            run_backtest(grid(closes, dates, companies), grid(sentiments), BacktestConfig())
 
     def test_truncation_preserves_prefix(self):
         full = constant_price_run(n_days=6)
@@ -293,7 +315,7 @@ class TestLoaders:
         path.write_text(
             "date,company,close\n"
             "2021-03-01,a,10.0\n2021-03-01,b,20.0\n2021-03-02,a,11.0\n")
-        with pytest.raises(ValueError, match=r"gap: no close for \(b, 2021-03-02\)"):
+        with pytest.raises(ValueError, match=re.escape(f"{path}: price CSV has a gap: no close for (b, 2021-03-02)")):
             load_prices(path)
 
     def test_load_prices_rejects_nonpositive(self, tmp_path):
@@ -351,7 +373,7 @@ def backtest_case(rng: random.Random, lag: int, with_benchmark: bool):
     date) as the reference takes it, with the companies sorted as load_prices
     sorts them. Closes repeat exactly now and then, sentiments tie, and
     delta, tc_rate and trade_epsilon may be zero. A few cases lack a
-    sentiment or have a budget_lo out of reach.
+    company's or a date's sentiments or have a budget_lo out of reach.
     """
     n = rng.randint(1, 25)
     names = [f"n{x}" for x in rng.sample(range(100), n)]
@@ -368,8 +390,9 @@ def backtest_case(rng: random.Random, lag: int, with_benchmark: bool):
     ties = [0.0, 0.25, -0.25, 0.5, -0.5, 1.0]
     sentiments = {(c, d): rng.choice(ties) if rng.random() < 0.4 else rng.uniform(-1.0, 1.0)
                   for d in dates for c in names}
-    if rng.random() < 0.05:
-        del sentiments[rng.choice(list(sentiments))]
+    if rng.random() < 0.05:  # a dense grid has no single hole: drop a whole company or date
+        gone = rng.choice(rng.choice((names, dates)))
+        sentiments = {key: value for key, value in sentiments.items() if gone not in key}
     cap = rng.choice([0.1, 0.25, 0.5, 1.0])
     reach = min(1.0, n * cap) if rng.random() > 0.05 else 1.0
     lo = rng.choice([reach, rng.uniform(0.0, reach)])
@@ -380,7 +403,7 @@ def backtest_case(rng: random.Random, lag: int, with_benchmark: bool):
             budget_hi=rng.choice([lo, rng.uniform(lo, 1.0)]),
             trade_epsilon=rng.choice([0.0, 1e-6, 1e-3])))
     benchmark = {d: rng.uniform(1000.0, 2000.0) for d in dates} if with_benchmark else None
-    return ((price_series(dates, companies, closes), daily_maps(sentiments), cfg, benchmark),
+    return ((grid(closes, dates, companies), grid(sentiments), cfg, benchmark),
             (ref_prices, sentiments, cfg, benchmark))
 
 
@@ -418,8 +441,7 @@ def test_bad_close_matches_reference(day, row):
     closes.update({(c, dates[day]): p for c, p in zip(companies, row)})
     sentiments = {(c, d): 0.1 for c in companies for d in dates}
     cfg = BacktestConfig(optimizer=OptimizerConfig(cap=0.5, budget_lo=0.9, budget_hi=0.95))
-    got, got_error = outcome(run_backtest, price_series(dates, companies, closes),
-                             daily_maps(sentiments), cfg)
+    got, got_error = outcome(run_backtest, grid(closes, dates, companies), grid(sentiments), cfg)
     want, want_error = outcome(backtest_reference.run_backtest,
                                backtest_reference.PriceSeries(dates, companies, closes), sentiments, cfg)
     assert got_error == want_error

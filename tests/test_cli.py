@@ -144,6 +144,23 @@ class TestErrorHandling:
         assert f"line {len(lines)}: non-finite adjusted nan" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("name, what, column", [("prices", "price", "close"),
+                                                    ("daily", "sentiment", "adjusted")])
+    def test_grid_gap_exits_one(self, chain_dir, golden_dir, capsys, name, what, column):
+        # no solve reads the last date's sentiment at lag 1, so only the loader can catch its gap
+        paths = {"prices": golden_dir / "prices.csv", "daily": chain_dir / "daily.csv"}
+        lines = paths[name].read_text().splitlines()
+        d, company = lines.pop().split(",")[:2]
+        paths[name] = chain_dir / f"{name}_gap.csv"
+        paths[name].write_text("\n".join(lines) + "\n")
+        out = chain_dir / "bt"
+        code = run(["backtest", "--prices", paths["prices"], "--sentiments", paths["daily"],
+                    "--config", golden_dir / "backtest_config.json", "--out", out])
+        assert code == 1
+        message = f"{paths[name]}: {what} CSV has a gap: no {column} for ({company}, {d})"
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("edit, message", [
         (lambda rows: rows[:2] + ["2021-01-01,nan"] + rows[2:], "line 3: benchmark level nan for 2021-01-01"),
         (lambda rows: rows[:3] + ["2021-01-01,0.0"] + rows[3:], "line 4: benchmark level 0.0 for 2021-01-01"),
