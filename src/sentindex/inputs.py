@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 import sys
 from dataclasses import fields
 from datetime import date, datetime
@@ -54,11 +55,37 @@ def parse_json(text: str):
             pass
         return json.loads(text)  # leading whitespace, a byte-order mark, extra data or an error
     except RecursionError:
-        raise json.JSONDecodeError("nested too deeply", text, 0) from None
+        raise json.JSONDecodeError("nested too deeply", text, _error_position(text, True)) from None
     except json.JSONDecodeError:
         raise
     except ValueError as exc:  # the only other error the parser raises
-        raise json.JSONDecodeError(str(exc).partition(";")[0], text, 0) from None
+        raise json.JSONDecodeError(str(exc).partition(";")[0], text, _error_position(text, False)) from None
+
+
+# a string, a number (its integer digits, then any fraction and exponent) or a bracket;
+# compiled on the first error only, so that no command pays for it at start-up
+_TOKEN = r'"(?:[^"\\]|\\.)*"|-?(\d+)([.eE][-+.\deE]*)?|[\[\]{}]'
+
+
+def _error_position(text: str, nesting: bool) -> int:
+    """Where the parser gave up on text that is valid JSON up to there.
+
+    For nesting, the first bracket at the deepest nesting; otherwise the first
+    integer literal of more digits than int() converts.
+    """
+    limit = sys.get_int_max_str_digits()
+    depth = deepest = where = 0
+    for m in re.finditer(_TOKEN, text):
+        first = text[m.start()]
+        if first in "[{":
+            depth += 1
+            if depth > deepest:
+                deepest, where = depth, m.start()
+        elif first in "]}":
+            depth -= 1
+        elif not nesting and m.group(2) is None and len(m.group(1) or "") > limit:
+            return m.start()
+    return where
 
 
 def decoded_lines(path: str | Path, bad: Callable[[int, UnicodeDecodeError], None]):
@@ -152,22 +179,26 @@ def read_csv(path: str | Path, names: tuple[str, ...], what: str,
     """Call row once per non-blank data line of a headed CSV file, in file order.
 
     row gets the fields of the named columns, in the order of names (at least
-    two), as a tuple of strings. A header that lacks one of names raises
-    ValueError naming the file. A line with fewer fields than the header
-    names, a line that is not UTF-8, or a ValueError that row raises is
-    re-raised as ValueError naming the file and the line.
+    two), as a tuple of strings. A header that lacks one of names, or names it
+    twice, raises ValueError naming the file and the column. A line with fewer
+    fields than the header names, a line holding a double quote (quoted fields
+    are not parsed), a line that is not UTF-8, or a ValueError that row raises
+    is re-raised as ValueError naming the file and the line.
     """
     lineno = 1
     try:
         with open(path, encoding="utf-8") as fh:
-            index = {name: i for i, name in enumerate(fh.readline().strip().split(","))}
+            header = fh.readline().strip().split(",")
             for name in names:
-                if name not in index:
-                    raise ValueError(f"{path}: {what} CSV lacks a {name!r} column")
-            take = itemgetter(*map(index.__getitem__, names))
+                if header.count(name) != 1:
+                    problem = "lacks a" if name not in header else "repeats the"
+                    raise ValueError(f"{path}: {what} CSV {problem} {name!r} column")
+            take = itemgetter(*map(header.index, names))
             # a file iterator yields no empty string, so isspace() finds the blank lines
             for lineno, line in enumerate(fh, start=2):
                 if not line.isspace():
+                    if '"' in line:
+                        raise ValueError("quoted fields are not supported")
                     row(take(line.rstrip("\n").split(",")))
     except UnicodeDecodeError as exc:
         raise not_utf8(path, exc) from None

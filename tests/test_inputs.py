@@ -1,0 +1,67 @@
+"""The shared input readers: CSV quoting and headers, and where a JSON error lies."""
+
+from __future__ import annotations
+
+import json
+from datetime import date
+
+import pytest
+
+from sentindex.backtest import load_benchmark_levels
+from sentindex.inputs import load_daily_sentiment_csv, load_json_object, load_prices
+
+READERS = {
+    "price": (load_prices, "date,company,close", "2021-03-01,a,10.0", '2021-03-02,{},11.0'),
+    "sentiment": (load_daily_sentiment_csv, "date,company,raw_mean,unique_sources,adjustment,adjusted",
+                  "2021-03-01,a,0.5,1,1.0,0.5", '2021-03-02,{},0.5,1,1.0,0.5'),
+    "benchmark": (load_benchmark_levels, "date,level", "2021-03-01,5000.0", '2021-03-02,{}'),
+}
+
+
+@pytest.mark.parametrize("what", READERS)
+@pytest.mark.parametrize("field", ['"a,b"', '"ab"', '"5100.0"'], ids=["comma", "plain", "number"])
+def test_quoted_field_rejected(tmp_path, what, field):
+    load, header, good, quoted = READERS[what]
+    path = tmp_path / f"{what}.csv"
+    path.write_text(f"{header}\n{good}\n{quoted.format(field)}\n")
+    with pytest.raises(ValueError) as info:
+        load(path)
+    assert str(info.value) == f"{path}: line 3: quoted fields are not supported"
+
+
+@pytest.mark.parametrize("what", READERS)
+def test_repeated_required_column_rejected(tmp_path, what):
+    load, header, good, _ = READERS[what]
+    column = header.split(",")[-1]
+    path = tmp_path / f"{what}.csv"
+    path.write_text(f"{header},{column}\n{good},-5\n")
+    with pytest.raises(ValueError) as info:
+        load(path)
+    assert str(info.value) == f"{path}: {what} CSV repeats the {column!r} column"
+
+
+def test_repeated_other_column_allowed(tmp_path):
+    path = tmp_path / "bench.csv"
+    path.write_text("note,date,note,level\nx,2021-03-01,y,5000.0\n")
+    assert load_benchmark_levels(path) == {date(2021, 3, 1): 5000.0}
+
+
+@pytest.mark.parametrize("text, line, at, message", [
+    ('{\n  "tc_rate": 0.001,\n  "signal_lag_days": ' + "7" * 5000 + "\n}\n", 3, "7" * 5000,
+     "Exceeds the limit (4300 digits) for integer string conversion: value has 5000 digits"),
+    # a long fraction or exponent is no integer literal, and a long key is a string
+    ('{"n' + "7" * 5000 + '": 1.' + "7" * 5000 + ',\n "x": 1' + "7" * 5000 + "e2,\n\n"
+     ' "signal_lag_days": -' + "7" * 5000 + "}", 4, "-",
+     "Exceeds the limit (4300 digits) for integer string conversion: value has 5000 digits"),
+    # brackets inside a string do not nest
+    ('{"optimizer": {"cap": "[[{"},\n "x": ' + "[" * 100_000 + "]" * 100_000 + "}", 2, "[]",
+     "nested too deeply"),
+], ids=["long-integer", "long-integer-after-others", "deep-list"])
+def test_json_error_names_its_position(tmp_path, text, line, at, message):
+    path = tmp_path / "backtest_config.json"
+    path.write_text(text)
+    expected = json.JSONDecodeError(message, text, text.index(at))
+    assert expected.lineno == line
+    with pytest.raises(ValueError) as info:
+        load_json_object(path)
+    assert str(info.value) == f"{path}: invalid JSON ({expected})"
