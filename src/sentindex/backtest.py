@@ -191,7 +191,7 @@ def run_backtest(
 
 
 def _signal_rows(sentiments: Grid, dates: list[date], companies: tuple[str, ...]) -> list[list[float]]:
-    """The sentiment row of each date over exactly the companies; the first missing pair is named."""
+    """The sentiment row of each date over exactly the companies, which sentiments must cover."""
     row_of = dict(zip(sentiments.dates, sentiments.rows))
     col = {c: j for j, c in enumerate(sentiments.companies)}
     absent = [c for c in companies if c not in col]
