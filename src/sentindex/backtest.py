@@ -196,9 +196,10 @@ def _signal_rows(sentiments: Grid, dates: list[date], companies: tuple[str, ...]
     col = {c: j for j, c in enumerate(sentiments.companies)}
     absent = [c for c in companies if c not in col]
     for d in dates:  # date-major, so the first missing (company, date) is named
-        for c in companies if d not in row_of else absent:
-            raise ValueError(f"missing sentiment for ({c!r}, {d})")
-    if sentiments.companies == companies:
+        missing = companies if d not in row_of else absent
+        if missing:
+            raise ValueError(f"missing sentiment for ({missing[0]!r}, {d})")
+    if sentiments.companies == companies:  # aggregate's output: no row is copied
         return [row_of[d] for d in dates]
     return [[row_of[d][col[c]] for c in companies] for d in dates]
 

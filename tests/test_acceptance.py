@@ -194,6 +194,7 @@ def test_criterion_5_truncation_bit_identical(golden_run):
     rng = np.random.default_rng(5)
     full = golden_run.result
     dates = golden_run.prices.dates
+    assert golden_run.sentiments.dates == dates  # so one cut truncates both grids
     cut_points = sorted(rng.choice(np.arange(1, len(dates) - 1), size=20, replace=False))
     for cut in cut_points:
         kept_dates = dates[: cut + 1]
@@ -202,8 +203,12 @@ def test_criterion_5_truncation_bit_identical(golden_run):
             companies=golden_run.prices.companies,
             rows=golden_run.prices.rows[: cut + 1],
         )
-        # the full sentiment grid: the dates past the cut are never read
-        truncated = run_backtest(prices, golden_run.sentiments, golden_run.backtest_config)
+        sentiments = Grid(
+            dates=kept_dates,
+            companies=golden_run.sentiments.companies,
+            rows=golden_run.sentiments.rows[: cut + 1],
+        )
+        truncated = run_backtest(prices, sentiments, golden_run.backtest_config)
         for i in range(cut + 1):
             assert truncated.days[i].level == full.days[i].level  # bit-identical
             assert truncated.days[i].benchmark_level == full.days[i].benchmark_level
