@@ -15,7 +15,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, NamedTuple
 from zoneinfo import ZoneInfo
 
-from .inputs import config_from_dict, load_json_object
+from .inputs import Grid, config_from_dict, load_json_object
 # kept here only because perfbench/inproc.py calls aggregation.load_daily_sentiment_csv
 from .inputs import load_daily_sentiment_csv  # noqa: F401
 
@@ -125,10 +125,29 @@ def _shrink(u_today: int, prior_total: int, prior_days: int) -> float:
 
 @dataclass
 class AggregationResult:
-    rows: list[DailySentiment]  # ordered by (trading date, company id)
+    dates: tuple[date, ...]
+    companies: tuple[str, ...]  # sorted
+    cells: list[dict[int, DailySentiment]]  # per date: company index -> a cell with articles
     diagnostics: list[str] = field(default_factory=list)
     dropped_after_range: int = 0
     dropped_unknown_company: int = 0  # on a trading date, but not in the universe
+
+    @property
+    def rows(self) -> list[DailySentiment]:
+        """Every cell ordered by (trading date, company id), a quiet one as an all-zero row.
+
+        The list is built anew on each access; the aggregate command never builds it.
+        """
+        return [cells[j] if j in cells else DailySentiment(c, d, 0.0, 0.0, 0, 0, 1.0)
+                for d, cells in zip(self.dates, self.cells) for j, c in enumerate(self.companies)]
+
+    def grid(self) -> Grid:
+        """The adjusted values, 0.0 on quiet cells: the Grid that loading the written CSV gives."""
+        rows = [[0.0] * len(self.companies) for _ in self.dates]
+        for row, cells in zip(rows, self.cells):
+            for j, cell in cells.items():
+                row[j] = cell.adjusted
+        return Grid(self.dates, self.companies, rows)
 
 
 def aggregate_daily(
@@ -137,17 +156,18 @@ def aggregate_daily(
     calendar: TradingCalendar,
     config: AggregationConfig | None = None,
 ) -> AggregationResult:
-    """Build the complete (company, trading date) sentiment grid.
+    """Build the (company, trading date) sentiment grid, holding only the cells with articles.
 
     Per company and date: raw mean of article scores in input order, unique
     source count, adjustment from the company's source history before that
     date, adjusted = raw * adjustment. Companies and dates with no articles
-    get all-zero rows, so the grid always has |universe| * |dates| entries.
-    Articles of a company outside the universe are counted and dropped.
+    are quiet cells, all-zero in rows, grid() and the written CSV, and under
+    all_days they count as days of zero sources. Articles of a company
+    outside the universe are counted and dropped.
     """
     config = config or AggregationConfig()
     all_days = config.adjustment_history == "all_days"
-    result = AggregationResult(rows=[])
+    result = AggregationResult(calendar.dates, tuple(sorted(universe)), [{} for _ in calendar.dates])
     # company -> trading date -> (scores in input order, sources)
     groups: dict[str, dict[date, tuple[list[float], set[str]]]] = {}
     for record in scored:
@@ -164,29 +184,20 @@ def aggregate_daily(
         group[0].append(record.score)
         group[1].add(record.source)
 
-    # one column of rows per company, each scanned once in date order with a
-    # running source history; zip(*columns) turns them into date-major rows
-    columns: list[list[DailySentiment]] = []
-    for company in sorted(universe):
-        by_date = groups.get(company, {})
+    # each company's article days in date order, with a running source total;
+    # under all_days every earlier date is a prior day, so their count is the index
+    index = {d: i for i, d in enumerate(calendar.dates)}
+    for j, company in enumerate(result.companies):
         prior_total = prior_days = 0
-        column = []
-        for trading_date in calendar.dates:
-            group = by_date.get(trading_date)
-            if group is None:
-                column.append(DailySentiment(company, trading_date, 0.0, 0.0, 0, 0, 1.0))
-                if all_days:
-                    prior_days += 1
-                continue
-            scores, sources = group
+        for trading_date, (scores, sources) in sorted(groups.get(company, {}).items()):
+            i = index[trading_date]
             raw = sum(scores) / len(scores)
             u = len(sources)
-            adj = _shrink(u, prior_total, prior_days)
-            column.append(DailySentiment(company, trading_date, raw, raw * adj, len(scores), u, adj))
+            adj = _shrink(u, prior_total, i if all_days else prior_days)
+            result.cells[i][j] = DailySentiment(
+                company, trading_date, raw, raw * adj, len(scores), u, adj)
             prior_total += u
             prior_days += 1
-        columns.append(column)
-    result.rows = [row for rows_of_date in zip(*columns) for row in rows_of_date]
     known = set(universe)
     result.dropped_unknown_company = sum(
         len(scores) for company, by_date in groups.items() if company not in known
@@ -196,13 +207,13 @@ def aggregate_daily(
 
 def write_daily_sentiment_csv(path: str | Path, result: AggregationResult) -> None:
     # repr() keeps the shortest round-trippable float text, so re-reading the
-    # file reproduces the values bit for bit
-    iso: dict[date, str] = {}
+    # file reproduces the values bit for bit; a quiet cell's text is fixed
+    quiet = [f",{company},0.0,0,1.0,0.0\n" for company in result.companies]
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("date,company,raw_mean,unique_sources,adjustment,adjusted\n")
-        for company, trading_date, raw, adjusted, _, u, adj in result.rows:
-            day = iso.get(trading_date)
-            if day is None:
-                day = iso[trading_date] = trading_date.isoformat()
-            fh.write(f"{day},{company},{raw!r},{u},{adj!r},{adjusted!r}\n")
-
+        for trading_date, cells in zip(result.dates, result.cells):
+            day = trading_date.isoformat()
+            lines = [day + text for text in quiet]
+            for j, (company, _, raw, adjusted, _, u, adj) in cells.items():
+                lines[j] = f"{day},{company},{raw!r},{u},{adj!r},{adjusted!r}\n"
+            fh.write("".join(lines))

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from collections.abc import Iterable
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
 from datetime import date, datetime
 from functools import partial
@@ -27,15 +27,18 @@ def load_benchmark_levels(path: str | Path) -> dict[date, float]:
     """Read a date,level CSV; levels must be finite and positive, dates unique."""
     out: dict[date, float] = {}
 
-    def row(fields: tuple[str, ...]) -> None:
-        d, level = date.fromisoformat(fields[0]), float(fields[1])
-        if not 0.0 < level < math.inf:  # also false for nan
-            raise ValueError(f"benchmark level {level!r} for {d} is not finite and positive")
-        if d in out:
-            raise ValueError(f"duplicate benchmark row for {d}")
-        out[d] = level
+    def row_at(i: int, j: int) -> Callable[[list[str]], None]:
+        def row(fields: list[str]) -> None:
+            text, level = fields[i], fields[j]
+            d, level = date.fromisoformat(text), float(level)
+            if not 0.0 < level < math.inf:  # also false for nan
+                raise ValueError(f"benchmark level {level!r} for {d} is not finite and positive")
+            if d in out:
+                raise ValueError(f"duplicate benchmark row for {d}")
+            out[d] = level
+        return row
 
-    read_csv(path, ("date", "level"), "benchmark", row)
+    read_csv(path, ("date", "level"), "benchmark", row_at)
     return out
 
 

@@ -61,8 +61,9 @@ def _cmd_aggregate(args: argparse.Namespace) -> int:
         print(f"aggregate: {diagnostic}", file=sys.stderr)
     aggregation.write_daily_sentiment_csv(args.out, result)
     print(
-        f"aggregate: wrote {len(result.rows)} rows, dropped {result.dropped_after_range} "
-        f"after the final trading date, {result.dropped_unknown_company} for unknown companies",
+        f"aggregate: wrote {len(result.dates) * len(result.companies)} rows, "
+        f"dropped {result.dropped_after_range} after the final trading date, "
+        f"{result.dropped_unknown_company} for unknown companies",
         file=sys.stderr)
     return 0
 

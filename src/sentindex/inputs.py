@@ -8,7 +8,6 @@ import re
 import sys
 from dataclasses import fields
 from datetime import date, datetime
-from operator import itemgetter
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -175,15 +174,15 @@ def config_from_dict(cls: type, obj: dict, where: str | Path, **nested: Callable
 
 
 def read_csv(path: str | Path, names: tuple[str, ...], what: str,
-             row: Callable[[tuple[str, ...]], None]) -> None:
-    """Call row once per non-blank data line of a headed CSV file, in file order.
+             row_at: Callable[..., Callable[[list[str]], None]]) -> None:
+    """Call a row function once per non-blank data line of a headed CSV file, in file order.
 
-    row gets the fields of the named columns, in the order of names (at least
-    two), as a tuple of strings. A header that lacks one of names, or names it
-    twice, raises ValueError naming the file and the column. A line with fewer
-    fields than the header names, a line holding a double quote (quoted fields
-    are not parsed), a line that is not UTF-8, or a ValueError that row raises
-    is re-raised as ValueError naming the file and the line.
+    row_at gets the header positions of names and returns the row function, which gets each
+    line split into fields and must index every position. A header that lacks one of names, or
+    names it twice, raises ValueError naming the file and the column. A line too short for a
+    position (an IndexError), a line holding a double quote (quoted fields are not parsed), a
+    line that is not UTF-8, or a ValueError that the row function raises is re-raised as
+    ValueError naming the file and the line.
     """
     lineno = 1
     try:
@@ -193,13 +192,13 @@ def read_csv(path: str | Path, names: tuple[str, ...], what: str,
                 if header.count(name) != 1:
                     problem = "lacks a" if name not in header else "repeats the"
                     raise ValueError(f"{path}: {what} CSV {problem} {name!r} column")
-            take = itemgetter(*map(header.index, names))
+            row = row_at(*map(header.index, names))
             # a file iterator yields no empty string, so isspace() finds the blank lines
             for lineno, line in enumerate(fh, start=2):
                 if not line.isspace():
                     if '"' in line:
                         raise ValueError("quoted fields are not supported")
-                    row(take(line.rstrip("\n").split(",")))
+                    row(line.rstrip("\n").split(","))
     except UnicodeDecodeError as exc:
         raise not_utf8(path, exc) from None
     except (ValueError, IndexError) as exc:
@@ -249,20 +248,22 @@ def _read_grid(path: str | Path, column: str, what: str, lo: float) -> Grid:
     by_date: dict[date, dict[str, float]] = {}
     by_text: dict[str, dict[str, float]] = {}  # date text -> that date's map, parsed once
 
-    def row(fields: tuple[str, ...]) -> None:
-        text, company, value = fields
-        day = by_text.get(text)
-        if day is None:
-            day = by_text[text] = by_date.setdefault(date.fromisoformat(text), {})
-        if company in day:
-            raise ValueError(f"duplicate {what} row for ({company}, {date.fromisoformat(text)})")
-        value = float(value)
-        if not lo < value < math.inf:  # also false for nan
-            kind = "nonpositive" if math.isfinite(value) else "non-finite"
-            raise ValueError(f"{kind} {column} {value!r} for ({company}, {date.fromisoformat(text)})")
-        day[company] = value
+    def row_at(i: int, j: int, k: int) -> Callable[[list[str]], None]:
+        def row(fields: list[str]) -> None:
+            text, company, value = fields[i], fields[j], fields[k]
+            day = by_text.get(text)
+            if day is None:
+                day = by_text[text] = by_date.setdefault(date.fromisoformat(text), {})
+            if company in day:
+                raise ValueError(f"duplicate {what} row for ({company}, {date.fromisoformat(text)})")
+            value = float(value)
+            if not lo < value < math.inf:  # also false for nan
+                kind = "nonpositive" if math.isfinite(value) else "non-finite"
+                raise ValueError(f"{kind} {column} {value!r} for ({company}, {date.fromisoformat(text)})")
+            day[company] = value
+        return row
 
-    read_csv(path, ("date", "company", column), what, row)
+    read_csv(path, ("date", "company", column), what, row_at)
     if not by_date:
         raise ValueError(f"{path}: {what} CSV contains no rows")
     dates = tuple(sorted(by_date))

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 import operator
+from collections.abc import Callable
 from dataclasses import dataclass
 from itertools import repeat
 from pathlib import Path
@@ -150,15 +151,17 @@ def load_weights_csv(path: str | Path, value_column: str) -> dict[str, float]:
     """Read company,value rows (header required); values finite, companies unique."""
     out: dict[str, float] = {}
 
-    def row(fields: tuple[str, ...]) -> None:
-        company, value = fields[0], float(fields[1])
-        if not math.isfinite(value):
-            raise ValueError(f"non-finite {value_column} {value!r} for {company}")
-        if company in out:
-            raise ValueError(f"duplicate row for {company}")
-        out[company] = value
+    def row_at(i: int, j: int) -> Callable[[list[str]], None]:
+        def row(fields: list[str]) -> None:
+            company, value = fields[i], float(fields[j])
+            if not math.isfinite(value):
+                raise ValueError(f"non-finite {value_column} {value!r} for {company}")
+            if company in out:
+                raise ValueError(f"duplicate row for {company}")
+            out[company] = value
+        return row
 
-    read_csv(path, ("company", value_column), value_column, row)
+    read_csv(path, ("company", value_column), value_column, row_at)
     return out
 
 

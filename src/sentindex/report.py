@@ -10,6 +10,7 @@ locale, or dict iteration order.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, replace
 from datetime import date
 from pathlib import Path
@@ -60,31 +61,36 @@ def _read_inputs(input_dir: Path) -> _Inputs:
 
     dates, index_levels, bench_levels = [], [], []
 
-    def level_row(fields: tuple[str, ...]) -> None:
-        text, index_level, bench_level = fields
-        d, index_level, bench_level = date.fromisoformat(text), float(index_level), float(bench_level)
-        if not (math.isfinite(index_level) and math.isfinite(bench_level)):
-            raise ValueError(f"non-finite level on {d}: index {index_level!r}, benchmark {bench_level!r}")
-        if dates and d <= dates[-1]:
-            raise ValueError(f"date {d} does not follow {dates[-1]}")
-        dates.append(d)
-        index_levels.append(index_level)
-        bench_levels.append(bench_level)
+    def level_row_at(i: int, j: int, k: int) -> Callable[[list[str]], None]:
+        def level_row(fields: list[str]) -> None:
+            text, index_level, bench_level = fields[i], fields[j], fields[k]
+            d, index_level, bench_level = date.fromisoformat(text), float(index_level), float(bench_level)
+            if not (math.isfinite(index_level) and math.isfinite(bench_level)):
+                raise ValueError(f"non-finite level on {d}: index {index_level!r}, benchmark {bench_level!r}")
+            if dates and d <= dates[-1]:
+                raise ValueError(f"date {d} does not follow {dates[-1]}")
+            dates.append(d)
+            index_levels.append(index_level)
+            bench_levels.append(bench_level)
+        return level_row
 
-    read_csv(levels_path, ("date", "index_level", "benchmark_level"), "levels", level_row)
+    read_csv(levels_path, ("date", "index_level", "benchmark_level"), "levels", level_row_at)
     if not dates:
         raise ValueError(f"{levels_path}: no data rows")
 
     trades_per_day: dict[date, int] = {}
     by_text: dict[str, date] = {}  # date text -> date, parsed once
 
-    def trade_row(fields: tuple[str, ...]) -> None:
-        d = by_text.get(fields[0])
-        if d is None:
-            d = by_text[fields[0]] = date.fromisoformat(fields[0])
-        trades_per_day[d] = trades_per_day.get(d, 0) + 1
+    def trade_row_at(i: int, j: int) -> Callable[[list[str]], None]:
+        def trade_row(fields: list[str]) -> None:
+            text, _ = fields[i], fields[j]  # a line without a company is too short
+            d = by_text.get(text)
+            if d is None:
+                d = by_text[text] = date.fromisoformat(text)
+            trades_per_day[d] = trades_per_day.get(d, 0) + 1
+        return trade_row
 
-    read_csv(trades_path, ("date", "company"), "trades", trade_row)
+    read_csv(trades_path, ("date", "company"), "trades", trade_row_at)
     summary = load_json_object(summary_path)
     return _Inputs(dates, index_levels, bench_levels, trades_per_day, summary)
 

@@ -1,17 +1,20 @@
-"""The straight-line daily aggregation, kept as a bit-exact reference for tests.
+"""The straight-line daily aggregation and its writer, kept as bit-exact references for tests.
 
 This is the earlier ``sentindex.aggregation.aggregate_daily`` with its two
 helpers: a linear calendar scan per article, the whole source history summed
-again every day, and one frozen dataclass per grid cell. It is slow but easy
-to read, and the package's version must reproduce its rows field for field.
+again every day, and one frozen dataclass per grid cell, every cell held. It
+is slow but easy to read, and the package's version must reproduce its rows
+field for field. ``write_daily_sentiment_csv`` is the earlier writer, one
+formatted line per row, which the package's writer must match byte for byte.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from datetime import date, datetime, timedelta
+from pathlib import Path
 
-from sentindex.aggregation import AggregationConfig, AggregationResult, TradingCalendar
+from sentindex.aggregation import AggregationConfig, TradingCalendar
 from sentindex.sentiment import ScoredArticle
 
 
@@ -24,6 +27,13 @@ class DailySentiment:
     article_count: int
     unique_sources: int
     adjustment: float
+
+
+@dataclass
+class AggregationResult:
+    rows: list[DailySentiment]  # ordered by (trading date, company id)
+    diagnostics: list[str] = field(default_factory=list)
+    dropped_after_range: int = 0
 
 
 def effective_trading_date(
@@ -103,3 +113,12 @@ def aggregate_daily(
         for company in sorted(universe)
     ]
     return result
+
+
+def write_daily_sentiment_csv(path: str | Path, result) -> None:
+    """One line per row of result.rows, floats as repr()."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("date,company,raw_mean,unique_sources,adjustment,adjusted\n")
+        for row in result.rows:
+            fh.write(f"{row.trading_date.isoformat()},{row.company_id},{row.raw_mean!r},"
+                     f"{row.unique_sources},{row.adjustment!r},{row.adjusted!r}\n")
