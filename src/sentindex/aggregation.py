@@ -134,9 +134,10 @@ class AggregationResult:
 
     @property
     def rows(self) -> list[DailySentiment]:
-        """Every cell ordered by (trading date, company id), a quiet one as an all-zero row.
+        """Every cell ordered by (trading date, company id), a quiet one as a zero row.
 
-        The list is built anew on each access; the aggregate command never builds it.
+        A zero row has mean, adjusted value and counts 0 and adjustment 1.0. The list is
+        built anew on each access, for library callers; the aggregate command never builds it.
         """
         return [cells[j] if j in cells else DailySentiment(c, d, 0.0, 0.0, 0, 0, 1.0)
                 for d, cells in zip(self.dates, self.cells) for j, c in enumerate(self.companies)]
@@ -160,10 +161,10 @@ def aggregate_daily(
 
     Per company and date: raw mean of article scores in input order, unique
     source count, adjustment from the company's source history before that
-    date, adjusted = raw * adjustment. Companies and dates with no articles
-    are quiet cells, all-zero in rows, grid() and the written CSV, and under
-    all_days they count as days of zero sources. Articles of a company
-    outside the universe are counted and dropped.
+    date, adjusted = raw * adjustment. A company's dates without articles are
+    quiet cells: they are not held, they read as zero in rows, grid() and the
+    written CSV, and under all_days they count as days of zero sources.
+    Articles of a company outside the universe are counted and dropped.
     """
     config = config or AggregationConfig()
     all_days = config.adjustment_history == "all_days"

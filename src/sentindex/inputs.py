@@ -178,11 +178,10 @@ def read_csv(path: str | Path, names: tuple[str, ...], what: str,
     """Call a row function once per non-blank data line of a headed CSV file, in file order.
 
     row_at gets the header positions of names and returns the row function, which gets each
-    line split into fields and must index every position. A header that lacks one of names, or
+    line's fields as a list and must index every position. A header that lacks one of names, or
     names it twice, raises ValueError naming the file and the column. A line too short for a
-    position (an IndexError), a line holding a double quote (quoted fields are not parsed), a
-    line that is not UTF-8, or a ValueError that the row function raises is re-raised as
-    ValueError naming the file and the line.
+    position, a line holding a double quote (quoted fields are not parsed), a line that is not
+    UTF-8, or a ValueError from the row function raises ValueError naming the file and the line.
     """
     lineno = 1
     try:
