@@ -9,7 +9,6 @@ from pathlib import Path
 
 import pytest
 
-from dict_adapters import grid
 from sentindex import aggregation, backtest, corpus, inputs, sentiment
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -48,7 +47,7 @@ def golden_run() -> GoldenRun:
     calendar = aggregation.TradingCalendar(
         dates=prices.dates, timezone=agg_config.market_timezone, cutoff=agg_config.cutoff)
     agg = aggregation.aggregate_daily(scored, list(prices.companies), calendar, agg_config)
-    sentiments = grid({(row.company_id, row.trading_date): row.adjusted for row in agg.rows})
+    sentiments = agg.grid()
 
     cfg = backtest.load_backtest_config(GOLDEN / "backtest_config.json")
     result = backtest.run_backtest(prices, sentiments, cfg)

@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import random
+import tempfile
 from datetime import date, datetime, time, timedelta, timezone
+from pathlib import Path
 from zoneinfo import ZoneInfo
 
 import pytest
@@ -11,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import aggregation_reference
-from dict_adapters import grid, source_adjustment
+from dict_adapters import source_adjustment
 from sentindex.aggregation import (
     HISTORY_MODES,
     AggregationConfig,
@@ -21,7 +23,7 @@ from sentindex.aggregation import (
     effective_trading_date,
     write_daily_sentiment_csv,
 )
-from sentindex.inputs import load_daily_sentiment_csv
+from sentindex.inputs import Grid, load_daily_sentiment_csv
 from sentindex.sentiment import ScoredArticle
 
 BERLIN = ZoneInfo("Europe/Berlin")
@@ -193,8 +195,15 @@ class TestAggregateDaily:
         result = aggregate_daily(records, self.UNIVERSE, CAL)
         path = tmp_path / "daily.csv"
         write_daily_sentiment_csv(path, result)
-        loaded = load_daily_sentiment_csv(path)
-        assert loaded == grid({(row.company_id, row.trading_date): row.adjusted for row in result.rows})
+        assert bits(load_daily_sentiment_csv(path)) == bits(result.grid())
+
+    def test_only_cells_with_articles_are_held(self):
+        records = [record(id="a1"), record(id="a2", company="adidas",
+                                            when=datetime(2019, 3, 6, 9, 0, tzinfo=BERLIN))]
+        result = aggregate_daily(records, self.UNIVERSE, CAL)
+        held = {(result.companies[j], result.dates[i])
+                for i, cells in enumerate(result.cells) for j in cells}
+        assert held == {("puma", date(2019, 3, 4)), ("adidas", date(2019, 3, 6))}
 
     def test_csv_rejects_duplicate_row(self, tmp_path):
         path = tmp_path / "daily.csv"
@@ -239,6 +248,74 @@ class TestAggregateDaily:
     def test_calendar_rejects_unknown_zone(self):
         with pytest.raises(Exception):
             TradingCalendar(dates=WEEKDAYS, timezone="Mars/Olympus")
+
+
+def bits(grid: Grid) -> tuple:
+    """A Grid with each value as float.hex(), so that == compares bit for bit."""
+    return grid.dates, grid.companies, [[value.hex() for value in row] for row in grid.rows]
+
+
+def test_grid_matches_written_csv_on_golden_fixture(golden_run, tmp_path):
+    path = tmp_path / "daily.csv"
+    write_daily_sentiment_csv(path, golden_run.aggregation_result)
+    assert bits(golden_run.aggregation_result.grid()) == bits(load_daily_sentiment_csv(path))
+
+
+SCORES = st.one_of(st.sampled_from([0.0, 0.5, -0.5, 1 / 3, 5e-324]), st.floats(-1.0, 1.0))
+
+
+@st.composite
+def cases(draw) -> tuple[list[ScoredArticle], list[str], TradingCalendar]:
+    """Articles around a calendar of one to eight of 14 consecutive days.
+
+    Articles fall before, inside and after the calendar. Company "nil" gets
+    only pairs of scores x and -x at the same instant, so each of its cells
+    averages to exactly 0.0; company "quiet" gets no article at all.
+    """
+    first = date(2019, 3, 4)
+    offsets = sorted(draw(st.sets(st.integers(0, 13), min_size=1, max_size=8)))
+    calendar = TradingCalendar(dates=tuple(first + timedelta(days=i) for i in offsets),
+                               timezone="Europe/Berlin", cutoff=time(17, 0))
+    active = draw(st.lists(st.sampled_from(["adler", "biber", "dachs"]), min_size=1, unique=True))
+    start = datetime.combine(first, time(), tzinfo=BERLIN)
+    hours = st.integers(-48, 16 * 24)
+    drawn = draw(st.lists(
+        st.tuples(st.sampled_from(active), hours, st.sampled_from(["wire", "post", "blog"]), SCORES),
+        max_size=40))
+    for hour, x, sources in draw(st.lists(
+            st.tuples(hours, SCORES, st.sampled_from([("wire", "post"), ("wire", "wire")])),
+            min_size=1, max_size=3)):
+        drawn += [("nil", hour, sources[0], x), ("nil", hour, sources[1], -x)]
+    articles = [ScoredArticle(id=f"a{i}", company_id=company, source=source,
+                              published_at=start + timedelta(hours=hour), score=score)
+                for i, (company, hour, source, score) in enumerate(drawn)]
+    return articles, active + ["nil", "quiet"], calendar
+
+
+@settings(max_examples=150, deadline=None)
+@given(cases())
+def test_writer_matches_reference_bytes(case):
+    articles, universe, calendar = case
+    with tempfile.TemporaryDirectory() as tmp:
+        for mode in HISTORY_MODES:
+            config = AggregationConfig(adjustment_history=mode)
+            got, want = Path(tmp) / f"got-{mode}.csv", Path(tmp) / f"want-{mode}.csv"
+            write_daily_sentiment_csv(got, aggregate_daily(articles, universe, calendar, config))
+            aggregation_reference.write_daily_sentiment_csv(
+                want, aggregation_reference.aggregate_daily(articles, universe, calendar, config))
+            assert got.read_bytes() == want.read_bytes()
+
+
+@settings(max_examples=150, deadline=None)
+@given(cases())
+def test_grid_matches_written_csv(case):
+    articles, universe, calendar = case
+    with tempfile.TemporaryDirectory() as tmp:
+        for mode in HISTORY_MODES:
+            result = aggregate_daily(articles, universe, calendar, AggregationConfig(adjustment_history=mode))
+            path = Path(tmp) / f"{mode}.csv"
+            write_daily_sentiment_csv(path, result)
+            assert bits(result.grid()) == bits(load_daily_sentiment_csv(path))
 
 
 def random_case(seed: int) -> tuple[list[ScoredArticle], list[str], TradingCalendar]:

@@ -16,6 +16,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from sentindex import aggregation
 from sentindex.cli import main
 
 
@@ -52,6 +53,16 @@ class TestPipelineChain:
         got = (chain_dir / "daily.csv").read_bytes()
         expected = (golden_dir / "expected_daily_sentiment.csv").read_bytes()
         assert got == expected
+
+    def test_aggregate_never_builds_the_dense_rows(self, chain_dir, golden_dir, monkeypatch):
+        def refuse(result):
+            raise AssertionError("aggregate built AggregationResult.rows")
+
+        monkeypatch.setattr(aggregation.AggregationResult, "rows", property(refuse))
+        out = chain_dir / "daily_guarded.csv"
+        assert run(["aggregate", "--scored", chain_dir / "scored.jsonl", "--prices", golden_dir / "prices.csv",
+                    "--config", golden_dir / "aggregation_config.json", "--out", out]) == 0
+        assert out.read_bytes() == (chain_dir / "daily.csv").read_bytes()
 
     def test_backtest_and_report(self, chain_dir, golden_dir):
         out = chain_dir / "bt"
