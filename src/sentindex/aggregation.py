@@ -9,15 +9,15 @@ today's unique-source count falls below the company's historical mean.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass, field
 from datetime import date, datetime, time, timedelta
 from pathlib import Path
 from typing import TYPE_CHECKING, NamedTuple
 from zoneinfo import ZoneInfo
 
-from .inputs import Grid, config_from_dict, load_json_object
+from .grids import Grid
 # kept here only because perfbench/inproc.py calls aggregation.load_daily_sentiment_csv
-from .inputs import load_daily_sentiment_csv  # noqa: F401
+from .grids import load_daily_sentiment_csv  # noqa: F401
+from .inputs import config_from_dict, load_json_object, record
 
 if TYPE_CHECKING:
     from .sentiment import ScoredArticle
@@ -25,13 +25,13 @@ if TYPE_CHECKING:
 HISTORY_MODES = ("nonzero_days", "all_days")
 
 
-@dataclass(frozen=True)
-class TradingCalendar:
+@record
+class TradingCalendar(NamedTuple):
     dates: tuple[date, ...]
     timezone: str = "Europe/Berlin"
     cutoff: time = time(17, 0)
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         if not self.dates:
             raise ValueError("calendar has no trading dates")
         if any(b <= a for a, b in zip(self.dates, self.dates[1:])):
@@ -43,13 +43,13 @@ class TradingCalendar:
         return ZoneInfo(self.timezone)
 
 
-@dataclass(frozen=True)
-class AggregationConfig:
+@record
+class AggregationConfig(NamedTuple):
     market_timezone: str = "Europe/Berlin"
     cutoff_local_time: str = "17:00"
     adjustment_history: str = "nonzero_days"
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         try:
             ZoneInfo(self.market_timezone)
         except (LookupError, ValueError, OSError):
@@ -123,14 +123,15 @@ def _shrink(u_today: int, prior_total: int, prior_days: int) -> float:
     return 1.0
 
 
-@dataclass
 class AggregationResult:
-    dates: tuple[date, ...]
-    companies: tuple[str, ...]  # sorted
-    cells: list[dict[int, DailySentiment]]  # per date: company index -> a cell with articles
-    diagnostics: list[str] = field(default_factory=list)
-    dropped_after_range: int = 0
-    dropped_unknown_company: int = 0  # on a trading date, but not in the universe
+    def __init__(self, dates: tuple[date, ...], companies: tuple[str, ...],
+                 cells: list[dict[int, DailySentiment]]) -> None:
+        self.dates = dates
+        self.companies = companies  # sorted
+        self.cells = cells  # per date: company index -> a cell with articles
+        self.diagnostics: list[str] = []
+        self.dropped_after_range = 0
+        self.dropped_unknown_company = 0  # on a trading date, but not in the universe
 
     @property
     def rows(self) -> list[DailySentiment]:

@@ -12,14 +12,15 @@ from __future__ import annotations
 import json
 import math
 from collections.abc import Callable, Iterable
-from dataclasses import dataclass, field
 from datetime import date, datetime
 from functools import partial
 from pathlib import Path
+from typing import NamedTuple
 
-from .inputs import Grid, config_from_dict, load_json_object, read_csv
+from .grids import Grid
 # kept here only because perfbench/inproc.py calls backtest.load_prices
-from .inputs import load_prices  # noqa: F401
+from .grids import load_prices  # noqa: F401
+from .inputs import config_from_dict, load_json_object, read_csv, record
 from .optimizer import OptimizerConfig, optimize_weights, trades_from_moves
 
 
@@ -42,14 +43,14 @@ def load_benchmark_levels(path: str | Path) -> dict[date, float]:
     return out
 
 
-@dataclass(frozen=True)
-class BacktestConfig:
+@record
+class BacktestConfig(NamedTuple):
     tc_rate: float = 0.0005
     signal_lag_days: int = 1
     initial_level: float = 100.0
-    optimizer: OptimizerConfig = field(default_factory=OptimizerConfig)
+    optimizer: OptimizerConfig = OptimizerConfig()
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         if not (0.0 <= self.tc_rate < 1.0):
             raise ValueError(f"tc_rate must be in [0, 1), got {self.tc_rate}")
         if self.signal_lag_days < 0:
@@ -93,8 +94,7 @@ def annualized_return(levels: list[float], dates: list[date] | list[datetime]) -
     return growth - 1.0
 
 
-@dataclass
-class DayRecord:
+class DayRecord(NamedTuple):
     date: date
     r_gross: float
     drifted: dict[str, float]
@@ -105,8 +105,7 @@ class DayRecord:
     benchmark_level: float
 
 
-@dataclass
-class BacktestResult:
+class BacktestResult(NamedTuple):
     dates: list[date]
     days: list[DayRecord]
     summary: dict

@@ -49,10 +49,10 @@ def _cmd_score(args: argparse.Namespace) -> int:
 
 
 def _cmd_aggregate(args: argparse.Namespace) -> int:
-    from . import aggregation, inputs, sentiment
+    from . import aggregation, grids, sentiment
 
     config = aggregation.load_aggregation_config(args.config)
-    prices = inputs.load_prices(args.prices)
+    prices = grids.load_prices(args.prices)
     calendar = aggregation.TradingCalendar(
         dates=prices.dates, timezone=config.market_timezone, cutoff=config.cutoff)
     scored = sentiment.load_scored(args.scored)
@@ -82,11 +82,11 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
 
 
 def _cmd_backtest(args: argparse.Namespace) -> int:
-    from . import backtest, inputs
+    from . import backtest, grids
 
     cfg = backtest.load_backtest_config(args.config)
-    prices = inputs.load_prices(args.prices)
-    sentiments = inputs.load_daily_sentiment_csv(args.sentiments)
+    prices = grids.load_prices(args.prices)
+    sentiments = grids.load_daily_sentiment_csv(args.sentiments)
     benchmark = backtest.load_benchmark_levels(args.benchmark) if args.benchmark else None
     result = backtest.run_backtest(prices, sentiments, cfg, benchmark=benchmark)
     backtest.write_backtest_outputs(args.out, result, cfg)

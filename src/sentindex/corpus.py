@@ -9,14 +9,13 @@ fails; the survivors get a lowercased headline and no body.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from datetime import datetime
 from json.encoder import encode_basestring
 from pathlib import Path
 from typing import NamedTuple
 
 from .inputs import (
-    config_from_dict, config_value, decoded_lines, load_json_object, parse_json, parse_timestamp)
+    config_from_dict, config_value, decoded_lines, load_json_object, parse_json, parse_timestamp, record)
 
 
 class NewsArticle(NamedTuple):
@@ -29,15 +28,15 @@ class NewsArticle(NamedTuple):
     language: str = "de"
 
 
-@dataclass(frozen=True)
-class FilterConfig:
+@record
+class FilterConfig(NamedTuple):
     """Filter rules; keywords and phrases match lowercased text, so they must be lower case."""
 
-    exclusions: dict[str, tuple[str, ...]] = field(default_factory=dict)
+    exclusions: dict[str, tuple[str, ...]] = {}
     auto_generated_phrases: tuple[str, ...] = ()
     max_headline_tokens: int = 1000
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         if self.max_headline_tokens < 1:
             raise ValueError(f"max_headline_tokens must be >= 1, got {self.max_headline_tokens}")
         # an empty rule matches every article, one with upper case none
@@ -50,10 +49,10 @@ class FilterConfig:
                 raise ValueError(f"auto-generated phrase {p!r} must be lower case and not empty")
 
 
-@dataclass
-class LoadReport:
+@record
+class LoadReport(NamedTuple):
     articles: list[NewsArticle]
-    diagnostics: list[str] = field(default_factory=list)
+    diagnostics: list[str] = []
 
 
 REQUIRED_FIELDS = ("id", "company_id", "source", "published_at", "headline")
@@ -141,8 +140,7 @@ def _exclusions(obj: dict, where: str) -> dict[str, tuple[str, ...]]:
     return {company: config_value(obj, company, list, where) for company in obj}
 
 
-@dataclass
-class FilterResult:
+class FilterResult(NamedTuple):
     kept: list[NewsArticle]
     removed_by_stage: dict[str, list[NewsArticle]]
 

@@ -1,4 +1,4 @@
-"""Reading input files: stage configs, JSON lines, headed CSV tables, the close and sentiment grids."""
+"""Reading input files (stage configs, JSON lines, headed CSV tables) and the record decorator of the configs."""
 
 from __future__ import annotations
 
@@ -6,10 +6,9 @@ import json
 import math
 import re
 import sys
-from dataclasses import fields
-from datetime import date, datetime
+from datetime import datetime
 from pathlib import Path
-from typing import Callable, NamedTuple
+from typing import Callable
 
 _raw_decode = json.JSONDecoder().raw_decode
 
@@ -147,8 +146,27 @@ def config_value(obj: dict, key: str, kind: type, where: str | Path):
     raise ValueError(f"{where}: {key!r} must be {_KINDS[kind]}, got {got}")
 
 
+def record(base: type) -> type:
+    """Class decorator: the NamedTuple class base, subclassed under its name. Each construction, _replace's
+    too, gives a field that defaults to [] or {} a new empty one, then runs base._check if base has one."""
+    shared = {id(v) for v in base._field_defaults.values() if type(v) in (list, dict)}
+    check = getattr(base, "_check", lambda self: None)
+
+    def __new__(cls, *args, **kwargs):
+        self = base.__new__(cls, *args, **kwargs)
+        if shared.intersection(map(id, self)):
+            self = tuple.__new__(cls, [type(v)() if id(v) in shared else v for v in self])
+        check(self)
+        return self
+
+    # namedtuple's own _make, which _replace calls, builds the tuple without __new__
+    return type(base.__name__, (base,), {
+        "__slots__": (), "__new__": __new__, "_make": classmethod(lambda cls, values: cls(*values)),
+        "__module__": base.__module__, "__doc__": base.__doc__})
+
+
 def config_from_dict(cls: type, obj: dict, where: str | Path, **nested: Callable):
-    """The config dataclass cls built from a JSON object; absent fields keep their defaults.
+    """The config record cls, a NamedTuple, built from a JSON object; absent fields keep their defaults.
 
     Each value must have the kind of its field's default (see config_value),
     where a tuple default takes a list of strings. A field named in nested
@@ -157,7 +175,7 @@ def config_from_dict(cls: type, obj: dict, where: str | Path, **nested: Callable
     raises ValueError naming where and the key; a ValueError from cls itself
     is raised again with where in front.
     """
-    defaults = {f.name: f.default for f in fields(cls)}
+    defaults = cls._field_defaults
     values = {}
     for key in obj:
         if key not in defaults:
@@ -216,63 +234,3 @@ def parse_timestamp(raw: str) -> datetime:
     if ts.tzinfo is None:
         raise ValueError("timestamp lacks a UTC offset")
     return ts
-
-
-class Grid(NamedTuple):
-    """A dense table: rows[i][j] is the value of companies[j] on dates[i], both axes sorted."""
-
-    dates: tuple[date, ...]
-    companies: tuple[str, ...]
-    rows: list[list[float]]
-
-
-def load_prices(path: str | Path) -> Grid:
-    """The closes of a date,company,close CSV, each finite and positive (see _read_grid)."""
-    return _read_grid(path, "close", "price", 0.0)
-
-
-def load_daily_sentiment_csv(path: str | Path) -> Grid:
-    """The adjusted column of a daily sentiment CSV, each value finite (see _read_grid)."""
-    return _read_grid(path, "adjusted", "sentiment", -math.inf)
-
-
-def _read_grid(path: str | Path, column: str, what: str, lo: float) -> Grid:
-    """The column of a date,company,<column> CSV as a gap-free Grid.
-
-    A repeated (company, date) row, checked first, or a value outside lo < value < inf (lo is 0.0
-    or -inf) raises ValueError naming the file and the line (see read_csv). A file with no rows,
-    or without a value for every company on every date, raises ValueError naming the file and,
-    for a gap, the first missing (company, date).
-    """
-    by_date: dict[date, dict[str, float]] = {}
-    by_text: dict[str, dict[str, float]] = {}  # date text -> that date's map, parsed once
-
-    def row_at(i: int, j: int, k: int) -> Callable[[list[str]], None]:
-        def row(fields: list[str]) -> None:
-            text, company, value = fields[i], fields[j], fields[k]
-            day = by_text.get(text)
-            if day is None:
-                day = by_text[text] = by_date.setdefault(date.fromisoformat(text), {})
-            if company in day:
-                raise ValueError(f"duplicate {what} row for ({company}, {date.fromisoformat(text)})")
-            value = float(value)
-            if not lo < value < math.inf:  # also false for nan
-                kind = "nonpositive" if math.isfinite(value) else "non-finite"
-                raise ValueError(f"{kind} {column} {value!r} for ({company}, {date.fromisoformat(text)})")
-            day[company] = value
-        return row
-
-    read_csv(path, ("date", "company", column), what, row_at)
-    if not by_date:
-        raise ValueError(f"{path}: {what} CSV contains no rows")
-    dates = tuple(sorted(by_date))
-    companies = tuple(sorted(set().union(*by_date.values())))
-    # each date holds a subset of the companies, so the grid is complete
-    # exactly when every date holds all of them
-    if any(len(values) != len(companies) for values in by_date.values()):
-        for company in companies:
-            for d in dates:
-                if company not in by_date[d]:
-                    raise ValueError(f"{path}: {what} CSV has a gap: no {column} for ({company}, {d})")
-    rows = [[values[c] for c in companies] for values in map(by_date.__getitem__, dates)]
-    return Grid(dates, companies, rows)

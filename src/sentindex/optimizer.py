@@ -17,26 +17,26 @@ from __future__ import annotations
 import math
 import operator
 from collections.abc import Callable
-from dataclasses import dataclass
 from itertools import repeat
 from pathlib import Path
+from typing import NamedTuple
 
-from .inputs import config_from_dict, load_json_object, read_csv
+from .inputs import config_from_dict, load_json_object, read_csv, record
 
 
 class InfeasibleProblemError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class OptimizerConfig:
+@record
+class OptimizerConfig(NamedTuple):
     delta: float = 1.0
     cap: float = 0.10
     budget_lo: float = 0.99
     budget_hi: float = 0.999
     trade_epsilon: float = 1e-6
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         if self.delta < 0:
             raise ValueError(f"delta must be nonnegative, got {self.delta}")
         if not (0.0 < self.cap <= 1.0):

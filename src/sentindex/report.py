@@ -11,11 +11,11 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable
-from dataclasses import dataclass, replace
 from datetime import date
 from pathlib import Path
+from typing import NamedTuple
 
-from .inputs import load_json_object, read_csv
+from .inputs import load_json_object, read_csv, record
 
 WIDTH, HEIGHT = 960, 540
 MARGIN_LEFT, MARGIN_RIGHT, MARGIN_TOP, MARGIN_BOTTOM = 74, 74, 56, 64
@@ -28,22 +28,21 @@ TRADE_COLOR = "#8a97a5"
 TITLE = "Sentiment index vs benchmark"
 
 
-@dataclass(frozen=True)
-class ReportSpec:
+@record
+class ReportSpec(NamedTuple):
     input_dir: Path
     output_dir: Path
     formats: tuple[str, ...] = ("svg", "csv")
     date_from: date | None = None
     date_to: date | None = None
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         unknown = set(self.formats) - {"svg", "csv"}
         if unknown:
             raise ValueError(f"unknown report formats: {sorted(unknown)}")
 
 
-@dataclass
-class _Inputs:
+class _Inputs(NamedTuple):
     dates: list[date]
     index_levels: list[float]
     bench_levels: list[float]
@@ -261,8 +260,8 @@ def render_report(spec: ReportSpec) -> list[Path]:
         ]
         if not keep:
             raise ValueError("date filter excludes every row")
-        data = replace(  # trades_per_day is read only for the kept dates
-            data, dates=[data.dates[i] for i in keep], index_levels=[data.index_levels[i] for i in keep],
+        data = data._replace(  # trades_per_day is read only for the kept dates
+            dates=[data.dates[i] for i in keep], index_levels=[data.index_levels[i] for i in keep],
             bench_levels=[data.bench_levels[i] for i in keep])
 
     texts = {}  # all rendered before any is written, so that a failure writes nothing

@@ -9,17 +9,17 @@ from pathlib import Path
 
 import pytest
 
-from sentindex import aggregation, backtest, corpus, inputs, sentiment
+from sentindex import aggregation, backtest, corpus, grids, sentiment
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 @dataclass
 class GoldenRun:
-    prices: inputs.Grid
+    prices: grids.Grid
     filter_result: corpus.FilterResult
     aggregation_result: aggregation.AggregationResult
-    sentiments: inputs.Grid  # adjusted
+    sentiments: grids.Grid  # adjusted
     backtest_config: backtest.BacktestConfig
     result: backtest.BacktestResult
     expected_levels: list[tuple[str, float, float]]
@@ -42,7 +42,7 @@ def golden_run() -> GoldenRun:
     provider = sentiment.LexiconProvider.from_file(GOLDEN / "lexicon.json")
     scored = sentiment.score_articles(filter_result.kept, provider)
 
-    prices = inputs.load_prices(GOLDEN / "prices.csv")
+    prices = grids.load_prices(GOLDEN / "prices.csv")
     agg_config = aggregation.load_aggregation_config(GOLDEN / "aggregation_config.json")
     calendar = aggregation.TradingCalendar(
         dates=prices.dates, timezone=agg_config.market_timezone, cutoff=agg_config.cutoff)

@@ -5,7 +5,7 @@
 helpers, moved here unchanged: they run on the package's private kernels, so
 a test of them still tests the code the day loop and the aggregation use.
 ``grid`` turns (company, date) keyed closes or sentiments into the
-row-major ``inputs.Grid`` that ``run_backtest`` takes for both.
+row-major ``grids.Grid`` that ``run_backtest`` takes for both.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from datetime import date
 
 from sentindex.aggregation import _shrink
 from sentindex.backtest import _cost, _drift
-from sentindex.inputs import Grid
+from sentindex.grids import Grid
 from sentindex.optimizer import _check_keys
 
 

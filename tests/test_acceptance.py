@@ -16,7 +16,7 @@ import pytest
 from dict_adapters import grid, objective_value, source_adjustment
 from grid_oracle import brute_force_oracle
 from sentindex.backtest import BacktestConfig, run_backtest
-from sentindex.inputs import Grid
+from sentindex.grids import Grid
 from sentindex.optimizer import (
     InfeasibleProblemError,
     OptimizerConfig,

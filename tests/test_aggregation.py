@@ -23,7 +23,7 @@ from sentindex.aggregation import (
     effective_trading_date,
     write_daily_sentiment_csv,
 )
-from sentindex.inputs import Grid, load_daily_sentiment_csv
+from sentindex.grids import Grid, load_daily_sentiment_csv
 from sentindex.sentiment import ScoredArticle
 
 BERLIN = ZoneInfo("Europe/Berlin")

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import math
 import random
@@ -31,7 +30,7 @@ from sentindex.backtest import (
     trade_statistics,
     write_backtest_outputs,
 )
-from sentindex.inputs import load_prices
+from sentindex.grids import load_prices
 from sentindex.optimizer import OptimizerConfig, extract_trades
 
 
@@ -421,9 +420,9 @@ def test_matches_reference_bit_for_bit(seed, lag, with_benchmark):
             continue
         assert got.dates == want.dates and len(got.days) == len(want.days)
         for new, old in zip(got.days, want.days):
-            for field in dataclasses.fields(DayRecord):
-                a, b = getattr(new, field.name), getattr(old, field.name)
-                assert a == b and repr(a) == repr(b), (field.name, new.date)
+            for name in DayRecord._fields:
+                a, b = getattr(new, name), getattr(old, name)
+                assert a == b and repr(a) == repr(b), (name, new.date)
         assert got.summary == want.summary and repr(got.summary) == repr(want.summary)
 
 
@@ -475,7 +474,7 @@ def test_each_solve_calls_the_module_global(golden_run, monkeypatch, lag):
     Wrapping that global is how a caller times each solve, so a loop that
     bypassed it would leave the solves untimed.
     """
-    cfg = dataclasses.replace(golden_run.backtest_config, signal_lag_days=lag)
+    cfg = golden_run.backtest_config._replace(signal_lag_days=lag)
     want = run_backtest(golden_run.prices, golden_run.sentiments, cfg)
     priors = []
     solve = backtest.optimize_weights
@@ -491,7 +490,7 @@ def test_each_solve_calls_the_module_global(golden_run, monkeypatch, lag):
     assert len(solved) == n - (lag == 0)
     assert priors == solved
     for new, old in zip(got.days, want.days, strict=True):
-        for field in dataclasses.fields(DayRecord):
-            a, b = getattr(new, field.name), getattr(old, field.name)
-            assert a == b and repr(a) == repr(b), (field.name, new.date)
+        for name in DayRecord._fields:
+            a, b = getattr(new, name), getattr(old, name)
+            assert a == b and repr(a) == repr(b), (name, new.date)
     assert got.summary == want.summary

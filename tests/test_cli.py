@@ -321,11 +321,20 @@ def test_cli_import_leaves_numpy_unloaded():
 
 
 def test_each_command_loads_only_its_stage_modules(tmp_path, golden_dir):
+    """Each command imports its own stage modules, and neither dataclasses nor inspect.
+
+    The probe compares with the modules loaded before sentindex is imported, so
+    that what site imports at start-up does not count.
+    """
     src = Path(__file__).resolve().parent.parent / "src"
     env = {**os.environ, "PYTHONPATH": str(src)}
-    probe = ("import sys; from sentindex.cli import main; code = main(sys.argv[1:]); "
-             "print(code, *sorted(m for m in sys.modules if m.startswith('sentindex.')))")
+    probe = ("import sys; before = set(sys.modules); from sentindex.cli import main; code = main(sys.argv[1:]); "
+             "print(code, *sorted(m for m in set(sys.modules) - before "
+             "if m.startswith('sentindex.') or m in ('dataclasses', 'inspect')))")
     g, t = golden_dir, tmp_path
+    (t / "signal.csv").write_text("company,sentiment\nalpha,0.8\nbeta,0.4\ngamma,-0.2\n", encoding="utf-8")
+    (t / "prior.csv").write_text("company,weight\nalpha,0.0\nbeta,0.0\ngamma,0.0\n", encoding="utf-8")
+    (t / "opt.json").write_text('{"cap": 0.5, "budget_lo": 0.5, "budget_hi": 0.9}', encoding="utf-8")
     chain = [
         ("filter", {"cli", "corpus", "inputs"},
          ["--articles", g / "articles.jsonl", "--config", g / "filter_config.json",
@@ -333,10 +342,13 @@ def test_each_command_loads_only_its_stage_modules(tmp_path, golden_dir):
         ("score", {"cli", "corpus", "inputs", "sentiment"},
          ["--articles", t / "kept.jsonl", "--provider", "lexicon", "--provider-file", g / "lexicon.json",
           "--out", t / "scored.jsonl"]),
-        ("aggregate", {"cli", "inputs", "sentiment", "aggregation"},
+        ("aggregate", {"cli", "inputs", "grids", "sentiment", "aggregation"},
          ["--scored", t / "scored.jsonl", "--prices", g / "prices.csv",
           "--config", g / "aggregation_config.json", "--out", t / "daily.csv"]),
-        ("backtest", {"cli", "inputs", "backtest", "optimizer"},
+        ("optimize", {"cli", "inputs", "optimizer"},
+         ["--sentiments", t / "signal.csv", "--prior", t / "prior.csv", "--config", t / "opt.json",
+          "--out", t / "weights.csv"]),
+        ("backtest", {"cli", "inputs", "grids", "backtest", "optimizer"},
          ["--prices", g / "prices.csv", "--sentiments", t / "daily.csv",
           "--config", g / "backtest_config.json", "--out", t / "bt"]),
         ("report", {"cli", "inputs", "report"}, ["--in", t / "bt", "--out", t / "rep"]),

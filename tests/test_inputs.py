@@ -1,14 +1,21 @@
-"""The shared input readers: CSV quoting and headers, and where a JSON error lies."""
+"""The shared input readers: CSV quoting and headers, and where a JSON error lies; the config and result records."""
 
 from __future__ import annotations
 
+import copy
 import json
 from datetime import date
+from pathlib import Path
 
 import pytest
 
-from sentindex.backtest import load_benchmark_levels
-from sentindex.inputs import load_daily_sentiment_csv, load_json_object, load_prices
+from sentindex.aggregation import AggregationConfig, AggregationResult, TradingCalendar
+from sentindex.backtest import BacktestConfig, load_benchmark_levels
+from sentindex.corpus import FilterConfig, LoadReport
+from sentindex.grids import load_daily_sentiment_csv, load_prices
+from sentindex.inputs import load_json_object
+from sentindex.optimizer import OptimizerConfig
+from sentindex.report import ReportSpec
 
 READERS = {
     "price": (load_prices, "date,company,close", "2021-03-01,a,10.0", '2021-03-02,{},11.0'),
@@ -65,3 +72,36 @@ def test_json_error_names_its_position(tmp_path, text, line, at, message):
     with pytest.raises(ValueError) as info:
         load_json_object(path)
     assert str(info.value) == f"{path}: invalid JSON ({expected})"
+
+
+@pytest.mark.parametrize("build, name", [
+    (lambda: LoadReport(articles=[]), "diagnostics"),
+    (FilterConfig, "exclusions"),
+    (lambda: AggregationResult((), (), []), "diagnostics"),
+], ids=["load-report", "filter-config", "aggregation-result"])
+def test_default_list_or_dict_is_not_shared(build, name):
+    first, second = build(), build()
+    assert getattr(first, name) == getattr(second, name)
+    assert getattr(first, name) is not getattr(second, name)
+
+
+@pytest.mark.parametrize("cls, good, bad, message", [
+    (OptimizerConfig, {}, {"cap": 1.5}, "cap must be in (0, 1], got 1.5"),
+    (BacktestConfig, {}, {"signal_lag_days": -1}, "signal_lag_days must be >= 0, got -1"),
+    (AggregationConfig, {}, {"adjustment_history": "weekly"},
+     "adjustment_history must be one of ('nonzero_days', 'all_days'), got 'weekly'"),
+    (TradingCalendar, {"dates": (date(2021, 3, 1), date(2021, 3, 2))},
+     {"dates": (date(2021, 3, 2), date(2021, 3, 1))}, "trading dates must be strictly increasing"),
+    (FilterConfig, {}, {"auto_generated_phrases": ("Auto",)},
+     "auto-generated phrase 'Auto' must be lower case and not empty"),
+    (ReportSpec, {"input_dir": Path("in"), "output_dir": Path("out")}, {"formats": ("svg", "pdf")},
+     "unknown report formats: ['pdf']"),
+], ids=["optimizer", "backtest", "aggregation", "calendar", "filter", "report"])
+def test_config_is_checked_on_every_construction(cls, good, bad, message):
+    config = cls(**good)
+    assert copy.deepcopy(config) == config._replace() == config
+    with pytest.raises(ValueError) as built:
+        cls(**{**good, **bad})
+    with pytest.raises(ValueError) as replaced:
+        config._replace(**bad)
+    assert str(built.value) == str(replaced.value) == message
