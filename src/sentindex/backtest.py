@@ -119,21 +119,25 @@ def run_backtest(
 ) -> BacktestResult:
     """Run the full day loop and return per-day records plus the summary.
 
-    prices.companies must be strictly increasing, as inputs.load_prices
-    sorts them. sentiments, as inputs.load_daily_sentiment_csv returns it,
+    prices.companies must be strictly increasing, as grids.load_prices
+    sorts them. sentiments, as grids.load_daily_sentiment_csv returns it,
     covers the companies and dates of prices and may hold more. The first date
     starts from all-zero weights; its rebalance into the band is charged
-    costs but excluded from trade-count statistics. The signal for the weights held
-    into date t+1 is the sentiment of date t+1-lag; dates before the
-    sentiment history use a zero signal. The benchmark is a supplied level
-    series renormalized to the initial level, or an equal-weight
-    daily-rebalanced costless basket when absent.
+    costs but excluded from trade-count statistics. The weights held from
+    date i into date i+1 are solved on the sentiment row of date i+1-lag: on
+    a zero row while that date comes before the first date, and not at all
+    past the last date (lag 0's final date), where the drifted weights are
+    held. The benchmark is a supplied level series renormalized to the
+    initial level, or an equal-weight daily-rebalanced costless basket when
+    absent.
     """
     cfg = cfg or BacktestConfig()
     dates = list(prices.dates)
     if not dates:
         raise ValueError("empty date range")
     companies = prices.companies
+    if not companies:  # the basket's daily mean return needs one
+        raise ValueError("price series has no companies")
     n = len(companies)
     if len(prices.rows) != len(dates) or any(len(row) != n for row in prices.rows):
         raise ValueError(f"price series needs {len(dates)} rows of {n} closes")
@@ -141,7 +145,7 @@ def run_backtest(
     # helpers sum
     if any(b <= a for a, b in zip(companies, companies[1:])):
         raise ValueError("price series companies must be strictly increasing")
-    signals = _signal_rows(sentiments, dates, companies)
+    signals = _signal_rows(sentiments, dates, companies, cfg.signal_lag_days)
     if benchmark is not None:
         for d in dates:
             if d not in benchmark:
@@ -155,22 +159,14 @@ def run_backtest(
     bench_level = cfg.initial_level
     days: list[DayRecord] = []
 
-    for i, d in enumerate(dates):
+    for i, (d, signal) in enumerate(zip(dates, signals)):
         r = _returns(closes[i], closes[i - 1]) if i else [0.0] * n
         drifted_w, r_gross = _drift(weights, r)
         drifted = dict(zip(companies, drifted_w))
-
-        # the target held into date i+1 uses the sentiment of date i+1-lag;
-        # beyond the final date (lag 0 only) there is nothing to trade on
-        signal_idx = i + 1 - cfg.signal_lag_days
-        if signal_idx < 0:
-            target = optimize_weights(dict.fromkeys(companies, 0.0), drifted, cfg.optimizer)
-        elif signal_idx >= len(dates):
-            target = dict(drifted)
-        else:
-            # keyed by the loop's own key strings, so the solver's key checks
-            # and lookups meet the same objects and compare by identity
-            target = optimize_weights(dict(zip(companies, signals[signal_idx])), drifted, cfg.optimizer)
+        # keyed by the loop's own key strings, so the solver's key checks
+        # and lookups meet the same objects and compare by identity
+        target = dict(drifted) if signal is None else optimize_weights(
+            dict(zip(companies, signal)), drifted, cfg.optimizer)
 
         weights = [target[k] for k in companies]
         moves = [w_k - d_k for w_k, d_k in zip(weights, drifted_w)]
@@ -179,7 +175,7 @@ def run_backtest(
 
         if benchmark is not None:
             bench_level = cfg.initial_level * benchmark[d] / benchmark[dates[0]]
-        elif i > 0:
+        else:  # on the first date r is all zeros, and the factor exactly 1.0
             bench_level *= 1.0 + sum(r) / n
 
         days.append(DayRecord(
@@ -192,8 +188,11 @@ def run_backtest(
     return BacktestResult(dates=dates, days=days, summary=summary)
 
 
-def _signal_rows(sentiments: Grid, dates: list[date], companies: tuple[str, ...]) -> list[list[float]]:
-    """The sentiment row of each date over exactly the companies, which sentiments must cover."""
+def _signal_rows(sentiments: Grid, dates: list[date], companies: tuple[str, ...],
+                 lag: int) -> list[list[float] | None]:
+    """Per date i, the row over the companies that the weights held into date i+1 are solved on:
+    the sentiment row of date i+1-lag, a shared zero row while that date comes before the first,
+    and None (hold the drifted weights) past the last (lag 0 only). sentiments must cover them all."""
     row_of = dict(zip(sentiments.dates, sentiments.rows))
     col = {c: j for j, c in enumerate(sentiments.companies)}
     absent = [c for c in companies if c not in col]
@@ -202,8 +201,12 @@ def _signal_rows(sentiments: Grid, dates: list[date], companies: tuple[str, ...]
         if missing:
             raise ValueError(f"missing sentiment for ({missing[0]!r}, {d})")
     if sentiments.companies == companies:  # aggregate's output: no row is copied
-        return [row_of[d] for d in dates]
-    return [[row_of[d][col[c]] for c in companies] for d in dates]
+        rows = [row_of[d] for d in dates]
+    else:
+        rows = [[row_of[d][col[c]] for c in companies] for d in dates]
+    zero = [0.0] * len(companies)
+    return [rows[k] if 0 <= k < len(rows) else zero if k < 0 else None
+            for k in range(1 - lag, len(dates) + 1 - lag)]
 
 
 def _returns(row: list[float], prev: list[float]) -> list[float]:
@@ -258,31 +261,20 @@ def _summarize(days: list[DayRecord], dates: list[date], cfg: BacktestConfig) ->
     return summary
 
 
-def write_levels_csv(path: str | Path, result: BacktestResult) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+def write_backtest_outputs(out_dir: str | Path, result: BacktestResult, cfg: BacktestConfig) -> None:
+    """Write levels.csv, trades.csv and summary.json into out_dir, which is made if missing."""
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    with open(out / "levels.csv", "w", encoding="utf-8") as fh:
         fh.write("date,index_level,benchmark_level\n")
         for day in result.days:
             fh.write(f"{day.date.isoformat()},{day.level!r},{day.benchmark_level!r}\n")
-
-
-def write_trades_csv(path: str | Path, result: BacktestResult, tc_rate: float) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with open(out / "trades.csv", "w", encoding="utf-8") as fh:
         fh.write("date,company,delta_weight,cost\n")
         for day in result.days:
             for company, delta in day.trades:
-                cost = _cost((delta,), tc_rate)
+                cost = _cost((delta,), cfg.tc_rate)
                 fh.write(f"{day.date.isoformat()},{company},{delta!r},{cost!r}\n")
-
-
-def write_summary_json(path: str | Path, result: BacktestResult) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with open(out / "summary.json", "w", encoding="utf-8") as fh:
         json.dump(result.summary, fh, indent=2, sort_keys=True)
         fh.write("\n")
-
-
-def write_backtest_outputs(out_dir: str | Path, result: BacktestResult, cfg: BacktestConfig) -> None:
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    write_levels_csv(out / "levels.csv", result)
-    write_trades_csv(out / "trades.csv", result, cfg.tc_rate)
-    write_summary_json(out / "summary.json", result)

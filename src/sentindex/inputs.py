@@ -128,9 +128,11 @@ def config_value(obj: dict, key: str, kind: type, where: str | Path):
 
     float takes a finite JSON number (no boolean) and returns a float, int a
     JSON integer, str a string, list a list of strings (returned as a tuple)
-    and dict an object. Anything else raises ValueError naming where the
-    object came from and the key.
+    and dict an object. Anything else, or no key at all, raises ValueError
+    naming where the object came from and the key.
     """
+    if key not in obj:
+        raise ValueError(f"{where}: missing field {key!r}")
     value = obj[key]
     if kind is float:
         if type(value) is float and math.isfinite(value):

@@ -15,7 +15,7 @@ from datetime import date
 from pathlib import Path
 from typing import NamedTuple
 
-from .inputs import load_json_object, read_csv, record
+from .inputs import config_value, load_json_object, read_csv, record
 
 WIDTH, HEIGHT = 960, 540
 MARGIN_LEFT, MARGIN_RIGHT, MARGIN_TOP, MARGIN_BOTTOM = 74, 74, 56, 64
@@ -90,25 +90,48 @@ def _read_inputs(input_dir: Path) -> _Inputs:
         return trade_row
 
     read_csv(trades_path, ("date", "company"), "trades", trade_row_at)
-    summary = load_json_object(summary_path)
-    return _Inputs(dates, index_levels, bench_levels, trades_per_day, summary)
+    return _Inputs(dates, index_levels, bench_levels, trades_per_day, _read_summary(summary_path))
 
 
-def _escape(text: str) -> str:
-    return (text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
-            .replace('"', "&quot;"))
+def _read_summary(path: Path) -> dict:
+    """The fields of summary.json that the report prints, checked; other keys are ignored.
+
+    Levels, returns and the cost are finite numbers (a return still finite
+    as a percentage), the counts integers, the two dates ISO dates and
+    trade_stats an object, whose trades_per_day maps decimal integers to
+    counts. A missing or bad field raises ValueError naming the file and the key.
+    """
+    obj = load_json_object(path)
+    summary = {key: config_value(obj, key, float, path) for key in (
+        "final_index_level", "final_benchmark_level", "total_transaction_cost",
+        "annualized_return_index", "annualized_return_benchmark")}
+    for key in ("annualized_return_index", "annualized_return_benchmark"):
+        if not math.isfinite(100.0 * summary[key]):
+            raise ValueError(f"{path}: {key!r} is not finite as a percentage, got {summary[key]!r}")
+    for key in ("start_date", "end_date"):
+        text = config_value(obj, key, str, path)
+        try:
+            summary[key] = date.fromisoformat(text)
+        except ValueError:
+            raise ValueError(f"{path}: {key!r} must be an ISO date, got {text!r}") from None
+    summary["trading_days"] = config_value(obj, "trading_days", int, path)
+    stats = config_value(obj, "trade_stats", dict, path)
+    where = f"{path}: 'trade_stats'"
+    summary["trade_stats"] = checked = {key: config_value(stats, key, int, where) for key in (
+        "total_trades", "single_trade_days", "max_trades_per_day")}
+    counts = config_value(stats, "trades_per_day", dict, where)
+    where += ": 'trades_per_day'"
+    for k in counts:
+        if not (k.isascii() and k.isdigit()):
+            raise ValueError(f"{where}: key {k!r} is not a decimal integer")
+    checked["trades_per_day"] = {k: config_value(counts, k, int, where) for k in counts}
+    return summary
 
 
 def _x(i: int, n: int) -> float:
     if n == 1:
         return MARGIN_LEFT + PLOT_W / 2.0
     return MARGIN_LEFT + PLOT_W * i / (n - 1)
-
-
-def _nice_ticks(lo: float, hi: float, count: int = 5) -> list[float]:
-    if hi <= lo:
-        return [lo]
-    return [lo + (hi - lo) * k / (count - 1) for k in range(count)]
 
 
 def _render_svg(data: _Inputs) -> str:
@@ -144,7 +167,7 @@ def _render_svg(data: _Inputs) -> str:
     parts.append(
         f'<rect x="{MARGIN_LEFT}" y="{MARGIN_TOP}" width="{PLOT_W}" height="{PLOT_H}" '
         f'fill="none" stroke="#444444" stroke-width="1"/>')
-    for tick in _nice_ticks(lo, hi):
+    for tick in [lo + (hi - lo) * k / 4 for k in range(5)]:
         y = y_level(tick)
         parts.append(
             f'<line x1="{MARGIN_LEFT}" y1="{y:.2f}" x2="{MARGIN_LEFT + PLOT_W}" '
@@ -194,24 +217,16 @@ def _render_svg(data: _Inputs) -> str:
     parts.append(polyline(data.index_levels, INDEX_COLOR))
 
     # legend and axis captions
-    ly = MARGIN_TOP + 16
-    lx = MARGIN_LEFT + 12
-    parts.append(
-        f'<line x1="{lx}" y1="{ly}" x2="{lx + 26}" y2="{ly}" stroke="{INDEX_COLOR}" '
-        f'stroke-width="1.8"/>')
-    parts.append(
-        f'<text x="{lx + 32}" y="{ly + 4}" font-size="12">index</text>')
-    parts.append(
-        f'<line x1="{lx}" y1="{ly + 18}" x2="{lx + 26}" y2="{ly + 18}" '
-        f'stroke="{BENCH_COLOR}" stroke-width="1.8" stroke-dasharray="6 3"/>')
-    parts.append(
-        f'<text x="{lx + 32}" y="{ly + 22}" font-size="12">benchmark</text>')
-    parts.append(
-        f'<line x1="{lx}" y1="{ly + 36}" x2="{lx + 26}" y2="{ly + 36}" '
-        f'stroke="{TRADE_COLOR}" stroke-width="2"/>')
-    parts.append(
-        f'<text x="{lx + 32}" y="{ly + 40}" font-size="12">trades per day '
-        f"(right axis)</text>")
+    lx, ly = MARGIN_LEFT + 12, MARGIN_TOP + 16
+    legend = [(INDEX_COLOR, "1.8", "", "index"), (BENCH_COLOR, "1.8", "6 3", "benchmark"),
+              (TRADE_COLOR, "2", "", "trades per day (right axis)")]
+    for k, (color, width, dash, label) in enumerate(legend):
+        y = ly + 18 * k
+        dash_attr = f' stroke-dasharray="{dash}"' if dash else ""
+        parts.append(
+            f'<line x1="{lx}" y1="{y}" x2="{lx + 26}" y2="{y}" stroke="{color}" '
+            f'stroke-width="{width}"{dash_attr}/>')
+        parts.append(f'<text x="{lx + 32}" y="{y + 4}" font-size="12">{label}</text>')
 
     summary = data.summary
     footer = (
@@ -220,7 +235,7 @@ def _render_svg(data: _Inputs) -> str:
         f"trades {summary['trade_stats']['total_trades']}")
     parts.append(
         f'<text x="{WIDTH / 2:.2f}" y="{HEIGHT - 16}" font-size="12" '
-        f'text-anchor="middle">{_escape(footer)}</text>')
+        f'text-anchor="middle">{footer}</text>')
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
 

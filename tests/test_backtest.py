@@ -281,6 +281,12 @@ class TestRunBacktest:
         with pytest.raises(ValueError, match="empty"):
             run_backtest(prices, grid({}), BacktestConfig())
 
+    def test_empty_universe_rejected(self):
+        dates = weekdays(date(2021, 3, 1), 1)
+        empty = grid({}, dates, ())
+        with pytest.raises(ValueError, match="price series has no companies"):
+            run_backtest(empty, empty, BacktestConfig(optimizer=OptimizerConfig(budget_lo=0.0, budget_hi=0.0)))
+
     @pytest.mark.parametrize("companies", [("b", "a"), ("a", "a"), ("a", "c", "b")])
     def test_companies_not_strictly_increasing_rejected(self, companies):
         dates = weekdays(date(2021, 3, 1), 2)
@@ -407,7 +413,7 @@ def backtest_case(rng: random.Random, lag: int, with_benchmark: bool):
 
 
 @pytest.mark.parametrize("with_benchmark", [False, True])
-@pytest.mark.parametrize("lag", [0, 1, 3])
+@pytest.mark.parametrize("lag", [0, 1, 3, 50])  # 50 is past every calendar drawn: each day solves on zeros
 @pytest.mark.parametrize("seed", range(6))
 def test_matches_reference_bit_for_bit(seed, lag, with_benchmark):
     rng = random.Random(seed * 10 + lag)
@@ -467,7 +473,7 @@ def test_dict_helpers_match_reference(seed):
             assert got == want and repr(got) == repr(want), fn.__name__
 
 
-@pytest.mark.parametrize("lag", [0, 1])
+@pytest.mark.parametrize("lag", [0, 1, 3, 31])  # the golden calendar has 30 dates
 def test_each_solve_calls_the_module_global(golden_run, monkeypatch, lag):
     """The day loop solves through sentindex.backtest.optimize_weights, once per solved day.
 

@@ -599,6 +599,37 @@ class TestStrictInputs:
         assert summary.endswith("after the final trading date, 1 for unknown companies"), summary
         assert out.read_bytes() == (chain_dir / "daily.csv").read_bytes()
 
+    @pytest.mark.parametrize("edit, message", [
+        ({"annualized_return_index": "x"}, "'annualized_return_index' must be a finite number, got str"),
+        ({"final_index_level": None}, "'final_index_level' must be a finite number, got None"),
+        ({"trade_stats": "x"}, "'trade_stats' must be a JSON object, got str"),
+        ({"annualized_return_index": 1e307},
+         "'annualized_return_index' is not finite as a percentage, got 1e+307"),
+        ({"end_date": ...}, "missing field 'end_date'"),  # ... drops the key
+        ({"start_date": "2021-13-01"}, "'start_date' must be an ISO date, got '2021-13-01'"),
+        ({"trading_days": 30.0}, "'trading_days' must be an integer, got 30.0"),
+        ({"trade_stats": {"total_trades": 1, "single_trade_days": 1, "max_trades_per_day": 1,
+                          "trades_per_day": {"1": True}}},
+         "'trade_stats': 'trades_per_day': '1' must be an integer, got True"),
+        ({"trade_stats": {"total_trades": 1, "single_trade_days": 1, "max_trades_per_day": 1,
+                          "trades_per_day": {"+1": 1}}},
+         "'trade_stats': 'trades_per_day': key '+1' is not a decimal integer"),
+    ], ids=["string-return", "null-level", "string-stats", "percent-overflow", "missing-date", "bad-date",
+            "float-count", "bool-count", "signed-key"])
+    def test_bad_summary_exits_one(self, tmp_path, golden_dir, capsys, edit, message):
+        """A summary.json field that the report prints is checked: exit 1, the file and key named, no file."""
+        run_dir = tmp_path / "run"
+        run_dir.mkdir()
+        for name in ("levels.csv", "trades.csv"):
+            (run_dir / name).write_bytes((golden_dir / f"expected_{name}").read_bytes())
+        summary = {**json.loads((golden_dir / "expected_summary.json").read_text()), **edit}
+        (run_dir / "summary.json").write_text(json.dumps({k: v for k, v in summary.items() if v is not ...}))
+        capsys.readouterr()
+        assert run(["report", "--in", run_dir, "--out", tmp_path / "out"]) == 1
+        err = capsys.readouterr().err
+        assert err == f"sentindex report: {run_dir / 'summary.json'}: {message}\n"
+        assert not (tmp_path / "out").exists()
+
 
 class Huge(int):
     """An integer of more digits than int() turns into text or back by default; only its repr is short."""
@@ -711,6 +742,7 @@ def csv_st(text: str):
 CONFIGS = {name: json.loads((GOLDEN / name).read_text())
            for name in ("filter_config.json", "aggregation_config.json", "backtest_config.json")}
 CONFIGS["optimizer.json"] = CONFIGS["backtest_config.json"]["optimizer"]
+SUMMARY = json.loads((GOLDEN / "expected_summary.json").read_text())
 number_st = st.one_of(
     st.sampled_from([-1, 0, -0.0, 1, 2, 0.5, 0.999, 1e-300, 5e-324, 1e308, -1e308, 1.7976931348623157e308,
                      2**63, 10**30, 10**400, HUGE]),
@@ -757,22 +789,29 @@ def _assert_finite(path: Path) -> None:
                        parse_float=lambda x: math.isfinite(float(x)) or pytest.fail(f"{x} in {path.name}"))
 
 
+VALID_CONFIGS = {name: json.dumps(base) for name, base in CONFIGS.items()}
+
+
 @settings(max_examples=80, deadline=None)
 # an hour too large for datetime.time raised OverflowError, which the CLI let through as a traceback
-@example(articles="", prescored="", scored="", csvs=CSV_INPUTS,
-         configs={**{name: json.dumps(base) for name, base in CONFIGS.items()}, "aggregation_config.json":
+@example(articles="", prescored="", scored="", csvs=CSV_INPUTS, summary=json.dumps(SUMMARY),
+         configs={**VALID_CONFIGS, "aggregation_config.json":
                   json.dumps({**CONFIGS["aggregation_config.json"], "cutoff_local_time": "99999999999999999999:00"})})
+# report multiplied a string return by 100.0 and died with a TypeError traceback
+@example(articles="", prescored="", scored="", csvs=CSV_INPUTS, configs=VALID_CONFIGS,
+         summary=json.dumps({**SUMMARY, "annualized_return_index": "x"}))
 @given(articles=lines_st(ARTICLE), prescored=lines_st(PRESCORED), scored=lines_st(SCORED),
        csvs=st.fixed_dictionaries({name: csv_st(text) for name, text in CSV_INPUTS.items()}),
-       configs=st.fixed_dictionaries({name: config_st(base) for name, base in CONFIGS.items()}))
-def test_fuzzed_inputs_exit_zero_or_one(articles, prescored, scored, csvs, configs):
+       configs=st.fixed_dictionaries({name: config_st(base) for name, base in CONFIGS.items()}),
+       summary=config_st(SUMMARY))
+def test_fuzzed_inputs_exit_zero_or_one(articles, prescored, scored, csvs, configs, summary):
     g = GOLDEN
     with tempfile.TemporaryDirectory() as tmp:
         d, out = Path(tmp) / "in", Path(tmp) / "out"
         (d / "run").mkdir(parents=True)
         out.mkdir()
         inputs = {"articles.jsonl": articles, "prescored.jsonl": prescored, "scored.jsonl": scored,
-                  **csvs, **configs, "run/summary.json": (g / "expected_summary.json").read_text()}
+                  **csvs, **configs, "run/summary.json": summary}
         for name, text in inputs.items():
             (d / name).write_text(text, encoding="utf-8")
         aggregate = ["--prices", g / "prices.csv", "--config", d / "aggregation_config.json"]
