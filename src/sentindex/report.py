@@ -10,6 +10,7 @@ locale, or dict iteration order.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from collections.abc import Callable
 from datetime import date
 from pathlib import Path
@@ -22,9 +23,9 @@ MARGIN_LEFT, MARGIN_RIGHT, MARGIN_TOP, MARGIN_BOTTOM = 74, 74, 56, 64
 PLOT_W = WIDTH - MARGIN_LEFT - MARGIN_RIGHT
 PLOT_H = HEIGHT - MARGIN_TOP - MARGIN_BOTTOM
 
-INDEX_COLOR = "#1f6fb2"
-BENCH_COLOR = "#b2701f"
-TRADE_COLOR = "#8a97a5"
+# the index, the benchmark and the trades: stroke color, width and dash, and legend label
+STYLES = (("#1f6fb2", "1.8", "", "index"), ("#b2701f", "1.8", "6 3", "benchmark"),
+          ("#8a97a5", "2", "", "trades per day (right axis)"))
 TITLE = "Sentiment index vs benchmark"
 
 
@@ -47,7 +48,7 @@ class _Inputs(NamedTuple):
     index_levels: list[float]
     bench_levels: list[float]
     trades_per_day: dict[date, int]
-    summary: dict
+    table: dict[str, str]  # report.csv's rows, metric -> value
 
 
 def _read_inputs(input_dir: Path) -> _Inputs:
@@ -93,39 +94,52 @@ def _read_inputs(input_dir: Path) -> _Inputs:
     return _Inputs(dates, index_levels, bench_levels, trades_per_day, _read_summary(summary_path))
 
 
-def _read_summary(path: Path) -> dict:
-    """The fields of summary.json that the report prints, checked; other keys are ignored.
+# summary.json's top-level fields in report.csv's order: key, kind and format. A "pct" field is a
+# return, printed times 100 as <key>_pct; the trade_stats counts follow them.
+_FIELDS = (("start_date", date, ""), ("end_date", date, ""), ("trading_days", int, ""),
+           ("final_index_level", float, ".2f"), ("final_benchmark_level", float, ".2f"),
+           ("annualized_return_index", "pct", ".2f"), ("annualized_return_benchmark", "pct", ".2f"),
+           ("total_transaction_cost", float, ".6f"))
+
+
+def _read_summary(path: Path) -> dict[str, str]:
+    """report.csv's table (metric -> printed value) from summary.json, whose other keys are ignored.
 
     Levels, returns and the cost are finite numbers (a return still finite
     as a percentage), the counts integers, the two dates ISO dates and
     trade_stats an object, whose trades_per_day maps decimal integers to
-    counts. A missing or bad field raises ValueError naming the file and the key.
+    counts. A missing or bad field raises ValueError naming the file and the
+    key; of several, the first in table order. A date prints as parsed.
     """
     obj = load_json_object(path)
-    summary = {key: config_value(obj, key, float, path) for key in (
-        "final_index_level", "final_benchmark_level", "total_transaction_cost",
-        "annualized_return_index", "annualized_return_benchmark")}
-    for key in ("annualized_return_index", "annualized_return_benchmark"):
-        if not math.isfinite(100.0 * summary[key]):
-            raise ValueError(f"{path}: {key!r} is not finite as a percentage, got {summary[key]!r}")
-    for key in ("start_date", "end_date"):
-        text = config_value(obj, key, str, path)
-        try:
-            summary[key] = date.fromisoformat(text)
-        except ValueError:
-            raise ValueError(f"{path}: {key!r} must be an ISO date, got {text!r}") from None
-    summary["trading_days"] = config_value(obj, "trading_days", int, path)
+    table = {}
+    for key, kind, spec in _FIELDS:
+        if kind is date:
+            text = config_value(obj, key, str, path)
+            try:
+                value = date.fromisoformat(text)
+            except ValueError:
+                raise ValueError(f"{path}: {key!r} must be an ISO date, got {text!r}") from None
+        elif kind == "pct":
+            value = 100.0 * (got := config_value(obj, key, float, path))
+            if not math.isfinite(value):
+                raise ValueError(f"{path}: {key!r} is not finite as a percentage, got {got!r}")
+            key += "_pct"
+        else:
+            value = config_value(obj, key, kind, path)
+        table[key] = format(value, spec)
     stats = config_value(obj, "trade_stats", dict, path)
     where = f"{path}: 'trade_stats'"
-    summary["trade_stats"] = checked = {key: config_value(stats, key, int, where) for key in (
-        "total_trades", "single_trade_days", "max_trades_per_day")}
+    for key in ("total_trades", "single_trade_days", "max_trades_per_day"):
+        table[key] = str(config_value(stats, key, int, where))
     counts = config_value(stats, "trades_per_day", dict, where)
     where += ": 'trades_per_day'"
     for k in counts:
         if not (k.isascii() and k.isdigit()):
             raise ValueError(f"{where}: key {k!r} is not a decimal integer")
-    checked["trades_per_day"] = {k: config_value(counts, k, int, where) for k in counts}
-    return summary
+    for k in sorted(counts, key=int):
+        table[f"days_with_{k}_trades"] = str(config_value(counts, k, int, where))
+    return table
 
 
 def _x(i: int, n: int) -> float:
@@ -153,6 +167,11 @@ def _render_svg(data: _Inputs) -> str:
 
     def y_trades(k: float) -> float:
         return MARGIN_TOP + PLOT_H * (1.0 - k / max_trades)
+
+    # the stroke attributes of each of STYLES, built once
+    index_stroke, bench_stroke, trade_stroke = strokes = [
+        f'stroke="{color}" stroke-width="{width}"' + (f' stroke-dasharray="{dash}"' if dash else "")
+        for color, width, dash, _ in STYLES]
 
     parts: list[str] = []
     parts.append(
@@ -183,7 +202,7 @@ def _render_svg(data: _Inputs) -> str:
         y = y_trades(k)
         parts.append(
             f'<text x="{MARGIN_LEFT + PLOT_W + 8}" y="{y + 4:.2f}" font-size="11" '
-            f'text-anchor="start" fill="{TRADE_COLOR}">{k}</text>')
+            f'text-anchor="start" fill="{STYLES[2][0]}">{k}</text>')
 
     # x labels: first, last, and up to three evenly spaced dates between
     label_idx = sorted({0, n - 1, n // 4, n // 2, (3 * n) // 4})
@@ -204,60 +223,26 @@ def _render_svg(data: _Inputs) -> str:
         x = _x(i, n)
         parts.append(
             f'<line x1="{x:.2f}" y1="{y_trades(0):.2f}" x2="{x:.2f}" '
-            f'y2="{y_trades(k):.2f}" stroke="{TRADE_COLOR}" stroke-width="2"/>')
+            f'y2="{y_trades(k):.2f}" {trade_stroke}/>')
 
-    def polyline(values: list[float], color: str, dash: str = "") -> str:
-        points = " ".join(
-            f"{_x(i, n):.2f},{y_level(v):.2f}" for i, v in enumerate(values))
-        dash_attr = f' stroke-dasharray="{dash}"' if dash else ""
-        return (f'<polyline points="{points}" fill="none" stroke="{color}" '
-                f'stroke-width="1.8"{dash_attr}/>')
-
-    parts.append(polyline(data.bench_levels, BENCH_COLOR, dash="6 3"))
-    parts.append(polyline(data.index_levels, INDEX_COLOR))
+    for values, stroke in ((data.bench_levels, bench_stroke), (data.index_levels, index_stroke)):
+        points = " ".join(f"{_x(i, n):.2f},{y_level(v):.2f}" for i, v in enumerate(values))
+        parts.append(f'<polyline points="{points}" fill="none" {stroke}/>')
 
     # legend and axis captions
     lx, ly = MARGIN_LEFT + 12, MARGIN_TOP + 16
-    legend = [(INDEX_COLOR, "1.8", "", "index"), (BENCH_COLOR, "1.8", "6 3", "benchmark"),
-              (TRADE_COLOR, "2", "", "trades per day (right axis)")]
-    for k, (color, width, dash, label) in enumerate(legend):
+    for k, (stroke, style) in enumerate(zip(strokes, STYLES)):
         y = ly + 18 * k
-        dash_attr = f' stroke-dasharray="{dash}"' if dash else ""
-        parts.append(
-            f'<line x1="{lx}" y1="{y}" x2="{lx + 26}" y2="{y}" stroke="{color}" '
-            f'stroke-width="{width}"{dash_attr}/>')
-        parts.append(f'<text x="{lx + 32}" y="{y + 4}" font-size="12">{label}</text>')
+        parts.append(f'<line x1="{lx}" y1="{y}" x2="{lx + 26}" y2="{y}" {stroke}/>')
+        parts.append(f'<text x="{lx + 32}" y="{y + 4}" font-size="12">{style[3]}</text>')
 
-    summary = data.summary
-    footer = (
-        f"annualized index {100.0 * summary['annualized_return_index']:.2f}%  |  "
-        f"annualized benchmark {100.0 * summary['annualized_return_benchmark']:.2f}%  |  "
-        f"trades {summary['trade_stats']['total_trades']}")
+    footer = (f"annualized index {data.table['annualized_return_index_pct']}%  |  annualized benchmark "
+              f"{data.table['annualized_return_benchmark_pct']}%  |  trades {data.table['total_trades']}")
     parts.append(
         f'<text x="{WIDTH / 2:.2f}" y="{HEIGHT - 16}" font-size="12" '
         f'text-anchor="middle">{footer}</text>')
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
-
-
-def _render_summary_csv(summary: dict) -> str:
-    stats = summary["trade_stats"]
-    lines = ["metric,value"]
-    lines.append(f"start_date,{summary['start_date']}")
-    lines.append(f"end_date,{summary['end_date']}")
-    lines.append(f"trading_days,{summary['trading_days']}")
-    lines.append(f"final_index_level,{summary['final_index_level']:.2f}")
-    lines.append(f"final_benchmark_level,{summary['final_benchmark_level']:.2f}")
-    lines.append(f"annualized_return_index_pct,{100.0 * summary['annualized_return_index']:.2f}")
-    lines.append(
-        f"annualized_return_benchmark_pct,{100.0 * summary['annualized_return_benchmark']:.2f}")
-    lines.append(f"total_transaction_cost,{summary['total_transaction_cost']:.6f}")
-    lines.append(f"total_trades,{stats['total_trades']}")
-    lines.append(f"single_trade_days,{stats['single_trade_days']}")
-    lines.append(f"max_trades_per_day,{stats['max_trades_per_day']}")
-    for k in sorted(stats["trades_per_day"], key=int):
-        lines.append(f"days_with_{k}_trades,{stats['trades_per_day'][k]}")
-    return "\n".join(lines) + "\n"
 
 
 def render_report(spec: ReportSpec) -> list[Path]:
@@ -267,23 +252,19 @@ def render_report(spec: ReportSpec) -> list[Path]:
     the full run recorded in summary.json.
     """
     data = _read_inputs(Path(spec.input_dir))
-    if spec.date_from or spec.date_to:
-        keep = [
-            i for i, d in enumerate(data.dates)
-            if (spec.date_from is None or d >= spec.date_from)
-            and (spec.date_to is None or d <= spec.date_to)
-        ]
-        if not keep:
-            raise ValueError("date filter excludes every row")
-        data = data._replace(  # trades_per_day is read only for the kept dates
-            dates=[data.dates[i] for i in keep], index_levels=[data.index_levels[i] for i in keep],
-            bench_levels=[data.bench_levels[i] for i in keep])
+    dates = data.dates  # strictly increasing, as _read_inputs checks
+    window = slice(0 if spec.date_from is None else bisect_left(dates, spec.date_from),
+                   len(dates) if spec.date_to is None else bisect_right(dates, spec.date_to))
+    if not dates[window]:
+        raise ValueError("date filter excludes every row")
+    data = data._replace(  # trades_per_day is read only for the dates in the window
+        dates=dates[window], index_levels=data.index_levels[window], bench_levels=data.bench_levels[window])
 
     texts = {}  # all rendered before any is written, so that a failure writes nothing
     if "svg" in spec.formats:
         texts["report.svg"] = _render_svg(data)
     if "csv" in spec.formats:
-        texts["report.csv"] = _render_summary_csv(data.summary)
+        texts["report.csv"] = "metric,value\n" + "".join(f"{k},{v}\n" for k, v in data.table.items())
     out_dir = Path(spec.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     for name, text in texts.items():
