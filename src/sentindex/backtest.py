@@ -127,7 +127,9 @@ def run_backtest(
     date i into date i+1 are solved on the sentiment row of date i+1-lag: on
     a zero row while that date comes before the first date, and not at all
     past the last date (lag 0's final date), where the drifted weights are
-    held. The benchmark is a supplied level series renormalized to the
+    held. A day whose costs take the level to zero or below raises
+    ValueError naming the date. The benchmark is a supplied level series,
+    finite and positive on every date of prices, renormalized to the
     initial level, or an equal-weight daily-rebalanced costless basket when
     absent.
     """
@@ -150,8 +152,8 @@ def run_backtest(
         for d in dates:
             if d not in benchmark:
                 raise ValueError(f"benchmark series lacks {d}")
-        if benchmark[dates[0]] <= 0:
-            raise ValueError("benchmark must start positive")
+            if not 0.0 < benchmark[d] < math.inf:  # also false for nan, as in load_benchmark_levels
+                raise ValueError(f"benchmark level {benchmark[d]!r} for {d} is not finite and positive")
 
     closes = prices.rows
     weights = [0.0] * n
@@ -171,7 +173,10 @@ def run_backtest(
         weights = [target[k] for k in companies]
         moves = [w_k - d_k for w_k, d_k in zip(weights, drifted_w)]
         cost = _cost(moves, cfg.tc_rate)
-        level *= 1.0 + r_gross - cost
+        growth = 1.0 + r_gross - cost
+        if growth <= 0.0:  # costs can wipe out what _drift let through
+            raise ValueError(f"portfolio wiped out on {d}: gross return {r_gross!r}, cost {cost!r}")
+        level *= growth
 
         if benchmark is not None:
             bench_level = cfg.initial_level * benchmark[d] / benchmark[dates[0]]

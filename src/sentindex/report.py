@@ -168,7 +168,6 @@ def _render_svg(data: _Inputs) -> str:
     def y_trades(k: float) -> float:
         return MARGIN_TOP + PLOT_H * (1.0 - k / max_trades)
 
-    # the stroke attributes of each of STYLES, built once
     index_stroke, bench_stroke, trade_stroke = strokes = [
         f'stroke="{color}" stroke-width="{width}"' + (f' stroke-dasharray="{dash}"' if dash else "")
         for color, width, dash, _ in STYLES]

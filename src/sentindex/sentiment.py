@@ -82,12 +82,21 @@ class PrescoredProvider:
 
     @classmethod
     def from_file(cls, path: str | Path) -> "PrescoredProvider":
-        """Read id and the three probabilities per line; a repeated id raises ValueError."""
+        """Read id and the three probabilities per line.
+
+        A repeated id, or probabilities outside [0, 1] or not summing to 1,
+        raises ValueError naming the file and the line, whether or not any
+        article asks for that id.
+        """
         table = {}
         for lineno, (aid, n, u, p) in _records(path, *PRESCORED_FIELDS):
             if aid in table:
                 raise ValueError(f"{path}: line {lineno}: duplicate id {aid!r}")
-            table[aid] = ClassProbabilities(n, u, p)
+            probs = table[aid] = ClassProbabilities(n, u, p)
+            try:
+                _validate(probs)
+            except ValueError as exc:
+                raise ValueError(f"{path}: line {lineno}: {exc}") from None
         return cls(table)
 
     def probabilities(self, article: NewsArticle) -> ClassProbabilities:

@@ -30,7 +30,7 @@ from sentindex.backtest import (
     trade_statistics,
     write_backtest_outputs,
 )
-from sentindex.grids import load_prices
+from sentindex.grids import Grid, load_prices
 from sentindex.optimizer import OptimizerConfig, extract_trades
 
 
@@ -141,6 +141,11 @@ class TestAnnualizedReturn:
         with pytest.raises(ValueError):
             annualized_return([100.0], [date(2020, 1, 1)])
 
+    @pytest.mark.parametrize("end", [date(2020, 1, 1), date(2019, 12, 31)])
+    def test_requires_positive_span(self, end):
+        with pytest.raises(ValueError, match="date span must be positive"):
+            annualized_return([100.0, 110.0], [date(2020, 1, 1), end])
+
 
 class TestTradeStatistics:
     @staticmethod
@@ -244,6 +249,39 @@ class TestRunBacktest:
         result = run_backtest(prices, grid(sentiments), cfg, benchmark=benchmark)
         assert result.days[0].benchmark_level == pytest.approx(100.0)
         assert result.days[1].benchmark_level == pytest.approx(100.0 * 5100.0 / 5000.0)
+
+    @pytest.mark.parametrize("day, level", [(2, -5.0), (2, 0.0), (2, math.inf), (2, math.nan), (0, 0.0)])
+    def test_supplied_benchmark_checked_on_every_date(self, day, level):
+        dates = weekdays(date(2021, 3, 1), 3)
+        prices = make_prices(["a", "b"], {d: [10.0, 20.0] for d in dates})
+        sentiments = {(c, d): 0.0 for c in ("a", "b") for d in dates}
+        benchmark = {d: 5000.0 + 100.0 * i for i, d in enumerate(dates)}
+        benchmark[dates[day]] = level
+        cfg = BacktestConfig(optimizer=OptimizerConfig(cap=0.6, budget_lo=0.9, budget_hi=0.95))
+        message = f"benchmark level {level!r} for {dates[day]} is not finite and positive"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            run_backtest(prices, grid(sentiments), cfg, benchmark=benchmark)
+
+    def test_costs_that_wipe_out_the_portfolio_raise(self):
+        """A day whose costs exceed 1 plus its gross return raises instead of taking the level below zero."""
+        companies = ["a", "b"]
+        dates = weekdays(date(2021, 3, 1), 6)
+        prices = make_prices(companies, {d: [100.0, 100.0] for d in dates})
+        # the signal swaps every day, so the whole book turns over at a 90 % cost rate
+        sentiments = {(c, d): 1.0 if (i + j) % 2 == 0 else -1.0
+                      for i, d in enumerate(dates) for j, c in enumerate(companies)}
+        cfg = BacktestConfig(tc_rate=0.9, signal_lag_days=0, optimizer=OptimizerConfig(
+            delta=0.0, cap=1.0, budget_lo=0.99, budget_hi=0.999))
+        with pytest.raises(ValueError, match=re.escape(
+                f"portfolio wiped out on {dates[1]}: gross return 0.0, cost 1.7982")):
+            run_backtest(prices, grid(sentiments), cfg)
+
+    @pytest.mark.parametrize("rows", [[[10.0, 20.0]], [[10.0, 20.0], [10.0]]], ids=["one-row", "short-row"])
+    def test_price_grid_of_wrong_shape_rejected(self, rows):
+        dates = tuple(weekdays(date(2021, 3, 1), 2))
+        sentiments = {(c, d): 0.0 for c in ("a", "b") for d in dates}
+        with pytest.raises(ValueError, match=re.escape("price series needs 2 rows of 2 closes")):
+            run_backtest(Grid(dates, ("a", "b"), rows), grid(sentiments), BacktestConfig())
 
     def test_missing_sentiment_named(self):
         companies = ["a", "b"]

@@ -91,6 +91,21 @@ class TestPipelineChain:
         assert run(["report", "--in", out, "--out", rep]) == 0
         assert (rep / "report.svg").is_file() and (rep / "report.csv").is_file()
 
+    def test_chain_on_one_date(self, chain_dir, golden_dir):
+        """Cut to its first date, the chain still runs, and each series is one point mid-chart."""
+        header, *rows = (golden_dir / "prices.csv").read_text().splitlines()
+        first = rows[0].split(",")[0]
+        prices = chain_dir / "prices1.csv"
+        prices.write_text("\n".join([header, *(row for row in rows if row.startswith(first + ","))]) + "\n")
+        assert run(["aggregate", "--scored", chain_dir / "scored.jsonl", "--prices", prices, "--config",
+                    golden_dir / "aggregation_config.json", "--out", chain_dir / "daily1.csv"]) == 0
+        assert run(["backtest", "--prices", prices, "--sentiments", chain_dir / "daily1.csv",
+                    "--config", golden_dir / "backtest_config.json", "--out", chain_dir / "bt1"]) == 0
+        assert json.loads((chain_dir / "bt1" / "summary.json").read_text())["trading_days"] == 1
+        assert run(["report", "--in", chain_dir / "bt1", "--out", chain_dir / "rep1"]) == 0
+        points = re.findall(r'<polyline points="([^"]*)"', (chain_dir / "rep1" / "report.svg").read_text())
+        assert len(points) == 2 and all(re.fullmatch(r"480\.00,[\d.]+", p) for p in points), points
+
 
 class TestOptimizeCommand:
     def test_one_shot_solve(self, tmp_path):
@@ -142,6 +157,25 @@ class TestErrorHandling:
             assert "Traceback" not in err and message in err
             assert not out.exists()
 
+    def test_costs_that_wipe_out_the_portfolio_exit_one(self, tmp_path, capsys):
+        """A day whose costs take the level to zero or below exits 1 and writes nothing."""
+        dates = ["2021-03-01", "2021-03-02", "2021-03-03", "2021-03-04", "2021-03-05", "2021-03-08"]
+        (tmp_path / "prices.csv").write_text(
+            "date,company,close\n" + "".join(f"{d},{c},100.0\n" for d in dates for c in "ab"))
+        # the signal swaps every day, so the whole book turns over at a 90 % cost rate
+        (tmp_path / "daily.csv").write_text("date,company,adjusted\n" + "".join(
+            f"{d},{c},{1.0 if (i + j) % 2 == 0 else -1.0}\n"
+            for i, d in enumerate(dates) for j, c in enumerate("ab")))
+        (tmp_path / "config.json").write_text(json.dumps({"tc_rate": 0.9, "signal_lag_days": 0, "optimizer": {
+            "delta": 0.0, "cap": 1.0, "budget_lo": 0.99, "budget_hi": 0.999}}))
+        out = tmp_path / "bt"
+        code = run(["backtest", "--prices", tmp_path / "prices.csv", "--sentiments", tmp_path / "daily.csv",
+                    "--config", tmp_path / "config.json", "--out", out])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err == "sentindex backtest: portfolio wiped out on 2021-03-02: gross return 0.0, cost 1.7982\n"
+        assert not out.exists()
+
     def test_non_finite_sentiment_on_last_date_exits_one(self, chain_dir, golden_dir, capsys):
         # no solve reads the last date's signal at lag 1, so only the loader can catch it
         daily = chain_dir / "daily.csv"
@@ -176,7 +210,8 @@ class TestErrorHandling:
         (lambda rows: rows[:2] + ["2021-01-01,nan"] + rows[2:], "line 3: benchmark level nan for 2021-01-01"),
         (lambda rows: rows[:3] + ["2021-01-01,0.0"] + rows[3:], "line 4: benchmark level 0.0 for 2021-01-01"),
         (lambda rows: rows + [rows[1]], "duplicate benchmark row for"),
-    ], ids=["nan", "zero", "duplicate"])
+        (lambda rows: rows[:2] + rows[3:], "benchmark series lacks 2021-03-02"),
+    ], ids=["nan", "zero", "duplicate", "lacking"])
     def test_bad_benchmark_exits_one(self, chain_dir, golden_dir, capsys, edit, message):
         dates = sorted({line.split(",")[0] for line in
                         (golden_dir / "prices.csv").read_text().splitlines()[1:]})
@@ -294,6 +329,25 @@ class TestPrescoredProviderPath:
         assert code == 1
         err = capsys.readouterr().err
         assert "Traceback" not in err and f"{prescored}: line 2: duplicate id 'a1'" in err
+        assert not out.exists()
+
+    def test_bad_probabilities_exit_one_naming_file_and_line(self, tmp_path, capsys):
+        """A bad row fails score even when no article asks for its id."""
+        articles = tmp_path / "a.jsonl"
+        articles.write_text(json.dumps({
+            "id": "a1", "company_id": "puma", "source": "wire",
+            "published_at": "2021-03-01T10:00:00+01:00",
+            "headline": "puma meldet zahlen", "language": "de"}) + "\n")
+        prescored = tmp_path / "p.jsonl"
+        prescored.write_text("".join(json.dumps(row) + "\n" for row in (
+            {"id": "a1", "p_negative": 0.7, "p_neutral": 0.2, "p_positive": 0.1},
+            {"id": "filtered-out", "p_negative": 0.2, "p_neutral": 0.3, "p_positive": 0.4})))
+        out = tmp_path / "scored.jsonl"
+        code = run(["score", "--articles", articles, "--provider", "prescored",
+                    "--provider-file", prescored, "--out", out])
+        assert code == 1
+        assert capsys.readouterr().err == (f"sentindex score: {prescored}: line 2: class probabilities "
+                                           "sum to 0.9, not 1: (0.2, 0.3, 0.4)\n")
         assert not out.exists()
 
     def test_expectation_mode_flag(self, tmp_path):
@@ -525,6 +579,7 @@ class TestStrictInputs:
             ("date", "line 4: month must be in 1..12"),
             ("number", "line 4: could not convert string to float: 'abc'"),
             ("header", "{what} CSV lacks a"),
+            ("empty", "no data rows" if target == "levels" else "{what} CSV contains no rows"),
             ("utf8", "line 4: 'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"),
             # line 4 repeats line 3, whose fields fill the message
             ("repeat", "line 4: " + {"prices": "duplicate price row for ({1}, {0})",
@@ -534,6 +589,8 @@ class TestStrictInputs:
                                      "weights": "duplicate row for {0}"}[target]),
         )
         if (target, defect) != ("weights", "date")  # a weights row has no date
+        # an empty benchmark lacks the first date, and the optimizer reads no empty grid
+        and (defect != "empty" or target in ("prices", "sentiments", "levels"))
     ])
     def test_malformed_csv_row_names_file_and_line(self, chain_dir, golden_dir, capsys,
                                                     target, defect, message):
@@ -546,9 +603,11 @@ class TestStrictInputs:
             "levels": (golden_dir / "expected_levels.csv").read_text().splitlines(),
             "weights": ["company,sentiment", "alpha,0.8", "beta,0.4", "gamma,-0.2", "delta,0.1"],
         }
-        lineno = 0 if defect == "header" else 3
+        lineno = 0 if defect in ("header", "empty") else 3
         fields = files[target][lineno].split(",")
-        if defect == "short":
+        if defect == "empty":
+            del files[target][1:]
+        elif defect == "short":
             fields.pop()
         elif defect == "date":
             fields[0] = "2021-13-05"
@@ -556,7 +615,7 @@ class TestStrictInputs:
             fields[0] = "\udcff" + fields[0]  # written as the byte 0xff
         elif defect == "repeat":
             fields = files[target][lineno - 1].split(",")
-        else:
+        elif defect != "empty":
             fields[-1] = "abc"
         files[target][lineno] = ",".join(fields)
         paths = {name: chain_dir / f"{name}.csv" for name in files}

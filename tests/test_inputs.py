@@ -88,15 +88,18 @@ def test_default_list_or_dict_is_not_shared(build, name):
 @pytest.mark.parametrize("cls, good, bad, message", [
     (OptimizerConfig, {}, {"cap": 1.5}, "cap must be in (0, 1], got 1.5"),
     (BacktestConfig, {}, {"signal_lag_days": -1}, "signal_lag_days must be >= 0, got -1"),
+    (BacktestConfig, {}, {"initial_level": 0.0}, "initial_level must be positive, got 0.0"),
     (AggregationConfig, {}, {"adjustment_history": "weekly"},
      "adjustment_history must be one of ('nonzero_days', 'all_days'), got 'weekly'"),
     (TradingCalendar, {"dates": (date(2021, 3, 1), date(2021, 3, 2))},
      {"dates": (date(2021, 3, 2), date(2021, 3, 1))}, "trading dates must be strictly increasing"),
+    (TradingCalendar, {"dates": (date(2021, 3, 1),)}, {"dates": ()}, "calendar has no trading dates"),
     (FilterConfig, {}, {"auto_generated_phrases": ("Auto",)},
      "auto-generated phrase 'Auto' must be lower case and not empty"),
     (ReportSpec, {"input_dir": Path("in"), "output_dir": Path("out")}, {"formats": ("svg", "pdf")},
      "unknown report formats: ['pdf']"),
-], ids=["optimizer", "backtest", "aggregation", "calendar", "filter", "report"])
+], ids=["optimizer", "backtest", "backtest-level", "aggregation", "calendar", "empty-calendar", "filter",
+        "report"])
 def test_config_is_checked_on_every_construction(cls, good, bad, message):
     config = cls(**good)
     assert copy.deepcopy(config) == config._replace() == config

@@ -39,3 +39,19 @@ def test_optimize_example_runs_through_the_cli(tmp_path, monkeypatch):
         else:
             assert main(argv[1:]) == 0
     assert Path("weights.csv").read_text(encoding="utf-8") == "company,weight\nalpha,0.5\nbeta,0.4\ngamma,0.0\n"
+
+
+def test_walkthrough_matches_the_golden_files(tmp_path, monkeypatch):
+    """Each sentindex line of the walkthrough runs as cli.main, with $G the fixture; its two claims hold."""
+    [block] = [b for b in blocks("sh") if "sentindex report" in b]
+    lines = [line for line in block.replace("\\\n", " ").splitlines() if line.strip()]
+    assert lines[0] == "G=tests/golden"
+    golden = ROOT / "tests" / "golden"
+    monkeypatch.chdir(tmp_path)
+    commands = [shlex.split(line.replace("$G", str(golden))) for line in lines[1:]]
+    assert [argv[:2] for argv in commands] == [
+        ["sentindex", name] for name in ("filter", "score", "aggregate", "backtest", "report")]
+    for argv in commands:
+        assert main(argv[1:]) == 0, argv
+    assert Path("daily.csv").read_bytes() == (golden / "expected_daily_sentiment.csv").read_bytes()
+    assert Path("report/report.svg").read_bytes() == (golden / "expected_report.svg").read_bytes()

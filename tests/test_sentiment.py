@@ -320,7 +320,12 @@ class TestScoredFiles:
          "line 2: 'p_neutral' must be a finite number, got nan"),
         (json.dumps({"id": "a1", "p_negative": 0.3, "p_neutral": 0.2, "p_positive": 0.5}),
          "line 2: duplicate id 'a1'"),
-    ], ids=["list", "missing", "int-id", "null-probability", "nan-probability", "repeated-id"])
+        (json.dumps({"id": "a2", "p_negative": 0.2, "p_neutral": 0.3, "p_positive": 0.4}),
+         "line 2: class probabilities sum to 0.9, not 1: (0.2, 0.3, 0.4)"),
+        (json.dumps({"id": "a2", "p_negative": -0.5, "p_neutral": 0.5, "p_positive": 1.0}),
+         "line 2: class probabilities outside [0, 1]: (-0.5, 0.5, 1.0)"),
+    ], ids=["list", "missing", "int-id", "null-probability", "nan-probability", "repeated-id", "bad-sum",
+            "outside-unit"])
     def test_prescored_rejects_naming_file_line_and_field(self, tmp_path, line, message):
         path = tmp_path / "prescored.jsonl"
         self.write(path, [json.dumps({"id": "a1", "p_negative": 0.1, "p_neutral": 0.2, "p_positive": 0.7}),
