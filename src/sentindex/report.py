@@ -230,10 +230,10 @@ def _render_svg(data: _Inputs) -> str:
 
     # legend and axis captions
     lx, ly = MARGIN_LEFT + 12, MARGIN_TOP + 16
-    for k, (stroke, style) in enumerate(zip(strokes, STYLES)):
+    for k, (stroke, (*_, label)) in enumerate(zip(strokes, STYLES)):
         y = ly + 18 * k
         parts.append(f'<line x1="{lx}" y1="{y}" x2="{lx + 26}" y2="{y}" {stroke}/>')
-        parts.append(f'<text x="{lx + 32}" y="{y + 4}" font-size="12">{style[3]}</text>')
+        parts.append(f'<text x="{lx + 32}" y="{y + 4}" font-size="12">{label}</text>')
 
     footer = (f"annualized index {data.table['annualized_return_index_pct']}%  |  annualized benchmark "
               f"{data.table['annualized_return_benchmark_pct']}%  |  trades {data.table['total_trades']}")

@@ -673,8 +673,10 @@ class TestStrictInputs:
         ({"trade_stats": {"total_trades": 1, "single_trade_days": 1, "max_trades_per_day": 1,
                           "trades_per_day": {"+1": 1}}},
          "'trade_stats': 'trades_per_day': key '+1' is not a decimal integer"),
+        # of several bad fields, the first in report.csv's order is named
+        ({"final_index_level": None, "trading_days": 1.5}, "'trading_days' must be an integer, got 1.5"),
     ], ids=["string-return", "null-level", "string-stats", "percent-overflow", "missing-date", "bad-date",
-            "float-count", "bool-count", "signed-key"])
+            "float-count", "bool-count", "signed-key", "two-bad-fields"])
     def test_bad_summary_exits_one(self, tmp_path, golden_dir, capsys, edit, message):
         """A summary.json field that the report prints is checked: exit 1, the file and key named, no file."""
         run_dir = tmp_path / "run"
