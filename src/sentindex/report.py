@@ -128,12 +128,12 @@ def _read_summary(path: Path) -> dict[str, str]:
         else:
             value = config_value(obj, key, kind, path)
         table[key] = format(value, spec)
-    stats = config_value(obj, "trade_stats", dict, path)
-    where = f"{path}: 'trade_stats'"
+    key = "trade_stats"
+    stats, where = config_value(obj, key, dict, path), f"{path}: {key!r}"
     for key in ("total_trades", "single_trade_days", "max_trades_per_day"):
         table[key] = str(config_value(stats, key, int, where))
-    counts = config_value(stats, "trades_per_day", dict, where)
-    where += ": 'trades_per_day'"
+    key = "trades_per_day"
+    counts, where = config_value(stats, key, dict, where), f"{where}: {key!r}"
     for k in counts:
         if not (k.isascii() and k.isdigit()):
             raise ValueError(f"{where}: key {k!r} is not a decimal integer")
