@@ -92,8 +92,11 @@ def effective_trading_date(
     time advances to the next calendar day; the result then rolls forward to
     the first trading date on or after it. Before-range timestamps land on the
     first trading date with a diagnostic; after-range ones return (None,
-    diagnostic) and must be dropped by the caller.
+    diagnostic) and must be dropped by the caller. A naive published_at
+    raises ValueError, as the host's local zone would decide its date.
     """
+    if published_at.utcoffset() is None:
+        raise ValueError(f"published_at {published_at.isoformat()} lacks a UTC offset")
     try:
         local = published_at.astimezone(calendar.tzinfo)
         day = local.date()
@@ -165,11 +168,16 @@ def aggregate_daily(
     date, adjusted = raw * adjustment. A company's dates without articles are
     quiet cells: they are not held, they read as zero in rows, grid() and the
     written CSV, and under all_days they count as days of zero sources.
-    Articles of a company outside the universe are counted and dropped.
+    Articles of a company outside the universe are counted and dropped; a
+    company named twice in the universe raises ValueError.
     """
     config = config or AggregationConfig()
     all_days = config.adjustment_history == "all_days"
-    result = AggregationResult(calendar.dates, tuple(sorted(universe)), [{} for _ in calendar.dates])
+    companies = tuple(sorted(universe))
+    for a, b in zip(companies, companies[1:]):
+        if a == b:  # its rows would be written twice
+            raise ValueError(f"universe repeats company {a!r}")
+    result = AggregationResult(calendar.dates, companies, [{} for _ in calendar.dates])
     # company -> trading date -> (scores in input order, sources)
     groups: dict[str, dict[date, tuple[list[float], set[str]]]] = {}
     for record in scored:

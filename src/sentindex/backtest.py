@@ -119,8 +119,8 @@ def run_backtest(
 ) -> BacktestResult:
     """Run the full day loop and return per-day records plus the summary.
 
-    prices.companies must be strictly increasing, as grids.load_prices
-    sorts them. sentiments, as grids.load_daily_sentiment_csv returns it,
+    Both axes of both grids must be strictly increasing, as the readers in
+    grids give them. sentiments, as grids.load_daily_sentiment_csv returns it,
     covers the companies and dates of prices and may hold more. The first date
     starts from all-zero weights; its rebalance into the band is charged
     costs but excluded from trade-count statistics. The weights held from
@@ -144,9 +144,11 @@ def run_backtest(
     if len(prices.rows) != len(dates) or any(len(row) != n for row in prices.rows):
         raise ValueError(f"price series needs {len(dates)} rows of {n} closes")
     # every vector follows the sorted companies, the order in which the dict
-    # helpers sum
-    if any(b <= a for a, b in zip(companies, companies[1:])):
-        raise ValueError("price series companies must be strictly increasing")
+    # helpers sum; a repeated sentiment date or company would hide all but its last row or column
+    for name, axis in (("price series dates", dates), ("price series companies", companies),
+                       ("sentiment dates", sentiments.dates), ("sentiment companies", sentiments.companies)):
+        if any(b <= a for a, b in zip(axis, axis[1:])):
+            raise ValueError(f"{name} must be strictly increasing")
     signals = _signal_rows(sentiments, dates, companies, cfg.signal_lag_days)
     if benchmark is not None:
         for d in dates:

@@ -15,7 +15,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 from .inputs import (
-    config_from_dict, config_value, decoded_lines, load_json_object, parse_json, parse_timestamp, record)
+    config_from_dict, config_value, load_json_object, parse_json, parse_timestamp, record, utf8_error)
 
 
 class NewsArticle(NamedTuple):
@@ -59,77 +59,69 @@ REQUIRED_FIELDS = ("id", "company_id", "source", "published_at", "headline")
 
 
 def load_articles(path: str | Path) -> LoadReport:
-    """Load a JSON-lines article file.
+    """Load a JSON-lines article file in one pass.
 
     Malformed lines and duplicate ids are reported in the diagnostics, one
     entry per problem naming the line number, and skipped; blank lines are
     ignored. A line must be a JSON object whose required fields are non-empty
     strings, whose body is a string or null and whose language is a string;
     none of these may hold a lone surrogate, such as the escape "\\ud800".
-    A line that is not UTF-8 is reported and skipped in the same way. An
-    unreadable file raises OSError.
+    A line that is not UTF-8 is reported with its own decode error and
+    skipped in the same way. An unreadable file raises OSError.
     """
-    with open(path, encoding="utf-8") as fh:
-        try:
-            return _load_lines(enumerate(fh, start=1), LoadReport(articles=[]))
-        except UnicodeDecodeError:
-            pass
-    # a text file decodes whole chunks, so it cannot skip one line: start
-    # again with each line decoded on its own
+    articles: list[NewsArticle] = []
     diagnostics: list[str] = []
-    lines = decoded_lines(path, lambda lineno, exc: diagnostics.append(f"line {lineno}: not UTF-8 ({exc})"))
-    return _load_lines(lines, LoadReport([], diagnostics))
-
-
-def _load_lines(lines, report: LoadReport) -> LoadReport:
-    """Add the articles of the (line number, text) pairs to report, or a diagnostic per bad line."""
-    articles, diagnostics = report.articles, report.diagnostics
     seen_ids: set[str] = set()
-    for lineno, line in lines:
-        if not line.strip():
-            continue
-        try:
-            obj = parse_json(line)
-        except json.JSONDecodeError as exc:
-            diagnostics.append(f"line {lineno}: invalid JSON ({exc.msg})")
-            continue
-        if type(obj) is not dict:
-            diagnostics.append(f"line {lineno}: not a JSON object ({type(obj).__name__})")
-            continue
-        get = obj.get
-        aid, company, source, stamp, headline = (
-            get("id"), get("company_id"), get("source"), get("published_at"), get("headline"))
-        # json.loads makes only exact str, so type() is isinstance() here
-        if not (type(aid) is str and aid and type(company) is str and company
-                and type(source) is str and source and type(stamp) is str and stamp
-                and type(headline) is str and headline):
-            missing = [k for k in REQUIRED_FIELDS if not isinstance(get(k), str) or not obj[k]]
-            diagnostics.append(f"line {lineno}: missing or empty field(s) {missing}")
-            continue
-        try:
-            ts = parse_timestamp(stamp)
-        except ValueError as exc:
-            diagnostics.append(f"line {lineno}: bad published_at ({exc})")
-            continue
-        body, language = get("body"), get("language", "de")
-        if body is not None and type(body) is not str:
-            diagnostics.append(f"line {lineno}: body must be a string or null ({type(body).__name__})")
-            continue
-        if type(language) is not str:
-            diagnostics.append(f"line {lineno}: language must be a string ({type(language).__name__})")
-            continue
-        if "\\u" in line:  # only an escape decodes to a lone surrogate, which UTF-8 cannot write
-            try:
-                "".join((aid, company, source, headline, body or "", language)).encode("utf-8")
-            except UnicodeEncodeError:
-                diagnostics.append(f"line {lineno}: lone surrogate escape in a text field")
+    # a strict read decodes whole chunks, so it could not skip just the bad line
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if not line.isascii() and (bad := utf8_error(line)):
+                diagnostics.append(f"line {lineno}: not UTF-8 ({bad})")
                 continue
-        if aid in seen_ids:
-            diagnostics.append(f"line {lineno}: duplicate id {aid!r}")
-            continue
-        seen_ids.add(aid)
-        articles.append(NewsArticle(aid, company, source, ts, headline, body, language))
-    return report
+            if not line.strip():
+                continue
+            try:
+                obj = parse_json(line)
+            except json.JSONDecodeError as exc:
+                diagnostics.append(f"line {lineno}: invalid JSON ({exc.msg})")
+                continue
+            if type(obj) is not dict:
+                diagnostics.append(f"line {lineno}: not a JSON object ({type(obj).__name__})")
+                continue
+            get = obj.get
+            aid, company, source, stamp, headline = (
+                get("id"), get("company_id"), get("source"), get("published_at"), get("headline"))
+            # json.loads makes only exact str, so type() is isinstance() here
+            if not (type(aid) is str and aid and type(company) is str and company
+                    and type(source) is str and source and type(stamp) is str and stamp
+                    and type(headline) is str and headline):
+                missing = [k for k in REQUIRED_FIELDS if not isinstance(get(k), str) or not obj[k]]
+                diagnostics.append(f"line {lineno}: missing or empty field(s) {missing}")
+                continue
+            try:
+                ts = parse_timestamp(stamp)
+            except ValueError as exc:
+                diagnostics.append(f"line {lineno}: bad published_at ({exc})")
+                continue
+            body, language = get("body"), get("language", "de")
+            if body is not None and type(body) is not str:
+                diagnostics.append(f"line {lineno}: body must be a string or null ({type(body).__name__})")
+                continue
+            if type(language) is not str:
+                diagnostics.append(f"line {lineno}: language must be a string ({type(language).__name__})")
+                continue
+            if "\\u" in line:  # only an escape decodes to a lone surrogate, which UTF-8 cannot write
+                try:
+                    "".join((aid, company, source, headline, body or "", language)).encode("utf-8")
+                except UnicodeEncodeError:
+                    diagnostics.append(f"line {lineno}: lone surrogate escape in a text field")
+                    continue
+            if aid in seen_ids:
+                diagnostics.append(f"line {lineno}: duplicate id {aid!r}")
+                continue
+            seen_ids.add(aid)
+            articles.append(NewsArticle(aid, company, source, ts, headline, body, language))
+    return LoadReport(articles, diagnostics)
 
 
 def load_filter_config(path: str | Path) -> FilterConfig:

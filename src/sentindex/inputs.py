@@ -86,40 +86,28 @@ def _error_position(text: str, nesting: bool) -> int:
     return where
 
 
-def decoded_lines(path: str | Path, bad: Callable[[int, UnicodeDecodeError], None]):
-    """Yield (line number, text) for each line of path that decodes as UTF-8.
+def utf8_error(line: str) -> UnicodeDecodeError | None:
+    """The decode error of the bytes that line, read with errors="surrogateescape", came from, or None.
 
-    The file is read as bytes and each line decoded on its own; bad gets the
-    number and the decode error of every line that fails. A line ends at \n,
-    \r\n or \r, as in a text-mode read, so the line numbers agree with one.
+    That handler reads each byte that fails to decode as a lone surrogate and encodes it back to the byte.
     """
-    lineno = 0
-    with open(path, "rb") as fh:
-        for raw in fh:
-            for piece in raw.splitlines(keepends=True) if b"\r" in raw else (raw,):
-                lineno += 1
-                try:
-                    line = piece.decode("utf-8")
-                except UnicodeDecodeError as exc:
-                    bad(lineno, exc)
-                    continue
-                yield lineno, line
+    try:
+        line.encode("utf-8", "surrogateescape").decode("utf-8")
+    except UnicodeDecodeError as exc:
+        return exc
+    return None
 
 
 def not_utf8(path: str | Path, exc: UnicodeDecodeError) -> ValueError:
     """The error for a file that is not UTF-8, naming the first line that fails to decode.
 
-    The file is read again as bytes, so that the reason is the line's own
-    decode error and not one at an offset into the chunk being decoded.
+    The file is read again and each line checked on its own, so that the reason is
+    the line's own decode error and not one at an offset into the chunk decoded.
     """
-    def first_bad(lineno: int, line_exc: UnicodeDecodeError) -> None:
-        raise ValueError(f"{path}: line {lineno}: {line_exc}")
-
-    try:
-        for _ in decoded_lines(path, first_bad):
-            pass
-    except ValueError as bad:
-        return bad
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if line_exc := utf8_error(line):
+                return ValueError(f"{path}: line {lineno}: {line_exc}")
     return ValueError(f"{path}: {exc}")  # the file changed since it failed to decode
 
 
@@ -229,7 +217,7 @@ def read_csv(path: str | Path, names: tuple[str, ...], what: str,
 
 def parse_timestamp(raw: str) -> datetime:
     """Parse an ISO-8601 timestamp with offset; naive timestamps are rejected."""
-    # Python 3.10 fromisoformat does not accept a trailing Z
+    # fromisoformat takes a trailing Z since Python 3.11, but not z, so both are rewritten
     if raw.endswith("Z") or raw.endswith("z"):
         raw = raw[:-1] + "+00:00"
     ts = datetime.fromisoformat(raw)

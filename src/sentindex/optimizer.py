@@ -87,7 +87,11 @@ def solve_weights(
     """optimize_weights over lists: s[i] and prior[i] belong to keys[i], keys sorted."""
     n = len(keys)
     if n * cfg.cap < cfg.budget_lo - 1e-12:
-        required = math.ceil(cfg.budget_lo / cfg.cap)
+        try:
+            required = math.ceil(cfg.budget_lo / cfg.cap)
+        except OverflowError:  # a cap so near zero that the quotient passes the largest float
+            from fractions import Fraction  # imported here, so that no command pays for it at start-up
+            required = math.ceil(Fraction(cfg.budget_lo) / Fraction(cfg.cap))
         raise InfeasibleProblemError(
             f"{n} names at cap {cfg.cap} cannot reach budget_lo {cfg.budget_lo}; "
             f"need at least {required} names")

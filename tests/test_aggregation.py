@@ -64,6 +64,11 @@ class TestEffectiveTradingDate:
         d, _ = effective_trading_date(datetime(2019, 3, 4, 16, 30, tzinfo=timezone.utc), CAL)
         assert d == date(2019, 3, 5)
 
+    def test_naive_timestamp_rejected(self):
+        # astimezone read a naive time in the host's zone, so 16:30 fell before or after the cutoff
+        with pytest.raises(ValueError, match="published_at 2019-03-04T16:30:00 lacks a UTC offset"):
+            effective_trading_date(datetime(2019, 3, 4, 16, 30), CAL)
+
     def test_before_range_lands_on_first_date_with_diagnostic(self):
         d, diag = effective_trading_date(datetime(2019, 2, 20, 9, 0, tzinfo=BERLIN), CAL)
         assert d == WEEKDAYS[0]
@@ -184,6 +189,11 @@ class TestAggregateDaily:
         result = aggregate_daily(records, self.UNIVERSE, CAL)
         counted = sum(r.article_count for r in result.rows)
         assert counted == len(records) - result.dropped_after_range
+
+    def test_repeated_universe_company_rejected(self):
+        # every row of the company was written twice, and the CSV reader rejected the file
+        with pytest.raises(ValueError, match="universe repeats company 'puma'"):
+            aggregate_daily([record()], ["puma", "adidas", "puma"], CAL)
 
     def test_rows_ordered_by_date_then_company(self):
         result = aggregate_daily([record()], self.UNIVERSE, CAL)

@@ -333,6 +333,24 @@ class TestRunBacktest:
         with pytest.raises(ValueError, match="companies must be strictly increasing"):
             run_backtest(grid(closes, dates, companies), grid(sentiments), BacktestConfig())
 
+    # the dates of the prices ran unsorted and wrote a levels.csv that report rejects; a
+    # repeated sentiment date or company silently read its last row or column
+    @pytest.mark.parametrize("target, axis, order", [
+        ("price series", "dates", (0, 2, 1)), ("price series", "dates", (0, 1, 1, 2)),
+        ("sentiment", "dates", (0, 2, 1)), ("sentiment", "dates", (0, 1, 1, 2)),
+        ("sentiment", "companies", (1, 0)), ("sentiment", "companies", (0, 1, 0)),
+    ], ids=["price-dates-unsorted", "price-dates-repeated", "sentiment-dates-unsorted",
+            "sentiment-dates-repeated", "sentiment-companies-unsorted", "sentiment-companies-repeated"])
+    def test_axes_not_strictly_increasing_rejected(self, target, axis, order):
+        axes = {"dates": weekdays(date(2021, 3, 1), 3), "companies": ("a", "b")}
+        values = {(c, d): 10.0 for c in axes["companies"] for d in axes["dates"]}
+        bad = {axis: [axes[axis][k] for k in order]}
+        prices = grid(values, **(bad if target == "price series" else {}))
+        sentiments = grid(values, **(bad if target == "sentiment" else {}))
+        with pytest.raises(ValueError, match=f"^{target} {axis} must be strictly increasing$"):
+            run_backtest(prices, sentiments, BacktestConfig(
+                optimizer=OptimizerConfig(cap=0.6, budget_lo=0.9, budget_hi=0.95)))
+
     def test_truncation_preserves_prefix(self):
         full = constant_price_run(n_days=6)
         truncated = constant_price_run(n_days=4)

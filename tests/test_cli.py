@@ -581,6 +581,10 @@ class TestStrictInputs:
             ("header", "{what} CSV lacks a"),
             ("empty", "no data rows" if target == "levels" else "{what} CSV contains no rows"),
             ("utf8", "line 4: 'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"),
+            # line 3 ends at a bare \r, which ends a line as in a text-mode read
+            ("utf8-cr", "line 4: 'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"),
+            # the last line, past the first 8 KiB chunk that the strict read decodes
+            ("utf8-late", "line 361: 'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"),
             # line 4 repeats line 3, whose fields fill the message
             ("repeat", "line 4: " + {"prices": "duplicate price row for ({1}, {0})",
                                      "sentiments": "duplicate sentiment row for ({1}, {0})",
@@ -591,6 +595,7 @@ class TestStrictInputs:
         if (target, defect) != ("weights", "date")  # a weights row has no date
         # an empty benchmark lacks the first date, and the optimizer reads no empty grid
         and (defect != "empty" or target in ("prices", "sentiments", "levels"))
+        and (defect != "utf8-late" or target in ("prices", "sentiments"))  # the files of 8 KiB or more
     ])
     def test_malformed_csv_row_names_file_and_line(self, chain_dir, golden_dir, capsys,
                                                     target, defect, message):
@@ -603,7 +608,8 @@ class TestStrictInputs:
             "levels": (golden_dir / "expected_levels.csv").read_text().splitlines(),
             "weights": ["company,sentiment", "alpha,0.8", "beta,0.4", "gamma,-0.2", "delta,0.1"],
         }
-        lineno = 0 if defect in ("header", "empty") else 3
+        lineno = {"header": 0, "empty": 0, "utf8-late": 360}.get(defect, 3)
+        assert defect != "utf8-late" or len("\n".join(files[target][:lineno])) > 8192
         fields = files[target][lineno].split(",")
         if defect == "empty":
             del files[target][1:]
@@ -611,13 +617,15 @@ class TestStrictInputs:
             fields.pop()
         elif defect == "date":
             fields[0] = "2021-13-05"
-        elif defect == "utf8":
+        elif defect.startswith("utf8"):
             fields[0] = "\udcff" + fields[0]  # written as the byte 0xff
         elif defect == "repeat":
             fields = files[target][lineno - 1].split(",")
         elif defect != "empty":
             fields[-1] = "abc"
         files[target][lineno] = ",".join(fields)
+        if defect == "utf8-cr":
+            files[target][2:4] = ["\r".join(files[target][2:4])]
         paths = {name: chain_dir / f"{name}.csv" for name in files}
         for name, lines in files.items():
             paths[name].write_text("\n".join(lines) + "\n", errors="surrogateescape")

@@ -412,18 +412,21 @@ def test_load_articles_matches_reference(tmp_path, seed):
     assert [int(d.split(":")[0].removeprefix("line ")) for d in new] == sorted(rejected)
 
     # a line that is not UTF-8 adds only its own diagnostic, also with \r\n line ends,
-    # and a bare \r still ends a line, as in a text-mode read (so lines[149] is line 151)
+    # and a bare \r still ends a line, as in a text-mode read (so lines[149] is line 151);
+    # a final line without a newline that ends inside a sequence is diagnosed too
     blank, bad = tmp_path / "blank.jsonl", tmp_path / "bad.jsonl"
     lines[20] += "\r[]"
     lines[149] = ""
     blank.write_text("\n".join(lines) + "\n", encoding="utf-8")
     lines[149] = '{"id": "\udcff"}'
-    bad.write_text("\r\n".join(lines) + "\r\n", encoding="utf-8", errors="surrogateescape")
+    bad.write_text("\r\n".join(lines) + '\r\n{"id": "\udce4', encoding="utf-8", errors="surrogateescape")
     got, expected = load_articles(bad), load_articles(blank)
     assert [repr(a) for a in got.articles] == [repr(a) for a in expected.articles]
     assert got.diagnostics == sorted(
         expected.diagnostics + ["line 151: not UTF-8 ('utf-8' codec can't decode byte 0xff in position 8: "
-                                "invalid start byte)"],
+                                "invalid start byte)",
+                                f"line {len(lines) + 2}: not UTF-8 ('utf-8' codec can't decode byte 0xe4 in "
+                                "position 8: unexpected end of data)"],
         key=lambda d: int(d.split(":")[0].removeprefix("line ")))
 
 
@@ -432,7 +435,10 @@ class TestLoaderRejections:
         ("[1]", "not a JSON object (list)"), ('"x"', "not a JSON object (str)"),
         ("3", "not a JSON object (int)"), ("null", "not a JSON object (NoneType)"),
         ('{"id": "\udcff"}', "not UTF-8 ('utf-8' codec can't decode byte 0xff in position 8: invalid start byte)"),
-    ], ids=["list", "string", "number", "null", "not-utf8"])
+        # the line's own bytes end in \r\n, so the truncated sequence meets \r and not the end
+        ('{"id": "\udce4\r', "not UTF-8 ('utf-8' codec can't decode byte 0xe4 in position 8: "
+                              "invalid continuation byte)"),
+    ], ids=["list", "string", "number", "null", "not-utf8", "truncated-before-crlf"])
     def test_non_object_line_diagnosed(self, tmp_path, line, diagnostic):
         path = tmp_path / "a.jsonl"
         path.write_text("\n".join([json.dumps(valid_line("a1")), line, json.dumps(valid_line("a2"))]) + "\n",

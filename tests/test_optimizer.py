@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -131,6 +132,13 @@ class TestOptimizeWeightsExamples:
     def test_infeasible_universe_rejected_naming_requirement(self):
         with pytest.raises(InfeasibleProblemError, match="10"):
             optimize_weights(vec([0.5] * 4), zeros(4), DEFAULT)
+
+    def test_infeasible_universe_at_the_smallest_cap_names_exact_requirement(self):
+        # 0.99 / 5e-324 overflows a float, and math.ceil(inf) raised OverflowError
+        cfg = OptimizerConfig(cap=5e-324)
+        required = -(-Fraction(0.99) // Fraction(5e-324))
+        with pytest.raises(InfeasibleProblemError, match=f"need at least {required} names"):
+            optimize_weights(vec([0.5] * 4), zeros(4), cfg)
 
     def test_negative_prior_rejected(self):
         with pytest.raises(ValueError, match="negative"):
