@@ -55,7 +55,7 @@ class BacktestConfig(NamedTuple):
             raise ValueError(f"tc_rate must be in [0, 1), got {self.tc_rate}")
         if self.signal_lag_days < 0:
             raise ValueError(f"signal_lag_days must be >= 0, got {self.signal_lag_days}")
-        if self.initial_level <= 0:
+        if not self.initial_level > 0:  # also true for nan
             raise ValueError(f"initial_level must be positive, got {self.initial_level}")
 
 
@@ -278,10 +278,12 @@ def write_backtest_outputs(out_dir: str | Path, result: BacktestResult, cfg: Bac
             fh.write(f"{day.date.isoformat()},{day.level!r},{day.benchmark_level!r}\n")
     with open(out / "trades.csv", "w", encoding="utf-8") as fh:
         fh.write("date,company,delta_weight,cost\n")
+        tc_rate = cfg.tc_rate
         for day in result.days:
-            for company, delta in day.trades:
-                cost = _cost((delta,), cfg.tc_rate)
-                fh.write(f"{day.date.isoformat()},{company},{delta!r},{cost!r}\n")
+            # tc_rate * abs(delta) is _cost((delta,), tc_rate): sum() starts at 0, and 0 + x is x
+            text = day.date.isoformat()
+            fh.write("".join([f"{text},{company},{delta!r},{tc_rate * abs(delta)!r}\n"
+                              for company, delta in day.trades]))
     with open(out / "summary.json", "w", encoding="utf-8") as fh:
         json.dump(result.summary, fh, indent=2, sort_keys=True)
         fh.write("\n")

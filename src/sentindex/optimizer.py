@@ -37,7 +37,7 @@ class OptimizerConfig(NamedTuple):
     trade_epsilon: float = 1e-6
 
     def _check(self) -> None:
-        if self.delta < 0:
+        if not self.delta >= 0:  # also true for nan
             raise ValueError(f"delta must be nonnegative, got {self.delta}")
         if not (0.0 < self.cap <= 1.0):
             raise ValueError(f"cap must be in (0, 1], got {self.cap}")
@@ -45,7 +45,7 @@ class OptimizerConfig(NamedTuple):
             raise ValueError(
                 f"need 0 <= budget_lo <= budget_hi <= 1, got "
                 f"[{self.budget_lo}, {self.budget_hi}]")
-        if self.trade_epsilon < 0:
+        if not self.trade_epsilon >= 0:
             raise ValueError(f"trade_epsilon must be nonnegative, got {self.trade_epsilon}")
 
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import copy
 import json
+import math
 from datetime import date
 from pathlib import Path
 
@@ -89,6 +90,10 @@ def test_default_list_or_dict_is_not_shared(build, name):
     (OptimizerConfig, {}, {"cap": 1.5}, "cap must be in (0, 1], got 1.5"),
     (BacktestConfig, {}, {"signal_lag_days": -1}, "signal_lag_days must be >= 0, got -1"),
     (BacktestConfig, {}, {"initial_level": 0.0}, "initial_level must be positive, got 0.0"),
+    # nan fails every comparison, so each check is written to be false for it
+    (OptimizerConfig, {}, {"delta": math.nan}, "delta must be nonnegative, got nan"),
+    (OptimizerConfig, {}, {"trade_epsilon": math.nan}, "trade_epsilon must be nonnegative, got nan"),
+    (BacktestConfig, {}, {"initial_level": math.nan}, "initial_level must be positive, got nan"),
     (AggregationConfig, {}, {"adjustment_history": "weekly"},
      "adjustment_history must be one of ('nonzero_days', 'all_days'), got 'weekly'"),
     (TradingCalendar, {"dates": (date(2021, 3, 1), date(2021, 3, 2))},
@@ -98,7 +103,8 @@ def test_default_list_or_dict_is_not_shared(build, name):
      "auto-generated phrase 'Auto' must be lower case and not empty"),
     (ReportSpec, {"input_dir": Path("in"), "output_dir": Path("out")}, {"formats": ("svg", "pdf")},
      "unknown report formats: ['pdf']"),
-], ids=["optimizer", "backtest", "backtest-level", "aggregation", "calendar", "empty-calendar", "filter",
+], ids=["optimizer", "backtest", "backtest-level", "optimizer-nan-delta", "optimizer-nan-epsilon",
+        "backtest-nan-level", "aggregation", "calendar", "empty-calendar", "filter",
         "report"])
 def test_config_is_checked_on_every_construction(cls, good, bad, message):
     config = cls(**good)
