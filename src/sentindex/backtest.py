@@ -14,6 +14,7 @@ import math
 from collections.abc import Callable, Iterable
 from datetime import date, datetime
 from functools import partial
+from operator import mul, sub
 from pathlib import Path
 from typing import NamedTuple
 
@@ -57,6 +58,8 @@ class BacktestConfig(NamedTuple):
             raise ValueError(f"signal_lag_days must be >= 0, got {self.signal_lag_days}")
         if not self.initial_level > 0:  # also true for nan
             raise ValueError(f"initial_level must be positive, got {self.initial_level}")
+        if self.initial_level == math.inf:
+            raise ValueError(f"initial_level must be finite, got {self.initial_level}")
 
 
 def load_backtest_config(path: str | Path) -> BacktestConfig:
@@ -65,7 +68,7 @@ def load_backtest_config(path: str | Path) -> BacktestConfig:
 
 
 def _drift(w: list[float], r: list[float]) -> tuple[list[float], float]:
-    r_gross = sum([w_k * r_k for w_k, r_k in zip(w, r)])
+    r_gross = sum(map(mul, w, r))
     denom = 1.0 + r_gross
     if denom <= 0:
         raise ValueError(f"portfolio wiped out: gross return {r_gross!r}")
@@ -172,8 +175,8 @@ def run_backtest(
         target = dict(drifted) if signal is None else optimize_weights(
             dict(zip(companies, signal)), drifted, cfg.optimizer)
 
-        weights = [target[k] for k in companies]
-        moves = [w_k - d_k for w_k, d_k in zip(weights, drifted_w)]
+        weights = list(target.values())  # keyed in the order of companies
+        moves = list(map(sub, weights, drifted_w))
         cost = _cost(moves, cfg.tc_rate)
         growth = 1.0 + r_gross - cost
         if growth <= 0.0:  # costs can wipe out what _drift let through

@@ -10,6 +10,13 @@ is therefore exact: fill to budget_lo unconditionally (feasibility), then
 keep consuming pieces only while their slope is positive, stopping at
 budget_hi. Pieces consumed in full snap the weight to the piece's upper
 bound, so a prior that should be held is returned bit-identically.
+
+The pieces have fixed indices: piece 2i is name i's upper piece, below the
+clipped prior, and piece 2i + 1 its lower piece, above it. The fill visits
+the indices in a stable sort on slope alone, descending, so equal slopes
+keep index order: by name, and within a name the upper piece (lower bound
+0) before the lower one. That is the stated tie-break, slope descending,
+then company id, then lower bound ascending, with no tuple built per piece.
 """
 
 from __future__ import annotations
@@ -95,35 +102,43 @@ def solve_weights(
         raise InfeasibleProblemError(
             f"{n} names at cap {cfg.cap} cannot reach budget_lo {cfg.budget_lo}; "
             f"need at least {required} names")
-    # both scans run in C; only a bad entry needs the loop that names the first
-    if not all(map(math.isfinite, s)) or any(map(operator.lt, prior, repeat(0))):
+    # both scans run in C, and only a bad entry needs the loop that names the
+    # first: a sum is finite only if every term is, and min skips a nan unless
+    # it comes first, when the test fails anyway
+    if not math.isfinite(sum(s)) or not min(prior, default=0.0) >= 0.0:
         for k, s_k, prior_k in zip(keys, s, prior):
             if not math.isfinite(s_k):
                 raise ValueError(f"sentiment for {k!r} is not finite: {s_k!r}")
             if prior_k < 0:
                 raise ValueError(f"prior weight for {k!r} is negative: {prior_k!r}")
-    # (-slope, rank in the sorted keys, lower, upper) sorts as the tie-break
-    # above; clipping the prior to [0, cap] only shapes the pieces, the true
-    # prior still pays the penalty in reporting. The anchor is min(prior,
-    # cap): a nan prior gives a nan anchor and no piece at all
-    cap, delta = cfg.cap, cfg.delta
-    segments: list[tuple[float, int, float, float]] = []
-    for rank, (s_k, anchor) in enumerate(zip(s, map(min, prior, repeat(cap)))):
-        if anchor > 0.0:
-            segments.append((-(s_k + delta), rank, 0.0, anchor))
-        if anchor < cap:
-            segments.append((-(s_k - delta), rank, anchor, cap))
-    segments.sort()
+    # piece 2i is name i's upper piece [0, anchor] at slope s_i + delta, and
+    # 2i + 1 its lower piece [anchor, cap] at s_i - delta; the anchor min(prior,
+    # cap) only shapes them, the true prior still pays the penalty in reporting.
+    # A stable reverse sort on slope keeps ties in index order, by rank and
+    # then lower bound (0 before the anchor): the tie-break above. Bounds are
+    # worked out only when the fill reaches a piece, and one of no length is
+    # skipped: a prior of 0, -0.0 or nan has no upper piece, one >= cap or nan no lower
+    cap, delta, lo, hi = cfg.cap, cfg.delta, cfg.budget_lo, cfg.budget_hi
+    slope = [0.0] * (2 * n)
+    slope[::2] = map(operator.add, s, repeat(delta))
+    slope[1::2] = map(operator.sub, s, repeat(delta))
 
     w = [0.0] * n
     total = 0.0
-    for neg_slope, rank, lower, upper in segments:
-        budget = cfg.budget_hi if neg_slope < 0.0 else cfg.budget_lo
+    for piece in sorted(range(2 * n), key=slope.__getitem__, reverse=True):
+        budget = hi if slope[piece] > 0.0 else lo
         room = budget - total
         if room <= 0.0:
             # slopes only fall, budget_lo <= budget_hi and total never
             # falls, so no later piece has room either
             break
+        rank = piece >> 1
+        anchor = prior[rank]
+        if anchor > cap:  # min(prior, cap) without the call; a nan prior stays nan
+            anchor = cap
+        lower, upper = (anchor, cap) if piece & 1 else (0.0, anchor)
+        if not lower < upper:  # no such piece; also true for a nan anchor
+            continue
         length = upper - lower
         if length <= room:
             # piece consumed whole: snap to its upper bound so held priors

@@ -478,14 +478,67 @@ def test_matches_reference_bit_for_bit(seed, lag, with_benchmark):
         got, got_error = outcome(run_backtest, *case)
         want, want_error = outcome(backtest_reference.run_backtest, *ref_case)
         assert got_error == want_error
-        if want is None:
-            continue
-        assert got.dates == want.dates and len(got.days) == len(want.days)
-        for new, old in zip(got.days, want.days):
-            for name in DayRecord._fields:
-                a, b = getattr(new, name), getattr(old, name)
-                assert a == b and repr(a) == repr(b), (name, new.date)
-        assert got.summary == want.summary and repr(got.summary) == repr(want.summary)
+        if want is not None:
+            assert_same_run(got, want)
+
+
+def assert_same_run(got, want):
+    """Every DayRecord field and the summary are equal, and print the same."""
+    assert got.dates == want.dates and len(got.days) == len(want.days)
+    for new, old in zip(got.days, want.days):
+        for name in DayRecord._fields:
+            a, b = getattr(new, name), getattr(old, name)
+            assert a == b and repr(a) == repr(b), (name, new.date)
+    assert got.summary == want.summary and repr(got.summary) == repr(want.summary)
+
+
+def wide_case(rng: random.Random, lag: int, with_benchmark: bool):
+    """A seeded backtest at the scale of a wide universe, for the reference comparison.
+
+    200 to 600 companies over two to six dates. Most sentiments are zero,
+    and some dates' rows are zero throughout; most closes repeat the day
+    before exactly. The optimizer config is mostly a small turnover penalty
+    with a tight cap, as in a wide universe, so each day trades many names.
+    Returned twice, as backtest_case returns it.
+    """
+    n = rng.randint(200, 600)
+    names = [f"n{x:04d}" for x in rng.sample(range(10 * n), n)]
+    dates = weekdays(date(2021, 1, 4) + timedelta(days=rng.randrange(300)), rng.randint(2, 6))
+    closes, row = {}, {c: round(rng.uniform(5.0, 200.0), 2) for c in names}
+    for d in dates:
+        for c in names:
+            if rng.random() < 0.3:
+                row[c] = max(round(row[c] * (1.0 + rng.gauss(0.0, 0.02)), 2), 0.01)
+            closes[(c, d)] = row[c]
+    companies = sorted(names)
+    ref_prices = backtest_reference.PriceSeries(
+        dates=tuple(dates), companies=tuple(companies), closes=closes)
+    quiet = {d: rng.random() < 0.3 for d in dates}
+    sentiments = {(c, d): 0.0 if quiet[d] or rng.random() < 0.9 else
+                  rng.choice([0.25, -0.25, 0.5, rng.uniform(-1.0, 1.0)])
+                  for d in dates for c in names}
+    optimizer = rng.choice([
+        OptimizerConfig(delta=0.002, cap=0.02, budget_lo=0.95, budget_hi=0.99),
+        OptimizerConfig(delta=0.0, cap=0.02, budget_lo=0.95, budget_hi=0.95),
+        OptimizerConfig(delta=rng.uniform(0.0, 0.01), cap=rng.choice([0.005, 0.02, 0.1]),
+                        budget_lo=0.9, budget_hi=rng.uniform(0.9, 1.0),
+                        trade_epsilon=rng.choice([0.0, 1e-6])),
+    ])
+    cfg = BacktestConfig(tc_rate=rng.choice([0.0, 0.0005]), signal_lag_days=lag, optimizer=optimizer)
+    benchmark = {d: rng.uniform(1000.0, 2000.0) for d in dates} if with_benchmark else None
+    return ((grid(closes, dates, companies), grid(sentiments), cfg, benchmark),
+            (ref_prices, sentiments, cfg, benchmark))
+
+
+@pytest.mark.parametrize("with_benchmark", [False, True])
+@pytest.mark.parametrize("lag", [0, 1, 3])
+def test_wide_universe_matches_reference_bit_for_bit(lag, with_benchmark):
+    """The day loop's vector passes give the reference's records at hundreds of names."""
+    rng = random.Random(7000 + 10 * lag + with_benchmark)
+    for _ in range(3):
+        case, ref_case = wide_case(rng, lag, with_benchmark)
+        got, want = run_backtest(*case), backtest_reference.run_backtest(*ref_case)
+        assert_same_run(got, want)
 
 
 @pytest.mark.parametrize("day, row", [

@@ -94,6 +94,7 @@ def test_default_list_or_dict_is_not_shared(build, name):
     (OptimizerConfig, {}, {"delta": math.nan}, "delta must be nonnegative, got nan"),
     (OptimizerConfig, {}, {"trade_epsilon": math.nan}, "trade_epsilon must be nonnegative, got nan"),
     (BacktestConfig, {}, {"initial_level": math.nan}, "initial_level must be positive, got nan"),
+    (BacktestConfig, {}, {"initial_level": math.inf}, "initial_level must be finite, got inf"),
     (AggregationConfig, {}, {"adjustment_history": "weekly"},
      "adjustment_history must be one of ('nonzero_days', 'all_days'), got 'weekly'"),
     (TradingCalendar, {"dates": (date(2021, 3, 1), date(2021, 3, 2))},
@@ -104,7 +105,7 @@ def test_default_list_or_dict_is_not_shared(build, name):
     (ReportSpec, {"input_dir": Path("in"), "output_dir": Path("out")}, {"formats": ("svg", "pdf")},
      "unknown report formats: ['pdf']"),
 ], ids=["optimizer", "backtest", "backtest-level", "optimizer-nan-delta", "optimizer-nan-epsilon",
-        "backtest-nan-level", "aggregation", "calendar", "empty-calendar", "filter",
+        "backtest-nan-level", "backtest-inf-level", "aggregation", "calendar", "empty-calendar", "filter",
         "report"])
 def test_config_is_checked_on_every_construction(cls, good, bad, message):
     config = cls(**good)
