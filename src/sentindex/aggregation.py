@@ -59,13 +59,16 @@ class AggregationConfig(NamedTuple):
                 f"adjustment_history must be one of {HISTORY_MODES}, got {self.adjustment_history!r}")
         try:
             self.cutoff
-        except (ValueError, OverflowError) as exc:  # time() overflows on an hour of 20 digits
+        except ValueError as exc:
             raise ValueError(
                 f"cutoff_local_time must be HH:MM, got {self.cutoff_local_time!r} ({exc})") from None
 
     @property
     def cutoff(self) -> time:
-        hh, mm = self.cutoff_local_time.split(":")
+        hh, colon, mm = self.cutoff_local_time.partition(":")
+        # int() alone would also take "1_7", " 17", "+17" and other scripts' digits
+        if not (colon and all(0 < len(f) <= 2 and f.isascii() and f.isdigit() for f in (hh, mm))):
+            raise ValueError("want an hour and a minute of 1 or 2 ASCII digits each, joined by ':'")
         return time(int(hh), int(mm))
 
 

@@ -35,16 +35,15 @@ def _cmd_filter(args: argparse.Namespace) -> int:
 def _cmd_score(args: argparse.Namespace) -> int:
     from . import corpus, sentiment
 
-    load = corpus.load_articles(args.articles)
-    for diagnostic in load.diagnostics:
-        print(f"score: {diagnostic}", file=sys.stderr)
     if args.provider == "prescored":
         provider = sentiment.PrescoredProvider.from_file(args.provider_file)
     else:
         provider = sentiment.LexiconProvider.from_file(args.provider_file)
-    scored = sentiment.score_articles(load.articles, provider, mode=args.mode)
-    sentiment.write_scored(args.out, scored)
-    print(f"score: wrote {len(scored)} records", file=sys.stderr)
+    # each diagnostic is printed as its line is read, and each article written as it is scored
+    articles = corpus.read_articles(
+        args.articles, lambda diagnostic: print(f"score: {diagnostic}", file=sys.stderr))
+    count = sentiment.score_to_file(args.out, articles, provider, mode=args.mode)
+    print(f"score: wrote {count} records", file=sys.stderr)
     return 0
 
 

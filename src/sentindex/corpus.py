@@ -12,7 +12,7 @@ import json
 from datetime import datetime
 from json.encoder import encode_basestring
 from pathlib import Path
-from typing import NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
 from .inputs import (
     config_from_dict, config_value, load_json_object, parse_json, parse_timestamp, record, utf8_error)
@@ -59,34 +59,38 @@ REQUIRED_FIELDS = ("id", "company_id", "source", "published_at", "headline")
 
 
 def load_articles(path: str | Path) -> LoadReport:
-    """Load a JSON-lines article file in one pass.
-
-    Malformed lines and duplicate ids are reported in the diagnostics, one
-    entry per problem naming the line number, and skipped; blank lines are
-    ignored. A line must be a JSON object whose required fields are non-empty
-    strings, whose body is a string or null and whose language is a string;
-    none of these may hold a lone surrogate, such as the escape "\\ud800".
-    A line that is not UTF-8 is reported with its own decode error and
-    skipped in the same way. An unreadable file raises OSError.
-    """
-    articles: list[NewsArticle] = []
+    """Load a JSON-lines article file in one pass: the articles of read_articles and its diagnostics."""
     diagnostics: list[str] = []
+    return LoadReport([a for a, _ in read_articles(path, diagnostics.append)], diagnostics)
+
+
+def read_articles(path: str | Path, report: Callable[[str], object]) -> Iterator[tuple[NewsArticle, str]]:
+    """Yield each article of a JSON-lines file with its published_at text as read, in file order.
+
+    Each malformed line and repeated id goes to report as it is read, one
+    diagnostic per problem naming the line number, and is skipped; blank
+    lines are ignored. A line must be a JSON object whose required fields are
+    non-empty strings, whose body is a string or null and whose language is a
+    string; none of these may hold a lone surrogate, such as the escape
+    "\\ud800". A line that is not UTF-8 is reported with its own decode error
+    and skipped in the same way. An unreadable file raises OSError.
+    """
     seen_ids: set[str] = set()
     # a strict read decodes whole chunks, so it could not skip just the bad line
     with open(path, encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.isascii() and (bad := utf8_error(line)):
-                diagnostics.append(f"line {lineno}: not UTF-8 ({bad})")
+                report(f"line {lineno}: not UTF-8 ({bad})")
                 continue
             if not line.strip():
                 continue
             try:
                 obj = parse_json(line)
             except json.JSONDecodeError as exc:
-                diagnostics.append(f"line {lineno}: invalid JSON ({exc.msg})")
+                report(f"line {lineno}: invalid JSON ({exc.msg})")
                 continue
             if type(obj) is not dict:
-                diagnostics.append(f"line {lineno}: not a JSON object ({type(obj).__name__})")
+                report(f"line {lineno}: not a JSON object ({type(obj).__name__})")
                 continue
             get = obj.get
             aid, company, source, stamp, headline = (
@@ -96,32 +100,31 @@ def load_articles(path: str | Path) -> LoadReport:
                     and type(source) is str and source and type(stamp) is str and stamp
                     and type(headline) is str and headline):
                 missing = [k for k in REQUIRED_FIELDS if not isinstance(get(k), str) or not obj[k]]
-                diagnostics.append(f"line {lineno}: missing or empty field(s) {missing}")
+                report(f"line {lineno}: missing or empty field(s) {missing}")
                 continue
             try:
                 ts = parse_timestamp(stamp)
             except ValueError as exc:
-                diagnostics.append(f"line {lineno}: bad published_at ({exc})")
+                report(f"line {lineno}: bad published_at ({exc})")
                 continue
             body, language = get("body"), get("language", "de")
             if body is not None and type(body) is not str:
-                diagnostics.append(f"line {lineno}: body must be a string or null ({type(body).__name__})")
+                report(f"line {lineno}: body must be a string or null ({type(body).__name__})")
                 continue
             if type(language) is not str:
-                diagnostics.append(f"line {lineno}: language must be a string ({type(language).__name__})")
+                report(f"line {lineno}: language must be a string ({type(language).__name__})")
                 continue
             if "\\u" in line:  # only an escape decodes to a lone surrogate, which UTF-8 cannot write
                 try:
                     "".join((aid, company, source, headline, body or "", language)).encode("utf-8")
                 except UnicodeEncodeError:
-                    diagnostics.append(f"line {lineno}: lone surrogate escape in a text field")
+                    report(f"line {lineno}: lone surrogate escape in a text field")
                     continue
             if aid in seen_ids:
-                diagnostics.append(f"line {lineno}: duplicate id {aid!r}")
+                report(f"line {lineno}: duplicate id {aid!r}")
                 continue
             seen_ids.add(aid)
-            articles.append(NewsArticle(aid, company, source, ts, headline, body, language))
-    return LoadReport(articles, diagnostics)
+            yield NewsArticle(aid, company, source, ts, headline, body, language), stamp
 
 
 def load_filter_config(path: str | Path) -> FilterConfig:

@@ -224,3 +224,22 @@ def parse_timestamp(raw: str) -> datetime:
     if ts.tzinfo is None:
         raise ValueError("timestamp lacks a UTC offset")
     return ts
+
+
+# the separators of YYYY-MM-DDTHH:MM:SS±HH:MM at positions 4, 7, ..., 22
+_ISOFORMAT_SEPARATORS = ("--T::+:", "--T::-:")
+
+
+def isoformat_text(raw: str, ts: datetime) -> str:
+    """ts.isoformat() for ts = parse_timestamp(raw), taken from raw when raw already reads so.
+
+    That is when raw has the 25 characters YYYY-MM-DDTHH:MM:SS±HH:MM, with an
+    hour below 24, offset minutes below 60 and not -00:00: fromisoformat reads
+    +05:75 as +06:15 and -00:00 as +00:00. Each other character of raw is an
+    ASCII digit, or fromisoformat would not have read it. A timestamp as the
+    chain writes them is taken as is, which is a quarter of isoformat()'s cost.
+    """
+    if (len(raw) == 25 and raw[4:23:3] in _ISOFORMAT_SEPARATORS and raw[11:13] < "24"
+            and raw[23] < "6" and raw[19:] != "-00:00"):
+        return raw
+    return ts.isoformat()

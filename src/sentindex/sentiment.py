@@ -10,13 +10,14 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from datetime import datetime
 from json.encoder import encode_basestring
 from operator import itemgetter
 from pathlib import Path
-from typing import TYPE_CHECKING, NamedTuple
+from typing import TYPE_CHECKING, Iterable, NamedTuple
 
-from .inputs import config_value, load_json_object, not_utf8, parse_json, parse_timestamp
+from .inputs import config_value, isoformat_text, load_json_object, not_utf8, parse_json, parse_timestamp
 
 if TYPE_CHECKING:
     from .corpus import NewsArticle
@@ -147,20 +148,57 @@ def score_articles(articles: list[NewsArticle], provider, mode: str = "winner") 
 
 
 def write_scored(path: str | Path, scored: list[ScoredArticle]) -> None:
-    """Write one JSON object per line, as json.dumps(..., ensure_ascii=False) would.
-
-    Strings are quoted by json.dumps's own encode_basestring and a finite
-    float score by float.__repr__, as in json.dumps; any other score is
-    written by json.dumps itself.
-    """
-    q = encode_basestring
+    """Write one JSON object per line, as json.dumps(..., ensure_ascii=False) would (see _scored_line)."""
     with open(path, "w", encoding="utf-8") as fh:
         write = fh.write
         for s in scored:
-            score = s.score
-            score = repr(score) if type(score) is float and math.isfinite(score) else json.dumps(score)
-            write(f'{{"id": {q(s.id)}, "company_id": {q(s.company_id)}, "source": {q(s.source)}, '
-                  f'"published_at": "{s.published_at.isoformat()}", "score": {score}}}\n')
+            write(_scored_line(s.id, s.company_id, s.source, s.published_at.isoformat(), s.score))
+
+
+def score_to_file(path: str | Path, articles: Iterable[tuple[NewsArticle, str]], provider,
+                  mode: str = "winner") -> int:
+    """Score each (article, published_at text) pair and write its line as write_scored would; return the count.
+
+    One article is held at a time. The lines go to a file beside path, which
+    replaces path only once every article is scored; on any error it is
+    removed, and path is left as it was. The published_at text is written as
+    read when it is already what isoformat() gives (see isoformat_text).
+    """
+    probabilities = provider.probabilities
+    part = f"{os.fspath(path)}.{os.getpid()}.part"
+    try:
+        fh = open(part, "w", encoding="utf-8")
+    except OSError as exc:  # name the output, not the file beside it
+        raise OSError(exc.errno, exc.strerror, os.fspath(path)) from None
+    count = 0
+    try:
+        with fh:
+            write = fh.write
+            for a, stamp in articles:
+                write(_scored_line(a.id, a.company_id, a.source, isoformat_text(stamp, a.published_at),
+                                   polarity_score(probabilities(a), mode)))
+                count += 1
+        os.replace(part, path)
+    except BaseException:
+        try:
+            os.remove(part)
+        except OSError:
+            pass
+        raise
+    return count
+
+
+def _scored_line(aid: str, company: str, source: str, stamp: str, score: float) -> str:
+    """One scored record, as json.dumps(..., ensure_ascii=False) would write it, and a newline.
+
+    Strings are quoted by json.dumps's own encode_basestring and a finite
+    float score by float.__repr__, as in json.dumps; any other score is
+    written by json.dumps itself. The timestamp text needs no escaping.
+    """
+    q = encode_basestring
+    score = repr(score) if type(score) is float and math.isfinite(score) else json.dumps(score)
+    return (f'{{"id": {q(aid)}, "company_id": {q(company)}, "source": {q(source)}, '
+            f'"published_at": "{stamp}", "score": {score}}}\n')
 
 
 def load_scored(path: str | Path) -> list[ScoredArticle]:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import math
 import os
@@ -16,7 +18,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sentindex import aggregation
+from sentindex import aggregation, corpus, sentiment
 from sentindex.cli import main
 
 
@@ -365,6 +367,69 @@ class TestPrescoredProviderPath:
         assert json.loads(out.read_text())["score"] == pytest.approx(0.3)
 
 
+def _article(aid: str, headline: str = "puma meldet zahlen") -> str:
+    return json.dumps({"id": aid, "company_id": "puma", "source": "wire",
+                       "published_at": "2021-03-01T10:00:00+01:00", "headline": headline}) + "\n"
+
+
+def _prescored(*ids: str) -> str:
+    return "".join(json.dumps({"id": aid, "p_negative": 0.7, "p_neutral": 0.2, "p_positive": 0.1}) + "\n"
+                   for aid in ids)
+
+
+class TestScoreFailures:
+    """score writes beside --out and moves the file onto it only once every article is scored."""
+
+    def test_missing_id_on_last_article_leaves_output_intact(self, tmp_path, capsys):
+        articles, prescored, out = tmp_path / "a.jsonl", tmp_path / "p.jsonl", tmp_path / "scored.jsonl"
+        articles.write_text(_article("a1") + "{not json\n" + _article("a2") + _article("a3"))
+        prescored.write_text(_prescored("a1", "a2"))
+        out.write_bytes(b"an earlier run\n")
+        code = run(["score", "--articles", articles, "--provider", "prescored",
+                    "--provider-file", prescored, "--out", out])
+        assert code == 1
+        assert capsys.readouterr().err == ("score: line 2: invalid JSON (Expecting property name enclosed in "
+                                           "double quotes)\n"
+                                           "sentindex score: no pre-scored entry for article id 'a3'\n")
+        assert out.read_bytes() == b"an earlier run\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["a.jsonl", "p.jsonl", "scored.jsonl"]
+
+    def test_out_may_be_the_articles_file(self, tmp_path, capsys):
+        articles, prescored, out = tmp_path / "a.jsonl", tmp_path / "p.jsonl", tmp_path / "scored.jsonl"
+        articles.write_text(_article("a1") + _article("a2"))
+        prescored.write_text(_prescored("a1", "a2"))
+        argv = ["score", "--articles", articles, "--provider", "prescored", "--provider-file", prescored]
+        assert run([*argv, "--out", out]) == 0
+        assert run([*argv, "--out", articles]) == 0
+        assert articles.read_bytes() == out.read_bytes()
+        assert capsys.readouterr().err == 2 * "score: wrote 2 records\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["a.jsonl", "p.jsonl", "scored.jsonl"]
+
+    def test_missing_output_directory_names_out(self, tmp_path, capsys):
+        articles, out = tmp_path / "a.jsonl", tmp_path / "missing" / "scored.jsonl"
+        articles.write_text(_article("a1"))
+        code = run(["score", "--articles", articles, "--provider", "lexicon",
+                    "--provider-file", GOLDEN / "lexicon.json", "--out", out])
+        assert code == 1
+        assert capsys.readouterr().err == f"sentindex score: [Errno 2] No such file or directory: '{out}'\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["a.jsonl"]
+
+    @pytest.mark.parametrize("provider, text, message", [
+        ("prescored", _prescored("a1", "a1"), "line 2: duplicate id 'a1'"),
+        ("lexicon", '{"gut": 2}', "lexicon values outside [-1, 1]: {'gut': 2.0}"),
+    ], ids=["prescored", "lexicon"])
+    def test_provider_failure_prints_only_the_error(self, tmp_path, capsys, provider, text, message):
+        """The provider loads before any article is read, so no diagnostic comes before its error."""
+        articles, path, out = tmp_path / "a.jsonl", tmp_path / "provider", tmp_path / "scored.jsonl"
+        articles.write_text("[1]\n" + _article("a1") + "{not json\n")
+        path.write_text(text)
+        code = run(["score", "--articles", articles, "--provider", provider, "--provider-file", path,
+                    "--out", out])
+        assert code == 1
+        assert capsys.readouterr().err == f"sentindex score: {path}: {message}\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["a.jsonl", "provider"]
+
+
 def test_cli_import_leaves_numpy_unloaded():
     src = Path(__file__).resolve().parent.parent / "src"
     env = {**os.environ, "PYTHONPATH": str(src)}
@@ -452,6 +517,8 @@ class TestStrictInputs:
          "market_timezone must name a known time zone, got 'Mars/Olympus'"),
         ("aggregate", '{"market_timezone": "../etc"}', "market_timezone must name a known time zone, got '../etc'"),
         ("aggregate", '{"cutoff_local_time": "25:00"}', "cutoff_local_time must be HH:MM, got '25:00'"),
+        *[("aggregate", json.dumps({"cutoff_local_time": cutoff}), f"cutoff_local_time must be HH:MM, got {cutoff!r}")
+          for cutoff in ("1_7:00", " 17:00", "+17:00", "\u0661\u0667:\u0660\u0660")],
         ("filter", '{"max_headline_tokens": 0}', "max_headline_tokens must be >= 1, got 0"),
         ("filter", '{"exclusions": {"adlerwerke": ["tierpark", "Tierpark"]}}',
          "exclusion keyword 'Tierpark' of 'adlerwerke' must be lower case and not empty"),
@@ -460,7 +527,8 @@ class TestStrictInputs:
            "invalid JSON (Exceeds the limit (4300 digits) for integer string conversion: value has 5000 digits")
           for command in ("filter", "score", "aggregate", "optimize", "backtest")],
     ], ids=["backtest-range", "backtest-optimizer-range", "optimize-range", "score-lexicon-range", "aggregate-zone",
-            "aggregate-zone-path", "aggregate-cutoff", "filter-tokens", "filter-keyword-case",
+            "aggregate-zone-path", "aggregate-cutoff", "aggregate-cutoff-underscore", "aggregate-cutoff-space",
+            "aggregate-cutoff-plus", "aggregate-cutoff-arabic-digits", "filter-tokens", "filter-keyword-case",
             "filter-phrase-empty", "filter-huge-int", "score-huge-int", "aggregate-huge-int",
             "optimize-huge-int", "backtest-huge-int"])
     def test_config_error_after_kind_check_names_file(self, tmp_path, golden_dir, capsys, command, text, message):
@@ -910,3 +978,66 @@ def test_fuzzed_inputs_exit_zero_or_one(articles, prescored, scored, csvs, confi
         for path in out.rglob("*"):
             if path.is_file():
                 _assert_finite(path)
+
+
+SCORE_STAMPS = st.one_of(
+    stamp_st,
+    st.sampled_from(["2021-03-01T10:00:00Z", "2021-03-01T10:00:00z", "2021-03-01T10:00:00-00:00",
+                     "2021-03-01T10:00:00+05:75", "2021-03-01T10:00:00.5+01:00", "2021-03-01 10:00:00+01:00",
+                     "2021-W09-1T10:00:00+01:00", "20210301T100000+0100", "2021-03-01T10:00:00+05:30:30"]))
+LEXICON_WORDS = sorted(json.loads((GOLDEN / "lexicon.json").read_text()))[:12]
+
+
+@st.composite
+def score_case_st(draw) -> tuple[str, str]:
+    """An article file of valid lines, with canonical and other stamps, and bad ones; and a pre-scored
+    file for the ids, which may lack one."""
+    ids = ["a1", "a2", "a3", "a4", "a5"]
+    valid = st.builds(
+        lambda aid, stamp, words, ascii: json.dumps(
+            {"id": aid, "company_id": "adlerwerke", "source": "wire", "published_at": stamp,
+             "headline": " ".join(["adlerwerke", *words, "ä"])}, ensure_ascii=ascii),
+        st.sampled_from(ids), SCORE_STAMPS, st.lists(st.sampled_from(LEXICON_WORDS), max_size=3), st.booleans())
+    lines = draw(st.lists(st.one_of(valid, valid, record_st(ARTICLE), st.text(max_size=12)), max_size=8))
+    probabilities = st.sampled_from([(0.7, 0.2, 0.1), (0.2, 0.3, 0.5), (0.25, 0.5, 0.25), (0.0, 0.0, 1.0)])
+    table = draw(st.dictionaries(st.sampled_from(ids), probabilities))
+    prescored = "".join(json.dumps({"id": aid, "p_negative": n, "p_neutral": u, "p_positive": p}) + "\n"
+                        for aid, (n, u, p) in table.items())
+    return "".join(f"{x}\n" for x in lines), prescored
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=score_case_st(), provider=st.sampled_from(["prescored", "lexicon"]),
+       mode=st.sampled_from(["winner", "expectation"]))
+def test_score_writes_what_the_library_writes(case, provider, mode):
+    """The streaming command writes the bytes of write_scored(score_articles(load_articles(...))),
+    and on success the stderr of the library's diagnostics and count."""
+    articles_text, prescored_text = case
+    with tempfile.TemporaryDirectory() as tmp:
+        d = Path(tmp)
+        articles = d / "articles.jsonl"
+        articles.write_text(articles_text, encoding="utf-8")
+        (d / "prescored.jsonl").write_text(prescored_text, encoding="utf-8")
+        provider_file = d / "prescored.jsonl" if provider == "prescored" else GOLDEN / "lexicon.json"
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = run(["score", "--articles", articles, "--provider", provider, "--provider-file", provider_file,
+                        "--mode", mode, "--out", d / "cli.jsonl"])
+        load = corpus.load_articles(articles)
+        if provider == "prescored":
+            source = sentiment.PrescoredProvider.from_file(provider_file)
+        else:
+            source = sentiment.LexiconProvider.from_file(provider_file)
+        diagnostics = [f"score: {x}\n" for x in load.diagnostics]
+        try:
+            scored = sentiment.score_articles(load.articles, source, mode)
+        except LookupError as exc:
+            assert code == 1
+            *printed, last = err.getvalue().splitlines(keepends=True)
+            assert printed == diagnostics[:len(printed)] and last == f"sentindex score: {exc}\n"
+            assert sorted(p.name for p in d.iterdir()) == ["articles.jsonl", "prescored.jsonl"]
+            return
+        sentiment.write_scored(d / "library.jsonl", scored)
+        assert code == 0
+        assert (d / "cli.jsonl").read_bytes() == (d / "library.jsonl").read_bytes()
+        assert err.getvalue() == "".join(diagnostics) + f"score: wrote {len(scored)} records\n"

@@ -1,20 +1,23 @@
-"""The shared input readers: CSV quoting and headers, and where a JSON error lies; the config and result records."""
+"""The shared input readers: CSV quoting and headers, where a JSON error lies and timestamp texts;
+the config and result records."""
 
 from __future__ import annotations
 
 import copy
 import json
 import math
-from datetime import date
+from datetime import date, timedelta, timezone
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from sentindex.aggregation import AggregationConfig, AggregationResult, TradingCalendar
 from sentindex.backtest import BacktestConfig, load_benchmark_levels
 from sentindex.corpus import FilterConfig, LoadReport
 from sentindex.grids import load_daily_sentiment_csv, load_prices
-from sentindex.inputs import load_json_object
+from sentindex.inputs import isoformat_text, load_json_object, parse_timestamp
 from sentindex.optimizer import OptimizerConfig
 from sentindex.report import ReportSpec
 
@@ -115,3 +118,77 @@ def test_config_is_checked_on_every_construction(cls, good, bad, message):
     with pytest.raises(ValueError) as replaced:
         config._replace(**bad)
     assert str(built.value) == str(replaced.value) == message
+
+
+# a character in place of one of YYYY-MM-DDTHH:MM:SS±HH:MM: digits of other scripts and the
+# separators of the other forms that fromisoformat reads
+_STAMP_NOISE = st.sampled_from("09+-:.,TtZzW \u0661\uff11\u00b2")
+_MINUTE_ZONES = st.builds(timezone, st.integers(-1439, 1439).map(lambda m: timedelta(minutes=m)))
+
+
+@st.composite
+def stamp_text_st(draw) -> str:
+    """A timestamp as isoformat() writes one at whole seconds and an offset of whole minutes, with
+    one to three characters replaced, dropped or inserted."""
+    ts = draw(st.datetimes(timezones=_MINUTE_ZONES)).replace(microsecond=0)
+    chars = list(ts.isoformat())
+    for _ in range(draw(st.integers(1, 3))):
+        # two edits in three fall on a separator or the offset's minutes
+        at = st.sampled_from([4, 7, 10, 13, 16, 19, 22, 23])
+        i = draw(st.one_of(at, at, st.integers(0, len(chars))))
+        c = draw(_STAMP_NOISE)
+        action = draw(st.sampled_from(["replace", "drop", "insert"]))
+        if action == "insert" or i == len(chars):
+            chars.insert(i, c)
+        elif action == "replace":
+            chars[i] = c
+        else:
+            del chars[i]
+    return "".join(chars)
+
+
+@settings(max_examples=400)
+@example("2021-07-23T10:00:00-00:00")
+@example("2021-07-23T10:00:00+05:75")
+@given(stamp_text_st())
+def test_isoformat_text_is_isoformat(text):
+    """Whatever text parse_timestamp reads, isoformat_text gives its isoformat(): a text taken as is
+    must read back to itself."""
+    try:
+        ts = parse_timestamp(text)
+    except ValueError:
+        return
+    assert isoformat_text(text, ts) == ts.isoformat()
+
+
+@given(st.datetimes(timezones=_MINUTE_ZONES))
+def test_isoformat_text_takes_what_isoformat_writes(ts):
+    """At whole seconds and an offset of whole minutes, -00:00 aside, isoformat() is taken as written."""
+    text = ts.replace(microsecond=0).isoformat()
+    assert isoformat_text(text, parse_timestamp(text)) is text
+
+
+@pytest.mark.parametrize("text, taken", [
+    ("2021-07-23T10:00:00+01:00", True),
+    ("2021-07-23T23:59:59-23:59", True),
+    ("0999-07-23T10:00:00+00:00", True),
+    ("2021-07-23T10:00:00Z", False),
+    ("2021-07-23T10:00:00z", False),
+    ("2021-07-23T10:00:00-00:00", False),
+    ("2021-07-23T10:00:00+05:75", False),
+    ("2021-07-23T10:00:00+05:30:30", False),
+    ("2021-07-23T10:00:00.5+01:00", False),
+    ("2021-07-23T10:00:00.000+01:00", False),
+    ("2021-07-23 10:00:00+01:00", False),
+    ("2021-07-23t10:00:00+01:00", False),
+    ("2021-W29-5T10:00:00+01:00", False),
+    ("20210723T100000+0100", False),
+    ("20210723T100000.000+01:00", False),
+    ("2021-07-23T10:00+01:00", False),
+], ids=["canonical", "extremes", "early-year", "Z", "z", "minus-zero", "minutes-75", "offset-seconds",
+        "fraction", "zero-fraction", "space", "lower-t", "week-date", "basic", "basic-fraction", "no-seconds"])
+def test_isoformat_text_edges(text, taken):
+    ts = parse_timestamp(text)
+    got = isoformat_text(text, ts)
+    assert got == ts.isoformat()
+    assert (got is text) == taken

@@ -1,0 +1,115 @@
+"""Metamorphic relations of the CLI chain: inputs restated so that no output may change.
+
+Each test runs filter, score, aggregate, backtest and report on the golden
+fixture twice, once on a restated copy, and compares the outputs byte for
+byte. A relation needs no second implementation to check against: it holds
+for any correct chain, so it also catches a defect that a reference written
+alongside the code would share.
+"""
+
+from __future__ import annotations
+
+import json
+import random
+import shutil
+from datetime import datetime, timedelta, timezone
+from pathlib import Path
+
+import pytest
+
+from sentindex import grids
+from sentindex.cli import main
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+INPUTS = ("articles.jsonl", "filter_config.json", "lexicon.json", "prices.csv",
+          "aggregation_config.json", "backtest_config.json")
+OUTPUTS = ("daily.csv", "run/levels.csv", "run/trades.csv", "run/summary.json",
+           "report/report.svg", "report/report.csv")
+
+
+def golden_copy(dest: Path) -> Path:
+    dest.mkdir()
+    for name in INPUTS:
+        shutil.copy(GOLDEN / name, dest / name)
+    return dest
+
+
+def run_chain(inputs: Path, out: Path) -> dict[str, bytes]:
+    """The chain's files under out, by their path relative to it, after each command exits 0."""
+    out.mkdir()
+    commands = [
+        ["filter", "--articles", inputs / "articles.jsonl", "--config", inputs / "filter_config.json",
+         "--out", out / "kept.jsonl"],
+        ["score", "--articles", out / "kept.jsonl", "--provider", "lexicon",
+         "--provider-file", inputs / "lexicon.json", "--out", out / "scored.jsonl"],
+        ["aggregate", "--scored", out / "scored.jsonl", "--prices", inputs / "prices.csv",
+         "--config", inputs / "aggregation_config.json", "--out", out / "daily.csv"],
+        ["backtest", "--prices", inputs / "prices.csv", "--sentiments", out / "daily.csv",
+         "--config", inputs / "backtest_config.json", "--out", out / "run"],
+        ["report", "--in", out / "run", "--out", out / "report"],
+    ]
+    for argv in commands:
+        assert main([str(a) for a in argv]) == 0, argv[0]
+    return {p.relative_to(out).as_posix(): p.read_bytes() for p in sorted(out.rglob("*")) if p.is_file()}
+
+
+# each offset of the fixture's stamps, and the one the same instant is restated in
+RESTATED_OFFSET = {"Z": "+00:00", "+00:00": "Z", "+01:00": "-05:00", "+02:00": "+05:30"}
+
+
+def restate(stamp: str) -> str:
+    """The instant of stamp, written at the offset RESTATED_OFFSET gives for stamp's own.
+
+    Read by datetime.fromisoformat, which takes a trailing Z, so that a defect in the package's
+    own timestamp reader cannot restate the instant as wrongly as it reads it.
+    """
+    ts = datetime.fromisoformat(stamp)
+    target = RESTATED_OFFSET["Z" if stamp.endswith("Z") else stamp[-6:]]
+    if target == "Z":
+        return ts.astimezone(timezone.utc).replace(tzinfo=None).isoformat() + "Z"
+    sign = 1 if target[0] == "+" else -1
+    zone = timezone(sign * timedelta(hours=int(target[1:3]), minutes=int(target[4:])))
+    return ts.astimezone(zone).isoformat()
+
+
+def test_restating_each_stamp_at_another_offset_changes_no_output(tmp_path):
+    base = run_chain(golden_copy(tmp_path / "in"), tmp_path / "base")
+    moved = golden_copy(tmp_path / "moved_in")
+    lines = []
+    for line in (GOLDEN / "articles.jsonl").read_text(encoding="utf-8").splitlines():
+        obj = json.loads(line)
+        stamp = obj["published_at"]
+        obj["published_at"] = restate(stamp)
+        assert obj["published_at"] != stamp
+        assert datetime.fromisoformat(obj["published_at"]) == datetime.fromisoformat(stamp)
+        lines.append(json.dumps(obj, ensure_ascii=False))
+    (moved / "articles.jsonl").write_text("".join(f"{x}\n" for x in lines), encoding="utf-8")
+    got = run_chain(moved, tmp_path / "moved")
+
+    for name in OUTPUTS:
+        assert got[name] == base[name], name
+    # scored.jsonl differs in published_at alone, which still names the same instant (Z and
+    # +00:00 are both written +00:00)
+    ours, theirs = (b["scored.jsonl"].decode("utf-8").splitlines() for b in (got, base))
+    assert len(ours) == len(theirs) > 0 and ours != theirs
+    for a, b in zip(map(json.loads, ours), map(json.loads, theirs)):
+        assert datetime.fromisoformat(a.pop("published_at")) == datetime.fromisoformat(b.pop("published_at"))
+        assert a == b
+
+
+@pytest.mark.parametrize("order", ["reversed", "seed-0", "seed-1"])
+def test_reordering_price_lines_changes_no_output(tmp_path, order):
+    """A price file out of (date, company) order goes through the general grid reader."""
+    base = run_chain(golden_copy(tmp_path / "in"), tmp_path / "base")
+    shuffled = golden_copy(tmp_path / "shuffled_in")
+    header, *rows = (GOLDEN / "prices.csv").read_text(encoding="utf-8").splitlines()
+    if order == "reversed":
+        rows.reverse()
+    else:
+        random.Random(int(order.removeprefix("seed-"))).shuffle(rows)
+    (shuffled / "prices.csv").write_text("".join(f"{x}\n" for x in [header, *rows]), encoding="utf-8")
+    assert grids._read_ordered(shuffled / "prices.csv", "close", 0.0) is None
+    got = run_chain(shuffled, tmp_path / "shuffled")
+    assert got.keys() == base.keys()
+    for name in base:
+        assert got[name] == base[name], name
