@@ -181,8 +181,8 @@ def aggregate_daily(
         if a == b:  # its rows would be written twice
             raise ValueError(f"universe repeats company {a!r}")
     result = AggregationResult(calendar.dates, companies, [{} for _ in calendar.dates])
-    # company -> trading date -> (scores in input order, sources)
-    groups: dict[str, dict[date, tuple[list[float], set[str]]]] = {}
+    # universe company -> trading date -> (scores in input order, sources)
+    groups: dict[str, dict[date, tuple[list[float], set[str]]]] = {company: {} for company in companies}
     for record in scored:
         trading_date, diagnostic = effective_trading_date(record.published_at, calendar)
         if diagnostic is not None:
@@ -190,7 +190,10 @@ def aggregate_daily(
         if trading_date is None:
             result.dropped_after_range += 1
             continue
-        by_date = groups.setdefault(record.company_id, {})
+        by_date = groups.get(record.company_id)
+        if by_date is None:
+            result.dropped_unknown_company += 1
+            continue
         group = by_date.get(trading_date)
         if group is None:
             group = by_date[trading_date] = ([], set())
@@ -202,7 +205,7 @@ def aggregate_daily(
     index = {d: i for i, d in enumerate(calendar.dates)}
     for j, company in enumerate(result.companies):
         prior_total = prior_days = 0
-        for trading_date, (scores, sources) in sorted(groups.get(company, {}).items()):
+        for trading_date, (scores, sources) in sorted(groups[company].items()):
             i = index[trading_date]
             raw = sum(scores) / len(scores)
             u = len(sources)
@@ -211,10 +214,6 @@ def aggregate_daily(
                 company, trading_date, raw, raw * adj, len(scores), u, adj)
             prior_total += u
             prior_days += 1
-    known = set(universe)
-    result.dropped_unknown_company = sum(
-        len(scores) for company, by_date in groups.items() if company not in known
-        for scores, _ in by_date.values())
     return result
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from collections.abc import Callable, Iterable
+from collections.abc import Iterable
 from datetime import date, datetime
 from functools import partial
 from operator import mul, sub
@@ -29,18 +29,15 @@ def load_benchmark_levels(path: str | Path) -> dict[date, float]:
     """Read a date,level CSV; levels must be finite and positive, dates unique."""
     out: dict[date, float] = {}
 
-    def row_at(i: int, j: int) -> Callable[[list[str]], None]:
-        def row(fields: list[str]) -> None:
-            text, level = fields[i], fields[j]
-            d, level = date.fromisoformat(text), float(level)
-            if not 0.0 < level < math.inf:  # also false for nan
-                raise ValueError(f"benchmark level {level!r} for {d} is not finite and positive")
-            if d in out:
-                raise ValueError(f"duplicate benchmark row for {d}")
-            out[d] = level
-        return row
+    def row(text: str, level: str) -> None:
+        d, level = date.fromisoformat(text), float(level)
+        if not 0.0 < level < math.inf:  # also false for nan
+            raise ValueError(f"benchmark level {level!r} for {d} is not finite and positive")
+        if d in out:
+            raise ValueError(f"duplicate benchmark row for {d}")
+        out[d] = level
 
-    read_csv(path, ("date", "level"), "benchmark", row_at)
+    read_csv(path, ("date", "level"), "benchmark", row)
     return out
 
 

@@ -6,7 +6,7 @@ import math
 from datetime import date
 from itertools import chain, islice, repeat
 from pathlib import Path
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 from .inputs import read_csv
 
@@ -47,22 +47,19 @@ def _read_grid(path: str | Path, column: str, what: str, lo: float) -> Grid:
     by_date: dict[date, dict[str, float]] = {}
     by_text: dict[str, dict[str, float]] = {}  # date text -> that date's map, parsed once
 
-    def row_at(i: int, j: int, k: int) -> Callable[[list[str]], None]:
-        def row(fields: list[str]) -> None:
-            text, company, value = fields[i], fields[j], fields[k]
-            day = by_text.get(text)
-            if day is None:
-                day = by_text[text] = by_date.setdefault(date.fromisoformat(text), {})
-            if company in day:
-                raise ValueError(f"duplicate {what} row for ({company}, {date.fromisoformat(text)})")
-            value = float(value)
-            if not lo < value < math.inf:  # also false for nan
-                kind = "nonpositive" if math.isfinite(value) else "non-finite"
-                raise ValueError(f"{kind} {column} {value!r} for ({company}, {date.fromisoformat(text)})")
-            day[company] = value
-        return row
+    def row(text: str, company: str, value: str) -> None:
+        day = by_text.get(text)
+        if day is None:
+            day = by_text[text] = by_date.setdefault(date.fromisoformat(text), {})
+        if company in day:
+            raise ValueError(f"duplicate {what} row for ({company}, {date.fromisoformat(text)})")
+        value = float(value)
+        if not lo < value < math.inf:  # also false for nan
+            kind = "nonpositive" if math.isfinite(value) else "non-finite"
+            raise ValueError(f"{kind} {column} {value!r} for ({company}, {date.fromisoformat(text)})")
+        day[company] = value
 
-    read_csv(path, ("date", "company", column), what, row_at)
+    read_csv(path, ("date", "company", column), what, row)
     if not by_date:
         raise ValueError(f"{path}: {what} CSV contains no rows")
     dates = tuple(sorted(by_date))

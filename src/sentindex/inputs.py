@@ -7,6 +7,7 @@ import math
 import re
 import sys
 from datetime import datetime
+from operator import itemgetter
 from pathlib import Path
 from typing import Callable
 
@@ -181,15 +182,13 @@ def config_from_dict(cls: type, obj: dict, where: str | Path, **nested: Callable
         raise ValueError(f"{where}: {exc}") from None
 
 
-def read_csv(path: str | Path, names: tuple[str, ...], what: str,
-             row_at: Callable[..., Callable[[list[str]], None]]) -> None:
-    """Call a row function once per non-blank data line of a headed CSV file, in file order.
+def read_csv(path: str | Path, names: tuple[str, ...], what: str, row: Callable[..., None]) -> None:
+    """Call row once per non-blank data line of a headed CSV file, in file order, with the line's fields
+    in the columns of names, in that order; names are two or more, as one would pass the bare field.
 
-    row_at gets the header positions of names and returns the row function, which gets each
-    line's fields as a list and must index every position. A header that lacks one of names, or
-    names it twice, raises ValueError naming the file and the column. A line too short for a
-    position, a line holding a double quote (quoted fields are not parsed), a line that is not
-    UTF-8, or a ValueError from the row function raises ValueError naming the file and the line.
+    A header that lacks one of names, or names it twice, raises ValueError naming the file and the
+    column. A line too short for a column, holding a double quote (quoted fields are not parsed) or not
+    UTF-8, or a ValueError from row, raises ValueError naming the file and the line.
     """
     lineno = 1
     try:
@@ -199,13 +198,13 @@ def read_csv(path: str | Path, names: tuple[str, ...], what: str,
                 if header.count(name) != 1:
                     problem = "lacks a" if name not in header else "repeats the"
                     raise ValueError(f"{path}: {what} CSV {problem} {name!r} column")
-            row = row_at(*map(header.index, names))
+            pick = itemgetter(*map(header.index, names))
             # a file iterator yields no empty string, so isspace() finds the blank lines
             for lineno, line in enumerate(fh, start=2):
                 if not line.isspace():
                     if '"' in line:
                         raise ValueError("quoted fields are not supported")
-                    row(line.rstrip("\n").split(","))
+                    row(*pick(line.rstrip("\n").split(",")))
     except UnicodeDecodeError as exc:
         raise not_utf8(path, exc) from None
     except (ValueError, IndexError) as exc:
@@ -215,14 +214,21 @@ def read_csv(path: str | Path, names: tuple[str, ...], what: str,
         raise ValueError(f"{path}: line {lineno}: {reason}") from None
 
 
+# a date in a form fromisoformat reads (calendar or week, extended or basic), then T, t or a space
+_DATE_TIME = r"[0-9]{4}(?:-[0-9]{2}-[0-9]{2}|[0-9]{4}|-W[0-9]{2}(?:-[0-9])?|W[0-9]{2,3})[Tt ]"
+
+
 def parse_timestamp(raw: str) -> datetime:
-    """Parse an ISO-8601 timestamp with offset; naive timestamps are rejected."""
+    """Parse an ISO-8601 timestamp with offset, date and time parted by T, t or a space; naive ones are rejected."""
     # fromisoformat takes a trailing Z since Python 3.11, but not z, so both are rewritten
     if raw.endswith("Z") or raw.endswith("z"):
         raw = raw[:-1] + "+00:00"
     ts = datetime.fromisoformat(raw)
     if ts.tzinfo is None:
         raise ValueError("timestamp lacks a UTC offset")
+    # a YYYY-MM-DD date ends at the 10th character; re compiles the pattern on the first other stamp
+    if (raw[10:11] != "T" or raw[4] != "-" or raw[5] == "W") and not re.match(_DATE_TIME, raw):
+        raise ValueError("date and time are not parted by T, t or a space")
     return ts
 
 

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import math
 import operator
-from collections.abc import Callable
 from itertools import repeat
 from pathlib import Path
 from typing import NamedTuple
@@ -170,17 +169,15 @@ def load_weights_csv(path: str | Path, value_column: str) -> dict[str, float]:
     """Read company,value rows (header required); values finite, companies unique."""
     out: dict[str, float] = {}
 
-    def row_at(i: int, j: int) -> Callable[[list[str]], None]:
-        def row(fields: list[str]) -> None:
-            company, value = fields[i], float(fields[j])
-            if not math.isfinite(value):
-                raise ValueError(f"non-finite {value_column} {value!r} for {company}")
-            if company in out:
-                raise ValueError(f"duplicate row for {company}")
-            out[company] = value
-        return row
+    def row(company: str, value: str) -> None:
+        value = float(value)
+        if not math.isfinite(value):
+            raise ValueError(f"non-finite {value_column} {value!r} for {company}")
+        if company in out:
+            raise ValueError(f"duplicate row for {company}")
+        out[company] = value
 
-    read_csv(path, ("company", value_column), value_column, row_at)
+    read_csv(path, ("company", value_column), value_column, row)
     return out
 
 

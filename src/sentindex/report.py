@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
-from collections.abc import Callable
 from datetime import date
 from pathlib import Path
 from typing import NamedTuple
@@ -61,36 +60,30 @@ def _read_inputs(input_dir: Path) -> _Inputs:
 
     dates, index_levels, bench_levels = [], [], []
 
-    def level_row_at(i: int, j: int, k: int) -> Callable[[list[str]], None]:
-        def level_row(fields: list[str]) -> None:
-            text, index_level, bench_level = fields[i], fields[j], fields[k]
-            d, index_level, bench_level = date.fromisoformat(text), float(index_level), float(bench_level)
-            if not (math.isfinite(index_level) and math.isfinite(bench_level)):
-                raise ValueError(f"non-finite level on {d}: index {index_level!r}, benchmark {bench_level!r}")
-            if dates and d <= dates[-1]:
-                raise ValueError(f"date {d} does not follow {dates[-1]}")
-            dates.append(d)
-            index_levels.append(index_level)
-            bench_levels.append(bench_level)
-        return level_row
+    def level_row(text: str, index_level: str, bench_level: str) -> None:
+        d, index_level, bench_level = date.fromisoformat(text), float(index_level), float(bench_level)
+        if not (math.isfinite(index_level) and math.isfinite(bench_level)):
+            raise ValueError(f"non-finite level on {d}: index {index_level!r}, benchmark {bench_level!r}")
+        if dates and d <= dates[-1]:
+            raise ValueError(f"date {d} does not follow {dates[-1]}")
+        dates.append(d)
+        index_levels.append(index_level)
+        bench_levels.append(bench_level)
 
-    read_csv(levels_path, ("date", "index_level", "benchmark_level"), "levels", level_row_at)
+    read_csv(levels_path, ("date", "index_level", "benchmark_level"), "levels", level_row)
     if not dates:
         raise ValueError(f"{levels_path}: no data rows")
 
     trades_per_day: dict[date, int] = {}
     by_text: dict[str, date] = {}  # date text -> date, parsed once
 
-    def trade_row_at(i: int, j: int) -> Callable[[list[str]], None]:
-        def trade_row(fields: list[str]) -> None:
-            text, _ = fields[i], fields[j]  # a line without a company is too short
-            d = by_text.get(text)
-            if d is None:
-                d = by_text[text] = date.fromisoformat(text)
-            trades_per_day[d] = trades_per_day.get(d, 0) + 1
-        return trade_row
+    def trade_row(text: str, _company: str) -> None:  # a line without a company is too short
+        d = by_text.get(text)
+        if d is None:
+            d = by_text[text] = date.fromisoformat(text)
+        trades_per_day[d] = trades_per_day.get(d, 0) + 1
 
-    read_csv(trades_path, ("date", "company"), "trades", trade_row_at)
+    read_csv(trades_path, ("date", "company"), "trades", trade_row)
     return _Inputs(dates, index_levels, bench_levels, trades_per_day, _read_summary(summary_path))
 
 
@@ -142,12 +135,6 @@ def _read_summary(path: Path) -> dict[str, str]:
     return table
 
 
-def _x(i: int, n: int) -> float:
-    if n == 1:
-        return MARGIN_LEFT + PLOT_W / 2.0
-    return MARGIN_LEFT + PLOT_W * i / (n - 1)
-
-
 def _render_svg(data: _Inputs) -> str:
     n = len(data.dates)
     level_min = min(min(data.index_levels), min(data.bench_levels))
@@ -157,6 +144,10 @@ def _render_svg(data: _Inputs) -> str:
     lo, hi = level_min - pad, level_max + pad
     if not math.isfinite(PLOT_H * (hi - lo)):  # then every coordinate and tick below is finite
         raise ValueError(f"levels from {level_min!r} to {level_max!r} are too far apart to draw")
+
+    # each date's x as printed, a lone date's centred
+    xs = ([f"{MARGIN_LEFT + PLOT_W * i / (n - 1):.2f}" for i in range(n)] if n > 1
+          else [f"{MARGIN_LEFT + PLOT_W / 2.0:.2f}"])
 
     def y_level(v: float) -> float:
         return MARGIN_TOP + PLOT_H * (hi - v) / (hi - lo)
@@ -173,13 +164,18 @@ def _render_svg(data: _Inputs) -> str:
         for color, width, dash, _ in STYLES]
 
     parts: list[str] = []
+
+    def line(x1: object, y1: object, x2: object, y2: object, style: str) -> None:
+        parts.append(f'<line x1="{x1}" y1="{y1}" x2="{x2}" y2="{y2}" {style}/>')
+
+    def text(x: object, y: object, style: str, body: object) -> None:
+        parts.append(f'<text x="{x}" y="{y}" {style}>{body}</text>')
+
     parts.append(
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" height="{HEIGHT}" '
         f'viewBox="0 0 {WIDTH} {HEIGHT}" font-family="Helvetica, Arial, sans-serif">')
     parts.append(f'<rect width="{WIDTH}" height="{HEIGHT}" fill="white"/>')
-    parts.append(
-        f'<text x="{WIDTH / 2:.2f}" y="28" font-size="17" text-anchor="middle">'
-        f"{TITLE}</text>")
+    text(f"{WIDTH / 2:.2f}", 28, 'font-size="17" text-anchor="middle"', TITLE)
 
     # plot frame and horizontal gridlines with left-axis labels
     parts.append(
@@ -187,59 +183,40 @@ def _render_svg(data: _Inputs) -> str:
         f'fill="none" stroke="#444444" stroke-width="1"/>')
     for tick in [lo + (hi - lo) * k / 4 for k in range(5)]:
         y = y_level(tick)
-        parts.append(
-            f'<line x1="{MARGIN_LEFT}" y1="{y:.2f}" x2="{MARGIN_LEFT + PLOT_W}" '
-            f'y2="{y:.2f}" stroke="#dddddd" stroke-width="1"/>')
-        parts.append(
-            f'<text x="{MARGIN_LEFT - 8}" y="{y + 4:.2f}" font-size="11" '
-            f'text-anchor="end">{tick:.1f}</text>')
+        line(MARGIN_LEFT, f"{y:.2f}", MARGIN_LEFT + PLOT_W, f"{y:.2f}", 'stroke="#dddddd" stroke-width="1"')
+        text(MARGIN_LEFT - 8, f"{y + 4:.2f}", 'font-size="11" text-anchor="end"', f"{tick:.1f}")
     # a label every step trades, step the first of 1, 2, 5, 10, 20, 50, ...
     # that leaves at most 11 of them (10 ** (digits - 1) always does)
     steps = (m * 10 ** e for e in range(len(str(max_trades))) for m in (1, 2, 5))
     step = next(s for s in steps if max_trades // s <= 10)
     for k in range(0, max_trades + 1, step):
-        y = y_trades(k)
-        parts.append(
-            f'<text x="{MARGIN_LEFT + PLOT_W + 8}" y="{y + 4:.2f}" font-size="11" '
-            f'text-anchor="start" fill="{STYLES[2][0]}">{k}</text>')
+        text(MARGIN_LEFT + PLOT_W + 8, f"{y_trades(k) + 4:.2f}",
+             f'font-size="11" text-anchor="start" fill="{STYLES[2][0]}"', k)
 
     # x labels: first, last, and up to three evenly spaced dates between
-    label_idx = sorted({0, n - 1, n // 4, n // 2, (3 * n) // 4})
-    for i in label_idx:
-        x = _x(i, n)
-        parts.append(
-            f'<line x1="{x:.2f}" y1="{MARGIN_TOP + PLOT_H}" x2="{x:.2f}" '
-            f'y2="{MARGIN_TOP + PLOT_H + 5}" stroke="#444444" stroke-width="1"/>')
-        parts.append(
-            f'<text x="{x:.2f}" y="{MARGIN_TOP + PLOT_H + 20}" font-size="11" '
-            f'text-anchor="middle">{data.dates[i].isoformat()}</text>')
+    for i in sorted({0, n - 1, n // 4, n // 2, (3 * n) // 4}):
+        line(xs[i], MARGIN_TOP + PLOT_H, xs[i], MARGIN_TOP + PLOT_H + 5, 'stroke="#444444" stroke-width="1"')
+        text(xs[i], MARGIN_TOP + PLOT_H + 20, 'font-size="11" text-anchor="middle"', data.dates[i].isoformat())
 
     # trade impulses behind the level lines
-    for i, d in enumerate(data.dates):
-        k = data.trades_per_day.get(d, 0)
-        if k <= 0:
-            continue
-        x = _x(i, n)
-        parts.append(
-            f'<line x1="{x:.2f}" y1="{y_trades(0):.2f}" x2="{x:.2f}" '
-            f'y2="{y_trades(k):.2f}" {trade_stroke}/>')
+    for x, d in zip(xs, data.dates):
+        if (k := data.trades_per_day.get(d, 0)) > 0:
+            line(x, f"{y_trades(0):.2f}", x, f"{y_trades(k):.2f}", trade_stroke)
 
     for values, stroke in ((data.bench_levels, bench_stroke), (data.index_levels, index_stroke)):
-        points = " ".join(f"{_x(i, n):.2f},{y_level(v):.2f}" for i, v in enumerate(values))
+        points = " ".join(f"{x},{y_level(v):.2f}" for x, v in zip(xs, values))
         parts.append(f'<polyline points="{points}" fill="none" {stroke}/>')
 
     # legend and axis captions
     lx, ly = MARGIN_LEFT + 12, MARGIN_TOP + 16
     for k, (stroke, (*_, label)) in enumerate(zip(strokes, STYLES)):
         y = ly + 18 * k
-        parts.append(f'<line x1="{lx}" y1="{y}" x2="{lx + 26}" y2="{y}" {stroke}/>')
-        parts.append(f'<text x="{lx + 32}" y="{y + 4}" font-size="12">{label}</text>')
+        line(lx, y, lx + 26, y, stroke)
+        text(lx + 32, y + 4, 'font-size="12"', label)
 
     footer = (f"annualized index {data.table['annualized_return_index_pct']}%  |  annualized benchmark "
               f"{data.table['annualized_return_benchmark_pct']}%  |  trades {data.table['total_trades']}")
-    parts.append(
-        f'<text x="{WIDTH / 2:.2f}" y="{HEIGHT - 16}" font-size="12" '
-        f'text-anchor="middle">{footer}</text>')
+    text(f"{WIDTH / 2:.2f}", HEIGHT - 16, 'font-size="12" text-anchor="middle"', footer)
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
 
