@@ -12,8 +12,9 @@ from __future__ import annotations
 import json
 import random
 import shutil
-from datetime import datetime, timedelta, timezone
+from datetime import date, datetime, time, timedelta, timezone
 from pathlib import Path
+from zoneinfo import ZoneInfo
 
 import pytest
 
@@ -113,3 +114,95 @@ def test_reordering_price_lines_changes_no_output(tmp_path, order):
     assert got.keys() == base.keys()
     for name in base:
         assert got[name] == base[name], name
+
+
+PRICE_ROWS = (GOLDEN / "prices.csv").read_text(encoding="utf-8").splitlines()[1:]
+
+
+@pytest.mark.parametrize("company", sorted({row.split(",")[1] for row in PRICE_ROWS}))
+def test_scaling_one_companys_closes_by_eight_changes_no_output(tmp_path, company):
+    """Times 8 is exact in binary, so every return, and so every output byte, stays the same."""
+    base = run_chain(golden_copy(tmp_path / "in"), tmp_path / "base")
+    scaled = golden_copy(tmp_path / "scaled_in")
+    header = (GOLDEN / "prices.csv").read_text(encoding="utf-8").splitlines()[0]
+    rows = []
+    for row in PRICE_ROWS:
+        day, name, close = row.split(",")
+        rows.append(f"{day},{name},{float(close) * 8!r}" if name == company else row)
+    assert rows != PRICE_ROWS
+    (scaled / "prices.csv").write_text("".join(f"{x}\n" for x in [header, *rows]), encoding="utf-8")
+    got = run_chain(scaled, tmp_path / "scaled")
+    for name in OUTPUTS:
+        assert got[name] == base[name], name
+
+
+# the market's zone and cutoff, and its trading dates, read here without the package's readers
+_MARKET = json.loads((GOLDEN / "aggregation_config.json").read_text(encoding="utf-8"))
+ZONE = ZoneInfo(_MARKET["market_timezone"])
+CUTOFF = time.fromisoformat(_MARKET["cutoff_local_time"])
+DATES = sorted({date.fromisoformat(row.split(",")[0]) for row in PRICE_ROWS})
+
+
+def at(i: int, clock: time) -> datetime:
+    """clock on DATES[i], in market time."""
+    return datetime.combine(DATES[i], clock, ZONE)
+
+
+def trading_index(stamp: str) -> int | None:
+    """The index in DATES of the first date whose cutoff, in market time, falls after stamp: the date
+    the article counts for. The window of DATES[i] runs from the cutoff of DATES[i - 1] up to its own."""
+    local = datetime.fromisoformat(stamp).astimezone(ZONE)
+    return next((i for i in range(len(DATES)) if local < at(i, CUTOFF)), None)
+
+
+def move_articles(dest: Path, new_time, indices: range) -> int:
+    """golden_copy(dest) with the published_at of each article of DATES[i], i in indices, replaced by
+    new_time(i); the number of articles moved.
+
+    Only an article whose (company, headline) no other article shares is moved, because the filter keeps
+    the earliest of such copies, so moving one could change which copy is kept.
+    """
+    golden_copy(dest)
+    objs = [json.loads(line) for line in (GOLDEN / "articles.jsonl").read_text(encoding="utf-8").splitlines()]
+    copies = {}
+    for obj in objs:
+        key = (obj["company_id"], obj["headline"].lower())
+        copies[key] = copies.get(key, 0) + 1
+    moved = 0
+    for obj in objs:
+        i = trading_index(obj["published_at"])
+        if i in indices and copies[obj["company_id"], obj["headline"].lower()] == 1:
+            obj["published_at"] = new_time(i).isoformat()
+            moved += 1
+    (dest / "articles.jsonl").write_text(
+        "".join(json.dumps(obj, ensure_ascii=False) + "\n" for obj in objs), encoding="utf-8")
+    return moved
+
+
+# an article of DATES[i] moved to a point of its own window: where it opens (the cutoff of DATES[i - 1]),
+# a second before it closes, and local midnight, which falls on the previous UTC date
+WITHIN_WINDOW = {
+    "opening": lambda i: at(i - 1, CUTOFF),
+    "before-cutoff": lambda i: at(i, CUTOFF) - timedelta(seconds=1),
+    "midnight": lambda i: at(i, time(0, 0)),
+}
+
+
+@pytest.mark.parametrize("where", WITHIN_WINDOW)
+def test_moving_articles_within_their_trading_day_window_keeps_daily_csv(tmp_path, where):
+    base = run_chain(golden_copy(tmp_path / "in"), tmp_path / "base")
+    assert move_articles(tmp_path / "moved_in", WITHIN_WINDOW[where], range(1, len(DATES))) > 100
+    got = run_chain(tmp_path / "moved_in", tmp_path / "moved")
+    assert got["daily.csv"] == base["daily.csv"]
+
+
+def test_article_at_the_cutoff_counts_as_one_in_the_next_window(tmp_path):
+    """Articles moved to the cutoff of their date give the daily.csv of the same articles moved to noon
+    of the next trading date, which differs from the fixture's."""
+    base = run_chain(golden_copy(tmp_path / "in"), tmp_path / "base")
+    indices = range(len(DATES) - 1)
+    assert move_articles(tmp_path / "cutoff_in", lambda i: at(i, CUTOFF), indices) > 100
+    assert move_articles(tmp_path / "next_in", lambda i: at(i + 1, time(12, 0)), indices) > 100
+    at_cutoff = run_chain(tmp_path / "cutoff_in", tmp_path / "cutoff")
+    in_next = run_chain(tmp_path / "next_in", tmp_path / "next")
+    assert at_cutoff["daily.csv"] == in_next["daily.csv"] != base["daily.csv"]
