@@ -221,7 +221,7 @@ _DATE_TIME = r"[0-9]{4}(?:-[0-9]{2}-[0-9]{2}|[0-9]{4}|-W[0-9]{2}(?:-[0-9])?|W[0-
 def parse_timestamp(raw: str) -> datetime:
     """Parse an ISO-8601 timestamp with offset, date and time parted by T, t or a space; naive ones are rejected."""
     # fromisoformat takes a trailing Z since Python 3.11, but not z, so both are rewritten
-    if raw.endswith("Z") or raw.endswith("z"):
+    if raw[-1:] in ("Z", "z"):
         raw = raw[:-1] + "+00:00"
     ts = datetime.fromisoformat(raw)
     if ts.tzinfo is None:

@@ -624,7 +624,10 @@ class TestStrictInputs:
         ("aggregate", '{"id": "\udcff"}', "line 1: 'utf-8' codec can't decode byte 0xff in position 8: invalid start byte"),
         ("aggregate", '{"score": ' + "7" * 5000 + "}", "line 1: invalid JSON (Exceeds the limit (4300 digits)"),
         ("score", '{"p_neutral": ' + "7" * 5000 + "}", "line 1: invalid JSON (Exceeds the limit (4300 digits)"),
-    ], ids=["aggregate", "score", "aggregate-utf8", "aggregate-huge-int", "score-huge-int"])
+        ("aggregate", json.dumps({"id": "a1", "company_id": "adlerwerke", "source": "wire",
+                                  "published_at": "2021-03-01X10:00:00+01:00", "score": 0.5}),
+         "line 1: bad published_at (date and time are not parted by T, t or a space)"),
+    ], ids=["aggregate", "score", "aggregate-utf8", "aggregate-huge-int", "score-huge-int", "aggregate-stamp"])
     def test_non_object_line_exits_one(self, tmp_path, golden_dir, capsys, command, line, message):
         data = tmp_path / "data.jsonl"
         data.write_text(f"{line}\n", errors="surrogateescape")

@@ -6,7 +6,7 @@ from __future__ import annotations
 import copy
 import json
 import math
-from datetime import date, timedelta, timezone
+from datetime import date, datetime, timedelta, timezone
 from pathlib import Path
 
 import pytest
@@ -55,6 +55,28 @@ def test_repeated_other_column_allowed(tmp_path):
     path = tmp_path / "bench.csv"
     path.write_text("note,date,note,level\nx,2021-03-01,y,5000.0\n")
     assert load_benchmark_levels(path) == {date(2021, 3, 1): 5000.0}
+
+
+@pytest.mark.parametrize("what", READERS)
+def test_named_columns_read_in_any_order(tmp_path, what):
+    """Each reader takes its columns by name: reversed and with a column added before the others (level,extra,date
+    for the benchmark), the file gives the same values, and a line that lacks the last column is too short."""
+    load, header, good, _ = READERS[what]
+    path = tmp_path / f"{what}.csv"
+    path.write_text(f"{header}\n{good}\n")
+    expected = load(path)
+
+    def reordered(line: str, extra: str) -> str:
+        fields = line.split(",")[::-1]
+        return ",".join([fields[0], extra, *fields[1:]])
+
+    path.write_text(f"{reordered(header, 'extra')}\n{reordered(good, 'x')}\n")
+    assert load(path) == expected
+    short = reordered(good, "x").rpartition(",")[0]
+    path.write_text(f"{reordered(header, 'extra')}\n{reordered(good, 'x')}\n{short}\n")
+    with pytest.raises(ValueError) as info:
+        load(path)
+    assert str(info.value) == f"{path}: line 3: too few fields"
 
 
 @pytest.mark.parametrize("text, line, at, message", [
@@ -185,10 +207,71 @@ def test_isoformat_text_takes_what_isoformat_writes(ts):
     ("20210723T100000+0100", False),
     ("20210723T100000.000+01:00", False),
     ("2021-07-23T10:00+01:00", False),
+    ("2021W295 10:00:00+01:00", False),
+    ("2021-W29t10:00:00+01:00", False),
+    ("2021W29T10:00:00+01:00", False),
+    ("20210723 100000+0100", False),
 ], ids=["canonical", "extremes", "early-year", "Z", "z", "minus-zero", "minutes-75", "offset-seconds",
-        "fraction", "zero-fraction", "space", "lower-t", "week-date", "basic", "basic-fraction", "no-seconds"])
+        "fraction", "zero-fraction", "space", "lower-t", "week-date", "basic", "basic-fraction", "no-seconds",
+        "basic-week-space", "week-no-day-lower-t", "basic-week-no-day", "basic-space"])
 def test_isoformat_text_edges(text, taken):
     ts = parse_timestamp(text)
     got = isoformat_text(text, ts)
     assert got == ts.isoformat()
     assert (got is text) == taken
+
+
+# each form of a date that fromisoformat reads, as a function of a date; a week without its day is its Monday
+_DATE_FORMS = {
+    "extended": lambda d: (d.isoformat(), d),
+    "basic": lambda d: (d.isoformat().replace("-", ""), d),
+    "week": lambda d: ("{:04}-W{:02}-{}".format(*d.isocalendar()), d),
+    "basic-week": lambda d: ("{:04}W{:02}{}".format(*d.isocalendar()), d),
+    "week-no-day": lambda d: ("{:04}-W{:02}".format(*d.isocalendar()),
+                              date.fromisocalendar(*d.isocalendar()[:2], 1)),
+    "basic-week-no-day": lambda d: ("{:04}W{:02}".format(*d.isocalendar()),
+                                    date.fromisocalendar(*d.isocalendar()[:2], 1)),
+}
+
+
+@settings(max_examples=400)
+@example(datetime(2021, 3, 1, 10, tzinfo=timezone(timedelta(hours=1))), "extended", "X")
+@example(datetime(2000, 1, 1, tzinfo=timezone.utc), "extended", "0")
+@example(datetime(2021, 3, 1, 10, tzinfo=timezone.utc), "basic", "5")
+@given(st.datetimes(timezones=_MINUTE_ZONES), st.sampled_from(sorted(_DATE_FORMS)),
+       st.sampled_from("Tt 0-W:+.XZ\u00e4\u0661") | st.characters())
+def test_timestamp_date_and_time_parted_only_by_t_or_space(ts, form, separator):
+    """Of a date in any form fromisoformat reads, then one character, then the time and its offset,
+    parse_timestamp reads the instant when the character is T, t or a space, and rejects the text
+    otherwise, though fromisoformat takes any character there."""
+    day_text, day = _DATE_FORMS[form](ts.date())
+    text = day_text + separator + ts.timetz().isoformat()
+    if separator in ("T", "t", " "):
+        got = parse_timestamp(text)
+        assert got == ts.replace(year=day.year, month=day.month, day=day.day)
+        assert got.utcoffset() == ts.utcoffset()
+    else:
+        with pytest.raises(ValueError):
+            parse_timestamp(text)
+
+
+@pytest.mark.parametrize("text", [
+    "2021-03-01X10:00:00+01:00",
+    "2000-01-01000:00:00+00:00",
+    "2021-03-01\u00e410:00:00+01:00",
+    "2021-03-01-10:00:00+01:00",
+    "2021-03-01_10:00:00Z",
+    "20210301510 +01:00",
+    "20210301X100000+0100",
+    "2021-W09-1X10:00:00+01:00",
+    "2021W091X10:00:00+01:00",
+    "2021-W09X10:00:00+01:00",
+    "2021W09X10:00+01:00",
+], ids=["letter", "digit", "non-ascii", "hyphen", "underscore-z", "digit-then-space", "basic", "week",
+        "basic-week", "week-no-day", "basic-week-no-day"])
+def test_timestamp_other_separator_rejected(text):
+    """fromisoformat reads each of these, as it takes any character between the date and the time."""
+    datetime.fromisoformat(text.replace("Z", "+00:00"))
+    with pytest.raises(ValueError) as info:
+        parse_timestamp(text)
+    assert str(info.value) == "date and time are not parted by T, t or a space"

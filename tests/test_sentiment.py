@@ -300,8 +300,11 @@ class TestScoredFiles:
         (json.dumps({**RECORD, "company_id": 5}), "line 2: 'company_id' must be a string, got 5"),
         (json.dumps({**RECORD, "source": ["w"]}), "line 2: 'source' must be a string, got list"),
         (json.dumps({**RECORD, "published_at": "2021-03-01"}), "line 2: bad published_at"),
+        (json.dumps({**RECORD, "published_at": "2021-03-01X10:00:00+01:00"}),
+         "line 2: bad published_at (date and time are not parted by T, t or a space)"),
     ], ids=["list", "string", "invalid-json", "missing", "nan", "-inf", "string-score", "bool-score",
-            "huge-int", "out-of-range", "int-out-of-range", "int-company", "list-source", "naive-stamp"])
+            "huge-int", "out-of-range", "int-out-of-range", "int-company", "list-source", "naive-stamp",
+            "stamp-separator"])
     def test_load_scored_rejects_naming_file_line_and_field(self, tmp_path, line, message):
         path = tmp_path / "scored.jsonl"
         self.write(path, [json.dumps(self.RECORD), line])
