@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import random
 import shutil
+from collections import Counter
 from datetime import date, datetime, time, timedelta, timezone
 from pathlib import Path
 from zoneinfo import ZoneInfo
@@ -108,7 +109,7 @@ def test_reordering_price_lines_changes_no_output(tmp_path, order):
         rows.reverse()
     else:
         random.Random(int(order.removeprefix("seed-"))).shuffle(rows)
-    (shuffled / "prices.csv").write_text("".join(f"{x}\n" for x in [header, *rows]), encoding="utf-8")
+    (shuffled / "prices.csv").write_text("".join(f"{x}\n" for x in [PRICE_HEADER, *rows]), encoding="utf-8")
     assert grids._read_ordered(shuffled / "prices.csv", "close", 0.0) is None
     got = run_chain(shuffled, tmp_path / "shuffled")
     assert got.keys() == base.keys()
@@ -116,7 +117,7 @@ def test_reordering_price_lines_changes_no_output(tmp_path, order):
         assert got[name] == base[name], name
 
 
-PRICE_ROWS = (GOLDEN / "prices.csv").read_text(encoding="utf-8").splitlines()[1:]
+PRICE_HEADER, *PRICE_ROWS = (GOLDEN / "prices.csv").read_text(encoding="utf-8").splitlines()
 
 
 @pytest.mark.parametrize("company", sorted({row.split(",")[1] for row in PRICE_ROWS}))
@@ -124,13 +125,12 @@ def test_scaling_one_companys_closes_by_eight_changes_no_output(tmp_path, compan
     """Times 8 is exact in binary, so every return, and so every output byte, stays the same."""
     base = run_chain(golden_copy(tmp_path / "in"), tmp_path / "base")
     scaled = golden_copy(tmp_path / "scaled_in")
-    header = (GOLDEN / "prices.csv").read_text(encoding="utf-8").splitlines()[0]
     rows = []
     for row in PRICE_ROWS:
         day, name, close = row.split(",")
         rows.append(f"{day},{name},{float(close) * 8!r}" if name == company else row)
     assert rows != PRICE_ROWS
-    (scaled / "prices.csv").write_text("".join(f"{x}\n" for x in [header, *rows]), encoding="utf-8")
+    (scaled / "prices.csv").write_text("".join(f"{x}\n" for x in [PRICE_HEADER, *rows]), encoding="utf-8")
     got = run_chain(scaled, tmp_path / "scaled")
     for name in OUTPUTS:
         assert got[name] == base[name], name
@@ -164,10 +164,7 @@ def move_articles(dest: Path, new_time, indices: range) -> int:
     """
     golden_copy(dest)
     objs = [json.loads(line) for line in (GOLDEN / "articles.jsonl").read_text(encoding="utf-8").splitlines()]
-    copies = {}
-    for obj in objs:
-        key = (obj["company_id"], obj["headline"].lower())
-        copies[key] = copies.get(key, 0) + 1
+    copies = Counter((obj["company_id"], obj["headline"].lower()) for obj in objs)
     moved = 0
     for obj in objs:
         i = trading_index(obj["published_at"])
