@@ -119,8 +119,7 @@ def effective_trading_date(
 
 
 def _shrink(u_today: int, prior_total: int, prior_days: int) -> float:
-    # the running total and count are exactly sum(history) and len(history),
-    # and int / int is correctly rounded, so the mean matches bit for bit
+    # int / int is correctly rounded, so a running total and count give the mean of the history bit for bit
     if not prior_days:
         return 1.0
     m = prior_total / prior_days
@@ -129,15 +128,14 @@ def _shrink(u_today: int, prior_total: int, prior_days: int) -> float:
     return 1.0
 
 
-class AggregationResult:
-    def __init__(self, dates: tuple[date, ...], companies: tuple[str, ...],
-                 cells: list[dict[int, DailySentiment]]) -> None:
-        self.dates = dates
-        self.companies = companies  # sorted
-        self.cells = cells  # per date: company index -> a cell with articles
-        self.diagnostics: list[str] = []
-        self.dropped_after_range = 0
-        self.dropped_unknown_company = 0  # on a trading date, but not in the universe
+@record
+class AggregationResult(NamedTuple):
+    dates: tuple[date, ...]
+    companies: tuple[str, ...]  # sorted
+    cells: list[dict[int, DailySentiment]]  # per date: company index -> a cell with articles
+    diagnostics: list[str] = []
+    dropped_after_range: int = 0
+    dropped_unknown_company: int = 0  # on a trading date, but not in the universe
 
     @property
     def rows(self) -> list[DailySentiment]:
@@ -166,13 +164,14 @@ def aggregate_daily(
 ) -> AggregationResult:
     """Build the (company, trading date) sentiment grid, holding only the cells with articles.
 
-    Per company and date: raw mean of article scores in input order, unique
-    source count, adjustment from the company's source history before that
-    date, adjusted = raw * adjustment. A company's dates without articles are
-    quiet cells: they are not held, they read as zero in rows, grid() and the
-    written CSV, and under all_days they count as days of zero sources.
-    Articles of a company outside the universe are counted and dropped; a
-    company named twice in the universe raises ValueError.
+    Per company and date: raw mean of article scores added in input order from
+    0.0 (no sum(), whose floats differ from Python 3.12), unique source count,
+    adjustment from the company's source history before that date, adjusted =
+    raw * adjustment. A company's dates without articles are quiet cells: they
+    are not held, they read as zero in rows, grid() and the written CSV, and
+    under all_days they count as days of zero sources. Articles of a company
+    outside the universe are counted and dropped; a company named twice in the
+    universe raises ValueError.
     """
     config = config or AggregationConfig()
     all_days = config.adjustment_history == "all_days"
@@ -180,41 +179,41 @@ def aggregate_daily(
     for a, b in zip(companies, companies[1:]):
         if a == b:  # its rows would be written twice
             raise ValueError(f"universe repeats company {a!r}")
-    result = AggregationResult(calendar.dates, companies, [{} for _ in calendar.dates])
-    # universe company -> trading date -> (scores in input order, sources)
-    groups: dict[str, dict[date, tuple[list[float], set[str]]]] = {company: {} for company in companies}
+    column = {company: j for j, company in enumerate(companies)}
+    index = {d: i for i, d in enumerate(calendar.dates)}
+    # per date: company index -> [score sum, article count, sources], then its DailySentiment
+    cells: list[dict] = [{} for _ in calendar.dates]
+    diagnostics, after_range, unknown = [], 0, 0
     for record in scored:
         trading_date, diagnostic = effective_trading_date(record.published_at, calendar)
         if diagnostic is not None:
-            result.diagnostics.append(f"article {record.id}: {diagnostic}")
+            diagnostics.append(f"article {record.id}: {diagnostic}")
         if trading_date is None:
-            result.dropped_after_range += 1
+            after_range += 1
             continue
-        by_date = groups.get(record.company_id)
-        if by_date is None:
-            result.dropped_unknown_company += 1
+        j = column.get(record.company_id)
+        if j is None:
+            unknown += 1
             continue
-        group = by_date.get(trading_date)
-        if group is None:
-            group = by_date[trading_date] = ([], set())
-        group[0].append(record.score)
-        group[1].add(record.source)
+        day = cells[index[trading_date]]
+        cell = day.get(j)
+        if cell is None:
+            cell = day[j] = [0.0, 0, set()]
+        cell[0] += record.score
+        cell[1] += 1
+        cell[2].add(record.source)
 
-    # each company's article days in date order, with a running source total;
-    # under all_days every earlier date is a prior day, so their count is the index
-    index = {d: i for i, d in enumerate(calendar.dates)}
-    for j, company in enumerate(result.companies):
-        prior_total = prior_days = 0
-        for trading_date, (scores, sources) in sorted(groups[company].items()):
-            i = index[trading_date]
-            raw = sum(scores) / len(scores)
+    # under all_days every earlier date is a prior day, so their count is the date's index
+    prior_total, prior_days = [0] * len(companies), [0] * len(companies)
+    for i, (trading_date, day) in enumerate(zip(calendar.dates, cells)):
+        for j, (total, count, sources) in day.items():
+            raw = total / count
             u = len(sources)
-            adj = _shrink(u, prior_total, i if all_days else prior_days)
-            result.cells[i][j] = DailySentiment(
-                company, trading_date, raw, raw * adj, len(scores), u, adj)
-            prior_total += u
-            prior_days += 1
-    return result
+            adj = _shrink(u, prior_total[j], i if all_days else prior_days[j])
+            day[j] = DailySentiment(companies[j], trading_date, raw, raw * adj, count, u, adj)
+            prior_total[j] += u
+            prior_days[j] += 1
+    return AggregationResult(calendar.dates, companies, cells, diagnostics, after_range, unknown)
 
 
 def write_daily_sentiment_csv(path: str | Path, result: AggregationResult) -> None:

@@ -89,7 +89,10 @@ def aggregate_daily(
             group = groups.get((company, trading_date))
             if group:
                 scores = group["scores"]
-                raw = sum(scores) / len(scores)
+                total = 0.0  # left to right, as Python 3.11's sum() adds floats; 3.12's sum() compensates
+                for score in scores:
+                    total += score
+                raw = total / len(scores)
                 u = len(group["sources"])
                 adj = source_adjustment(u, history)
                 row = DailySentiment(

@@ -102,10 +102,12 @@ class TestLoadArticles:
 
     def test_timestamp_with_another_separator_is_skipped(self, tmp_path):
         path = tmp_path / "a.jsonl"
-        write_jsonl(path, [valid_line("a1", ts="2021-03-01X10:00:00+01:00"), valid_line("a2")])
+        write_jsonl(path, [valid_line("a1", ts="2021-03-01X10:00:00+01:00"), valid_line("a2"),
+                           valid_line("a3", ts="2021-03-01T10:00x+01:00")])
         report = load_articles(path)
         assert [a.id for a in report.articles] == ["a2"]
-        assert report.diagnostics == ["line 1: bad published_at (date and time are not parted by T, t or a space)"]
+        assert report.diagnostics == ["line 1: bad published_at (date and time are not parted by T, t or a space)",
+                                      "line 3: bad published_at (the UTC offset does not follow a digit of the time)"]
 
     def test_zulu_timestamp_accepted(self):
         ts = parse_timestamp("2021-03-01T10:00:00Z")

@@ -1,0 +1,114 @@
+"""Where the package calls the builtin sum(), and the golden daily.csv under Python 3.12's float sum().
+
+From Python 3.12 sum() adds floats with Neumaier's compensated summation
+(gh-100425), so a float sum on the data path can change an output's last
+digit between interpreters that pyproject.toml admits.
+"""
+
+from __future__ import annotations
+
+import ast
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+# every call of the builtin sum in src/, one entry per call: (module, enclosing function, kind)
+ALLOWED_SUMS = sorted([
+    # checks: a finite sum means finite terms whatever the order, and _validate prints the total it tests
+    ("grids", "_read_ordered", "check"),
+    ("optimizer", "solve_weights", "check"),
+    ("sentiment", "_records", "check"),
+    ("sentiment", "_validate", "check"),
+    # integer counts, exact in any order
+    ("backtest", "trade_statistics", "integer count"),
+    ("backtest", "trade_statistics", "integer count"),
+    # float sums on the data path, still open: their bits differ on Python 3.12
+    ("backtest", "_drift", "open data site"),
+    ("backtest", "_cost", "open data site"),
+    ("backtest", "run_backtest", "open data site"),  # the equal-weight basket
+    ("backtest", "_summarize", "open data site"),
+    ("sentiment", "lexicon_score", "open data site"),
+])
+
+# Python 3.12's builtin sum() for an older interpreter, as sitecustomize installs it at start-up
+SUM_312 = '''
+import builtins
+from math import fabs, isfinite
+
+
+def sum(iterable, /, start=0):
+    items = iter(iterable)
+    total = start
+    if type(total) is int:  # exact int addition until the first other item, which is added plainly
+        for item in items:
+            total = total + item
+            if type(total) is not int:
+                break
+    if type(total) is float:  # Neumaier's running compensation c over exact floats
+        c = 0.0
+        for item in items:
+            if type(item) is float:
+                t = total + item
+                c += (total - t) + item if fabs(total) >= fabs(item) else (item - t) + total
+                total = t
+            elif isinstance(item, int) and -2**63 <= item < 2**63:
+                total += float(item)
+            else:
+                total = total + c if c and isfinite(c) else total
+                total = total + item
+                break
+        else:
+            return total + c if c and isfinite(c) else total
+    for item in items:
+        total = total + item
+    return total
+
+
+builtins.sum = sum
+'''
+
+
+def _sum_calls(path: Path) -> list[tuple[str, str]]:
+    """(module, innermost enclosing function) of each call of the name sum in the file."""
+    calls = []
+
+    def visit(node: ast.AST, function: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call) and isinstance(child.func, ast.Name) and child.func.id == "sum":
+                calls.append((path.stem, function))
+            visit(child, child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else function)
+
+    visit(ast.parse(path.read_text(encoding="utf-8")), "<module>")
+    return calls
+
+
+def test_builtin_sum_only_at_allowed_sites():
+    """A new sum() of floats fails here, so does the return of one that was removed from the data path."""
+    got = sorted(call for path in (SRC / "sentindex").glob("*.py") for call in _sum_calls(path))
+    assert got == [(module, function) for module, function, _ in ALLOWED_SUMS]
+
+
+def _run(args: list[str], env: dict[str, str]) -> subprocess.CompletedProcess:
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True, timeout=120,
+                          check=True)
+
+
+def test_golden_daily_csv_is_the_same_under_python_312_sum(tmp_path, golden_dir):
+    """filter, score and aggregate on the golden fixture, each in a process whose builtin sum() adds floats
+    as Python 3.12's does, write the committed daily.csv byte for byte."""
+    (tmp_path / "sitecustomize.py").write_text(SUM_312, encoding="utf-8")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(tmp_path), str(SRC)])}
+    # 3.11 adds left to right and gives 0.9999999999999999; a compensated sum gives 1.0
+    assert _run(["-c", "print(sum([0.1] * 10), sum([1e100, 1.0, -1e100]))"], env).stdout == "1.0 1.0\n"
+    g, t = golden_dir, tmp_path
+    main = ["-c", "import sys; from sentindex.cli import main; sys.exit(main(sys.argv[1:]))"]
+    _run([*main, "filter", "--articles", str(g / "articles.jsonl"), "--config", str(g / "filter_config.json"),
+          "--out", str(t / "filtered.jsonl")], env)
+    _run([*main, "score", "--articles", str(t / "filtered.jsonl"), "--provider", "lexicon",
+          "--provider-file", str(g / "lexicon.json"), "--out", str(t / "scored.jsonl")], env)
+    _run([*main, "aggregate", "--scored", str(t / "scored.jsonl"), "--prices", str(g / "prices.csv"),
+          "--config", str(g / "aggregation_config.json"), "--out", str(t / "daily.csv")], env)
+    assert (t / "daily.csv").read_bytes() == (g / "expected_daily_sentiment.csv").read_bytes()

@@ -255,23 +255,51 @@ def test_timestamp_date_and_time_parted_only_by_t_or_space(ts, form, separator):
             parse_timestamp(text)
 
 
-@pytest.mark.parametrize("text", [
-    "2021-03-01X10:00:00+01:00",
-    "2000-01-01000:00:00+00:00",
-    "2021-03-01\u00e410:00:00+01:00",
-    "2021-03-01-10:00:00+01:00",
-    "2021-03-01_10:00:00Z",
-    "20210301510 +01:00",
-    "20210301X100000+0100",
-    "2021-W09-1X10:00:00+01:00",
-    "2021W091X10:00:00+01:00",
-    "2021-W09X10:00:00+01:00",
-    "2021W09X10:00+01:00",
+_NOT_PARTED = "date and time are not parted by T, t or a space"
+_NOT_AFTER_DIGIT = "the UTC offset does not follow a digit of the time"
+
+
+@pytest.mark.parametrize("text, message", [
+    ("2021-03-01X10:00:00+01:00", _NOT_PARTED),
+    ("2000-01-01000:00:00+00:00", _NOT_PARTED),
+    ("2021-03-01\u00e410:00:00+01:00", _NOT_PARTED),
+    ("2021-03-01-10:00:00+01:00", _NOT_PARTED),
+    ("2021-03-01_10:00:00Z", _NOT_PARTED),
+    ("20210301510 +01:00", _NOT_PARTED),
+    ("20210301X100000+0100", _NOT_PARTED),
+    ("2021-W09-1X10:00:00+01:00", _NOT_PARTED),
+    ("2021W091X10:00:00+01:00", _NOT_PARTED),
+    ("2021-W09X10:00:00+01:00", _NOT_PARTED),
+    ("2021W09X10:00+01:00", _NOT_PARTED),
+    ("2021-03-01T10t+01:00", _NOT_AFTER_DIGIT),
+    ("2021-03-01T10:00x+01:00", _NOT_AFTER_DIGIT),
+    ("2021-03-01T10:00:00 +01:00", _NOT_AFTER_DIGIT),
+    ("2021-03-01T10:00:00.-05:00", _NOT_AFTER_DIGIT),
+    ("2021-03-01T10:00:00:Z", _NOT_AFTER_DIGIT),
+    ("20210301T100000x+0100", _NOT_AFTER_DIGIT),
 ], ids=["letter", "digit", "non-ascii", "hyphen", "underscore-z", "digit-then-space", "basic", "week",
-        "basic-week", "week-no-day", "basic-week-no-day"])
-def test_timestamp_other_separator_rejected(text):
-    """fromisoformat reads each of these, as it takes any character between the date and the time."""
+        "basic-week", "week-no-day", "basic-week-no-day", "hour-letter", "minute-letter", "second-space",
+        "second-dot-negative", "colon-z", "basic-letter"])
+def test_timestamp_other_separator_rejected(text, message):
+    """fromisoformat reads each of these, as it takes any character between the date and the time,
+    and any one character just before the UTC offset."""
     datetime.fromisoformat(text.replace("Z", "+00:00"))
     with pytest.raises(ValueError) as info:
         parse_timestamp(text)
-    assert str(info.value) == "date and time are not parted by T, t or a space"
+    assert str(info.value) == message
+
+
+@settings(max_examples=400)
+@example(datetime(2021, 3, 1, 10, tzinfo=timezone(timedelta(hours=1))), "hours", False, " ")
+@example(datetime(2021, 3, 1, 10, tzinfo=timezone(timedelta(hours=-5))), "microseconds", False, ".")
+@example(datetime(2021, 3, 1, 10, tzinfo=timezone.utc), "seconds", True, "\u0661")
+@given(st.datetimes(timezones=_MINUTE_ZONES), st.sampled_from(["hours", "minutes", "seconds", "microseconds"]),
+       st.booleans(), st.sampled_from(" tTxZ:.,_\u00e4\u0661") | st.characters(exclude_characters="0123456789"))
+def test_timestamp_offset_after_a_non_digit_rejected(ts, timespec, basic_offset, stray):
+    """One non-digit drawn between a time of any precision and its offset, ±HH:MM or ±HHMM: fromisoformat
+    reads the text or rejects it, and parse_timestamp rejects it always, though the text without it loads."""
+    text = f"{ts.date()}T{ts.timetz().isoformat(timespec)}"
+    clock, offset = text[:-6], text[-6:].replace(":", "") if basic_offset else text[-6:]
+    assert parse_timestamp(clock + offset) == datetime.fromisoformat(text)
+    with pytest.raises(ValueError):
+        parse_timestamp(clock + stray + offset)

@@ -302,9 +302,11 @@ class TestScoredFiles:
         (json.dumps({**RECORD, "published_at": "2021-03-01"}), "line 2: bad published_at"),
         (json.dumps({**RECORD, "published_at": "2021-03-01X10:00:00+01:00"}),
          "line 2: bad published_at (date and time are not parted by T, t or a space)"),
+        (json.dumps({**RECORD, "published_at": "2021-03-01T10:00:00 +01:00"}),
+         "line 2: bad published_at (the UTC offset does not follow a digit of the time)"),
     ], ids=["list", "string", "invalid-json", "missing", "nan", "-inf", "string-score", "bool-score",
             "huge-int", "out-of-range", "int-out-of-range", "int-company", "list-source", "naive-stamp",
-            "stamp-separator"])
+            "stamp-separator", "stamp-before-offset"])
     def test_load_scored_rejects_naming_file_line_and_field(self, tmp_path, line, message):
         path = tmp_path / "scored.jsonl"
         self.write(path, [json.dumps(self.RECORD), line])
