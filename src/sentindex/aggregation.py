@@ -11,7 +11,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from datetime import date, datetime, time, timedelta
 from pathlib import Path
-from typing import TYPE_CHECKING, NamedTuple
+from typing import TYPE_CHECKING, Iterable, NamedTuple
 from zoneinfo import ZoneInfo
 
 from .grids import Grid
@@ -157,7 +157,7 @@ class AggregationResult(NamedTuple):
 
 
 def aggregate_daily(
-    scored: list[ScoredArticle],
+    scored: Iterable[ScoredArticle],
     universe: list[str],
     calendar: TradingCalendar,
     config: AggregationConfig | None = None,
@@ -171,7 +171,8 @@ def aggregate_daily(
     are not held, they read as zero in rows, grid() and the written CSV, and
     under all_days they count as days of zero sources. Articles of a company
     outside the universe are counted and dropped; a company named twice in the
-    universe raises ValueError.
+    universe raises ValueError. scored is iterated once, so it may be a
+    generator such as sentiment.read_scored.
     """
     config = config or AggregationConfig()
     all_days = config.adjustment_history == "all_days"

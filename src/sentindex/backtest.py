@@ -21,7 +21,7 @@ from typing import NamedTuple
 from .grids import Grid
 # kept here only because perfbench/inproc.py calls backtest.load_prices
 from .grids import load_prices  # noqa: F401
-from .inputs import config_from_dict, load_json_object, read_csv, record
+from .inputs import add_in_order, config_from_dict, load_json_object, read_csv, record
 from .optimizer import OptimizerConfig, optimize_weights, trades_from_moves
 
 
@@ -65,7 +65,7 @@ def load_backtest_config(path: str | Path) -> BacktestConfig:
 
 
 def _drift(w: list[float], r: list[float]) -> tuple[list[float], float]:
-    r_gross = sum(map(mul, w, r))
+    r_gross = add_in_order(map(mul, w, r))
     denom = 1.0 + r_gross
     if denom <= 0:
         raise ValueError(f"portfolio wiped out: gross return {r_gross!r}")
@@ -73,7 +73,7 @@ def _drift(w: list[float], r: list[float]) -> tuple[list[float], float]:
 
 
 def _cost(moves: Iterable[float], tc_rate: float) -> float:
-    return tc_rate * sum(map(abs, moves))
+    return tc_rate * add_in_order(map(abs, moves))
 
 
 def annualized_return(levels: list[float], dates: list[date] | list[datetime]) -> float:
@@ -183,7 +183,7 @@ def run_backtest(
         if benchmark is not None:
             bench_level = cfg.initial_level * benchmark[d] / benchmark[dates[0]]
         else:  # on the first date r is all zeros, and the factor exactly 1.0
-            bench_level *= 1.0 + sum(r) / n
+            bench_level *= 1.0 + add_in_order(r) / n
 
         days.append(DayRecord(
             date=d, r_gross=r_gross, drifted=drifted,
@@ -256,7 +256,7 @@ def _summarize(days: list[DayRecord], dates: list[date], cfg: BacktestConfig) ->
         "initial_level": cfg.initial_level,
         "final_index_level": levels[-1],
         "final_benchmark_level": bench[-1],
-        "total_transaction_cost": sum(day.cost for day in days),
+        "total_transaction_cost": add_in_order(day.cost for day in days),
         "trade_stats": trade_statistics(days),
     }
     if len(dates) >= 2:
@@ -280,7 +280,7 @@ def write_backtest_outputs(out_dir: str | Path, result: BacktestResult, cfg: Bac
         fh.write("date,company,delta_weight,cost\n")
         tc_rate = cfg.tc_rate
         for day in result.days:
-            # tc_rate * abs(delta) is _cost((delta,), tc_rate): sum() starts at 0, and 0 + x is x
+            # tc_rate * abs(delta) is _cost((delta,), tc_rate): the sum starts at 0.0, and 0.0 + x is x
             text = day.date.isoformat()
             fh.write("".join([f"{text},{company},{delta!r},{tc_rate * abs(delta)!r}\n"
                               for company, delta in day.trades]))

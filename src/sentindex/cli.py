@@ -54,7 +54,8 @@ def _cmd_aggregate(args: argparse.Namespace) -> int:
     prices = grids.load_prices(args.prices)
     calendar = aggregation.TradingCalendar(
         dates=prices.dates, timezone=config.market_timezone, cutoff=config.cutoff)
-    scored = sentiment.load_scored(args.scored)
+    # the records are read as they are aggregated; diagnostics are printed only once the file is read
+    scored = sentiment.read_scored(args.scored)
     result = aggregation.aggregate_daily(scored, list(prices.companies), calendar, config)
     for diagnostic in result.diagnostics:
         print(f"aggregate: {diagnostic}", file=sys.stderr)

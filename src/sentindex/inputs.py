@@ -1,4 +1,5 @@
-"""Reading input files (stage configs, JSON lines, headed CSV tables) and the record decorator of the configs."""
+"""Reading input files (stage configs, JSON lines, headed CSV tables), the record decorator of the configs
+and the one float sum of the data path."""
 
 from __future__ import annotations
 
@@ -9,7 +10,7 @@ import sys
 from datetime import datetime
 from operator import itemgetter
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Iterable
 
 _raw_decode = json.JSONDecoder().raw_decode
 
@@ -137,6 +138,14 @@ def config_value(obj: dict, key: str, kind: type, where: str | Path):
     raise ValueError(f"{where}: {key!r} must be {_KINDS[kind]}, got {got}")
 
 
+def add_in_order(values: Iterable[float]) -> float:
+    """The values added left to right from 0.0, the bits of Python 3.11's sum(); from 3.12 sum() compensates."""
+    total = 0.0
+    for value in values:
+        total += value
+    return total
+
+
 def record(base: type) -> type:
     """Class decorator: the NamedTuple class base, subclassed under its name. Each construction, _replace's
     too, gives a field that defaults to [] or {} a new empty one, then runs base._check if base has one."""
@@ -214,32 +223,28 @@ def read_csv(path: str | Path, names: tuple[str, ...], what: str, row: Callable[
         raise ValueError(f"{path}: line {lineno}: {reason}") from None
 
 
-# a date in a form fromisoformat reads (calendar or week, extended or basic), then T, t or a space
-_DATE_TIME = r"[0-9]{4}(?:-[0-9]{2}-[0-9]{2}|[0-9]{4}|-W[0-9]{2}(?:-[0-9])?|W[0-9]{2,3})[Tt ]"
+# the separators of YYYY-MM-DDTHH:MM:SS±HH:MM at positions 4, 7, ..., 22
+_ISOFORMAT_SEPARATORS = ("--T::+:", "--T::-:")
+# a date as fromisoformat reads it (YYYY-MM-DD, YYYYMMDD, YYYY-Www[-D] or YYYYWww[D]), T, t or a space,
+# HH[[:]MM[[:]SS[(.|,)f]]] and an optional offset ±HH[[:]MM[[:]SS[(.|,)f]]]
+_HMS = r"[0-9]{2}(?::?[0-9]{2}(?::?[0-9]{2}(?:[.,][0-9]+)?)?)?"
+_TIMESTAMP = (r"[0-9]{4}(?:-[0-9]{2}-[0-9]{2}|[0-9]{4}|-W[0-9]{2}(?:-[0-9])?|W[0-9]{2,3})[Tt ]"
+              + _HMS + f"(?:[+-]{_HMS})?")
 
 
 def parse_timestamp(raw: str) -> datetime:
-    """Parse an ISO-8601 timestamp with offset, date and time parted by T, t or a space and the offset
-    right after a digit of the time; naive ones are rejected."""
-    # fromisoformat takes a trailing Z since Python 3.11, but not z, so both are rewritten
-    if raw[-1:] in ("Z", "z"):
+    """Parse an ISO-8601 timestamp in the form _TIMESTAMP states, with a UTC offset or a trailing Z or z.
+    fromisoformat alone also takes any character, a digit too, between the date and the time or before
+    the offset, and reads a fraction after the hours or the minutes as one of a second."""
+    if raw[-1:] in ("Z", "z"):  # fromisoformat takes a trailing Z since Python 3.11, but not z
         raw = raw[:-1] + "+00:00"
+    # fromisoformat reads only digits between these separators; re compiles the pattern on the first other text
+    if not (len(raw) == 25 and raw[4:23:3] in _ISOFORMAT_SEPARATORS or re.fullmatch(_TIMESTAMP, raw)):
+        raise ValueError("not a date, then T, t or a space, then a time with a fraction only after the seconds")
     ts = datetime.fromisoformat(raw)
     if ts.tzinfo is None:
         raise ValueError("timestamp lacks a UTC offset")
-    # a YYYY-MM-DD date ends at the 10th character; re compiles the pattern on the first other stamp
-    if (raw[10:11] != "T" or raw[4] != "-" or raw[5] == "W") and not re.match(_DATE_TIME, raw):
-        raise ValueError("date and time are not parted by T, t or a space")
-    # fromisoformat also skips any one character before the offset, which starts at the last + or -;
-    # the usual ±HH:MM is tried first, as the two searches take four times as long
-    sign = -6 if raw[-6] in "+-" else max(raw.rfind("+"), raw.rfind("-"))
-    if not "0" <= raw[sign - 1] <= "9":
-        raise ValueError("the UTC offset does not follow a digit of the time")
     return ts
-
-
-# the separators of YYYY-MM-DDTHH:MM:SS±HH:MM at positions 4, 7, ..., 22
-_ISOFORMAT_SEPARATORS = ("--T::+:", "--T::-:")
 
 
 def isoformat_text(raw: str, ts: datetime) -> str:

@@ -15,9 +15,10 @@ from datetime import datetime
 from json.encoder import encode_basestring
 from operator import itemgetter
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, NamedTuple
+from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple
 
-from .inputs import config_value, isoformat_text, load_json_object, not_utf8, parse_json, parse_timestamp
+from .inputs import (
+    add_in_order, config_value, isoformat_text, load_json_object, not_utf8, parse_json, parse_timestamp)
 
 if TYPE_CHECKING:
     from .corpus import NewsArticle
@@ -71,7 +72,7 @@ def lexicon_score(headline: str, lexicon: dict[str, float]) -> ClassProbabilitie
     which always form a valid distribution for s in [-1, 1].
     """
     hits = [lexicon[token] for token in headline.split() if token in lexicon]
-    s = sum(hits) / len(hits) if hits else 0.0
+    s = add_in_order(hits) / len(hits) if hits else 0.0
     return ClassProbabilities(max(-s, 0.0), 1.0 - abs(s), max(s, 0.0))
 
 
@@ -201,14 +202,13 @@ def _scored_line(aid: str, company: str, source: str, stamp: str, score: float) 
             f'"published_at": "{stamp}", "score": {score}}}\n')
 
 
-def load_scored(path: str | Path) -> list[ScoredArticle]:
-    """Read a file written by write_scored.
+def read_scored(path: str | Path) -> Iterator[ScoredArticle]:
+    """Yield the records of a file written by write_scored, one line at a time.
 
     Every non-blank line must be a JSON object whose id, company_id, source
     and published_at are strings and whose score is a number in [-1, 1]; any
     other line raises ValueError naming the file, the line and the field.
     """
-    out = []
     for lineno, (aid, company, source, stamp, score) in _records(path, *SCORED_FIELDS):
         if not -1.0 <= score <= 1.0:
             raise ValueError(f"{path}: line {lineno}: 'score' must be in [-1, 1], got {score!r}")
@@ -216,8 +216,12 @@ def load_scored(path: str | Path) -> list[ScoredArticle]:
             ts = parse_timestamp(stamp)
         except ValueError as exc:
             raise ValueError(f"{path}: line {lineno}: bad published_at ({exc})") from None
-        out.append(ScoredArticle(aid, company, source, ts, score))
-    return out
+        yield ScoredArticle(aid, company, source, ts, score)
+
+
+def load_scored(path: str | Path) -> list[ScoredArticle]:
+    """The records of read_scored(path), all read before the list is returned."""
+    return list(read_scored(path))
 
 
 def _records(path: str | Path, texts: tuple[str, ...], numbers: tuple[str, ...]):

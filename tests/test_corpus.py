@@ -103,11 +103,12 @@ class TestLoadArticles:
     def test_timestamp_with_another_separator_is_skipped(self, tmp_path):
         path = tmp_path / "a.jsonl"
         write_jsonl(path, [valid_line("a1", ts="2021-03-01X10:00:00+01:00"), valid_line("a2"),
-                           valid_line("a3", ts="2021-03-01T10:00x+01:00")])
+                           valid_line("a3", ts="2021-03-01T10:00x+01:00"),
+                           valid_line("a4", ts="2021-03-01T17.75+01:00")])
         report = load_articles(path)
         assert [a.id for a in report.articles] == ["a2"]
-        assert report.diagnostics == ["line 1: bad published_at (date and time are not parted by T, t or a space)",
-                                      "line 3: bad published_at (the UTC offset does not follow a digit of the time)"]
+        reason = "not a date, then T, t or a space, then a time with a fraction only after the seconds"
+        assert report.diagnostics == [f"line {n}: bad published_at ({reason})" for n in (1, 3, 4)]
 
     def test_zulu_timestamp_accepted(self):
         ts = parse_timestamp("2021-03-01T10:00:00Z")

@@ -1,4 +1,4 @@
-"""Where the package calls the builtin sum(), and the golden daily.csv under Python 3.12's float sum().
+"""Where the package calls the builtin sum(), and the golden chain's outputs under Python 3.12's float sum().
 
 From Python 3.12 sum() adds floats with Neumaier's compensated summation
 (gh-100425), so a float sum on the data path can change an output's last
@@ -25,13 +25,7 @@ ALLOWED_SUMS = sorted([
     # integer counts, exact in any order
     ("backtest", "trade_statistics", "integer count"),
     ("backtest", "trade_statistics", "integer count"),
-    # float sums on the data path, still open: their bits differ on Python 3.12
-    ("backtest", "_drift", "open data site"),
-    ("backtest", "_cost", "open data site"),
-    ("backtest", "run_backtest", "open data site"),  # the equal-weight basket
-    ("backtest", "_summarize", "open data site"),
-    ("sentiment", "lexicon_score", "open data site"),
-])
+])  # the data path adds floats with inputs.add_in_order
 
 # Python 3.12's builtin sum() for an older interpreter, as sitecustomize installs it at start-up
 SUM_312 = '''
@@ -71,6 +65,22 @@ builtins.sum = sum
 '''
 
 
+# Python 3.11's builtin sum() for any interpreter: left to right from start
+SUM_311 = '''
+import builtins
+
+
+def sum(iterable, /, start=0):
+    total = start
+    for item in iterable:
+        total = total + item
+    return total
+
+
+builtins.sum = sum
+'''
+
+
 def _sum_calls(path: Path) -> list[tuple[str, str]]:
     """(module, innermost enclosing function) of each call of the name sum in the file."""
     calls = []
@@ -96,14 +106,13 @@ def _run(args: list[str], env: dict[str, str]) -> subprocess.CompletedProcess:
                           check=True)
 
 
-def test_golden_daily_csv_is_the_same_under_python_312_sum(tmp_path, golden_dir):
-    """filter, score and aggregate on the golden fixture, each in a process whose builtin sum() adds floats
-    as Python 3.12's does, write the committed daily.csv byte for byte."""
-    (tmp_path / "sitecustomize.py").write_text(SUM_312, encoding="utf-8")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(tmp_path), str(SRC)])}
-    # 3.11 adds left to right and gives 0.9999999999999999; a compensated sum gives 1.0
-    assert _run(["-c", "print(sum([0.1] * 10), sum([1e100, 1.0, -1e100]))"], env).stdout == "1.0 1.0\n"
-    g, t = golden_dir, tmp_path
+def _golden_chain(out: Path, golden: Path, site: str) -> str:
+    """Run filter, score, aggregate and backtest on the golden fixture into out, each in a process that
+    starts site as its sitecustomize; return what sum([0.1] * 10) and sum([1e100, 1.0, -1e100]) print there."""
+    out.mkdir()
+    (out / "sitecustomize.py").write_text(site, encoding="utf-8")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(out), str(SRC)])}
+    g, t = golden, out
     main = ["-c", "import sys; from sentindex.cli import main; sys.exit(main(sys.argv[1:]))"]
     _run([*main, "filter", "--articles", str(g / "articles.jsonl"), "--config", str(g / "filter_config.json"),
           "--out", str(t / "filtered.jsonl")], env)
@@ -111,4 +120,20 @@ def test_golden_daily_csv_is_the_same_under_python_312_sum(tmp_path, golden_dir)
           "--provider-file", str(g / "lexicon.json"), "--out", str(t / "scored.jsonl")], env)
     _run([*main, "aggregate", "--scored", str(t / "scored.jsonl"), "--prices", str(g / "prices.csv"),
           "--config", str(g / "aggregation_config.json"), "--out", str(t / "daily.csv")], env)
-    assert (t / "daily.csv").read_bytes() == (g / "expected_daily_sentiment.csv").read_bytes()
+    _run([*main, "backtest", "--prices", str(g / "prices.csv"), "--sentiments", str(t / "daily.csv"),
+          "--config", str(g / "backtest_config.json"), "--out", str(t)], env)
+    return _run(["-c", "print(sum([0.1] * 10), sum([1e100, 1.0, -1e100]))"], env).stdout
+
+
+def test_golden_chain_is_the_same_under_python_312_sum(tmp_path, golden_dir):
+    """The golden chain writes the same bytes whether the builtin sum() adds floats as Python 3.11's or as
+    3.12's does. daily.csv and levels.csv are the committed files; the committed trades.csv and
+    summary.json differ from what the chain writes in last digits, so those two are compared between
+    the runs."""
+    old, new = tmp_path / "sum_311", tmp_path / "sum_312"
+    assert _golden_chain(old, golden_dir, SUM_311) == "0.9999999999999999 0.0\n"
+    assert _golden_chain(new, golden_dir, SUM_312) == "1.0 1.0\n"
+    assert (new / "daily.csv").read_bytes() == (golden_dir / "expected_daily_sentiment.csv").read_bytes()
+    assert (new / "levels.csv").read_bytes() == (golden_dir / "expected_levels.csv").read_bytes()
+    for name in ("daily.csv", "levels.csv", "trades.csv", "summary.json"):
+        assert (new / name).read_bytes() == (old / name).read_bytes(), name

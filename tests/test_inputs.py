@@ -13,6 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import timestamp_reference
 from sentindex.aggregation import AggregationConfig, AggregationResult, TradingCalendar
 from sentindex.backtest import BacktestConfig, load_benchmark_levels
 from sentindex.corpus import FilterConfig, LoadReport
@@ -255,38 +256,119 @@ def test_timestamp_date_and_time_parted_only_by_t_or_space(ts, form, separator):
             parse_timestamp(text)
 
 
-_NOT_PARTED = "date and time are not parted by T, t or a space"
-_NOT_AFTER_DIGIT = "the UTC offset does not follow a digit of the time"
+_NOT_IN_GRAMMAR = "not a date, then T, t or a space, then a time with a fraction only after the seconds"
 
 
-@pytest.mark.parametrize("text, message", [
-    ("2021-03-01X10:00:00+01:00", _NOT_PARTED),
-    ("2000-01-01000:00:00+00:00", _NOT_PARTED),
-    ("2021-03-01\u00e410:00:00+01:00", _NOT_PARTED),
-    ("2021-03-01-10:00:00+01:00", _NOT_PARTED),
-    ("2021-03-01_10:00:00Z", _NOT_PARTED),
-    ("20210301510 +01:00", _NOT_PARTED),
-    ("20210301X100000+0100", _NOT_PARTED),
-    ("2021-W09-1X10:00:00+01:00", _NOT_PARTED),
-    ("2021W091X10:00:00+01:00", _NOT_PARTED),
-    ("2021-W09X10:00:00+01:00", _NOT_PARTED),
-    ("2021W09X10:00+01:00", _NOT_PARTED),
-    ("2021-03-01T10t+01:00", _NOT_AFTER_DIGIT),
-    ("2021-03-01T10:00x+01:00", _NOT_AFTER_DIGIT),
-    ("2021-03-01T10:00:00 +01:00", _NOT_AFTER_DIGIT),
-    ("2021-03-01T10:00:00.-05:00", _NOT_AFTER_DIGIT),
-    ("2021-03-01T10:00:00:Z", _NOT_AFTER_DIGIT),
-    ("20210301T100000x+0100", _NOT_AFTER_DIGIT),
+@pytest.mark.parametrize("text", [
+    "2021-03-01X10:00:00+01:00",
+    "2000-01-01000:00:00+00:00",
+    "2021-03-01\u00e410:00:00+01:00",
+    "2021-03-01-10:00:00+01:00",
+    "2021-03-01_10:00:00Z",
+    "20210301510 +01:00",
+    "20210301X100000+0100",
+    "2021-W09-1X10:00:00+01:00",
+    "2021W091X10:00:00+01:00",
+    "2021-W09X10:00:00+01:00",
+    "2021W09X10:00+01:00",
+    "2021-03-01T10t+01:00",
+    "2021-03-01T10:00x+01:00",
+    "2021-03-01T10:00:00 +01:00",
+    "2021-03-01T10:00:00.-05:00",
+    "2021-03-01T10:00:00:Z",
+    "20210301T100000x+0100",
+    "2021-03-01T100+01:00",
+    "2021-03-01T10:00:001+01:00",
+    "2021-03-01.10:00:00+01:00",
 ], ids=["letter", "digit", "non-ascii", "hyphen", "underscore-z", "digit-then-space", "basic", "week",
         "basic-week", "week-no-day", "basic-week-no-day", "hour-letter", "minute-letter", "second-space",
-        "second-dot-negative", "colon-z", "basic-letter"])
-def test_timestamp_other_separator_rejected(text, message):
+        "second-dot-negative", "colon-z", "basic-letter", "hour-digit", "second-digit", "dot"])
+def test_timestamp_other_separator_rejected(text):
     """fromisoformat reads each of these, as it takes any character between the date and the time,
-    and any one character just before the UTC offset."""
+    and any one character just before the UTC offset, a digit too."""
     datetime.fromisoformat(text.replace("Z", "+00:00"))
     with pytest.raises(ValueError) as info:
         parse_timestamp(text)
-    assert str(info.value) == message
+    assert str(info.value) == _NOT_IN_GRAMMAR
+
+
+@pytest.mark.parametrize("text, misread", [
+    ("2021-03-01T17.75+01:00", "2021-03-01T17:00:00.750000+01:00"),
+    ("2021-03-01T10:00.5+01:00", "2021-03-01T10:00:00.500000+01:00"),
+    ("20210301T1000.5+0100", "2021-03-01T10:00:00.500000+01:00"),
+    ("2021-03-01T10:00:00+01:00.5", "2021-03-01T10:00:00+01:00:00.500000"),
+    ("20210301T100000+0100.5", "2021-03-01T10:00:00+01:00:00.500000"),
+], ids=["hours", "minutes", "basic-minutes", "offset-minutes", "basic-offset-minutes"])
+def test_timestamp_fraction_after_hours_or_minutes_rejected(text, misread):
+    """ISO 8601 reads 17.75 as 17:45, and fromisoformat as 17:00:00.75: such a fraction is rejected."""
+    assert timestamp_reference.parse_timestamp(text).isoformat() == misread
+    with pytest.raises(ValueError) as info:
+        parse_timestamp(text)
+    assert str(info.value) == _NOT_IN_GRAMMAR
+
+
+def test_timestamp_with_an_offset_and_z_is_not_reported_rewritten():
+    """A trailing Z becomes +00:00 before the text is read, but after an offset the text is rejected as
+    written, where fromisoformat would name the rewritten text."""
+    with pytest.raises(ValueError, match="Invalid isoformat string: '2021-03-01T10:00:00\\+01:00\\+00:00'"):
+        timestamp_reference.parse_timestamp("2021-03-01T10:00:00+01:00Z")
+    with pytest.raises(ValueError) as info:
+        parse_timestamp("2021-03-01T10:00:00+01:00Z")
+    assert str(info.value) == _NOT_IN_GRAMMAR
+
+
+def _clock(draw, hour: int, minute: int, second: int) -> tuple[str, bool]:
+    """HH, HH:MM or HH:MM:SS, with colons or without, and maybe a fraction; whether the fraction follows
+    the hours or the minutes."""
+    fields = [f"{hour:02}", f"{minute:02}", f"{second:02}"][:draw(st.integers(1, 3))]
+    text = draw(st.sampled_from([":", ""])).join(fields)
+    if not draw(st.booleans()):
+        return text, False
+    fraction = draw(st.sampled_from(".,")) + draw(st.text("0123456789", min_size=1, max_size=8))
+    return text + fraction, len(fields) < 3
+
+
+@st.composite
+def grammar_text_st(draw) -> tuple[str, bool]:
+    """A date in one of its forms, a separator, a time of any precision, maybe a stray character and an
+    offset in any form or none; whether fromisoformat would misread it: a fraction follows the hours or
+    the minutes of time or offset, or a digit follows a time without a fraction, which it drops."""
+    ts = draw(st.datetimes())
+    day_text, _ = _DATE_FORMS[draw(st.sampled_from(sorted(_DATE_FORMS)))](ts.date())
+    separator = draw(st.sampled_from("TTt ") | st.sampled_from("0-W:.X\u00e4") | st.characters())
+    clock, misread = _clock(draw, ts.hour, ts.minute, ts.second)
+    stray = draw(st.just("") | st.sampled_from(" tx.:07Z\u0661"))
+    misread = misread or stray.isdigit() and stray.isascii() and not ("." in clock or "," in clock)
+    offset = draw(st.sampled_from(["", "Z", "z", "+", "-"]))
+    if offset in "+-":
+        text, misread_offset = _clock(draw, draw(st.integers(0, 24)), draw(st.integers(0, 60)),
+                                      draw(st.integers(0, 59)))
+        offset, misread = offset + text, misread or misread_offset
+    return day_text + separator + clock + stray + offset, misread
+
+
+@settings(max_examples=400)
+@example(("2021-03-01T17.75+01:00", True))
+@example(("2021-03-01T10:00:00+01:00.5", True))
+@example(("2021-03-01T10:00:00+01:00:30,25", False))
+@example(("20000101T000Z", True))
+@given(grammar_text_st())
+def test_timestamp_grammar_matches_the_reference(case):
+    """The parser accepts what the earlier one does, but the texts that fromisoformat misreads, and reads
+    the same instant and offset."""
+    text, misread = case
+    try:
+        want = timestamp_reference.parse_timestamp(text)
+    except ValueError:
+        want = None
+    try:
+        got = parse_timestamp(text)
+    except ValueError:
+        got = None
+    if misread or want is None:
+        assert got is None
+    else:
+        assert got == want and got.utcoffset() == want.utcoffset()
 
 
 @settings(max_examples=400)
