@@ -37,6 +37,8 @@ class TradingCalendar(NamedTuple):
         if any(b <= a for a, b in zip(self.dates, self.dates[1:])):
             raise ValueError("trading dates must be strictly increasing")
         ZoneInfo(self.timezone)  # fail fast on unknown zone names
+        if not isinstance(self.cutoff, time) or self.cutoff.tzinfo is not None:  # compared with naive local times
+            raise ValueError(f"cutoff must be a datetime.time without tzinfo, got {self.cutoff!r}")
 
     @property
     def tzinfo(self) -> ZoneInfo:

@@ -8,14 +8,13 @@ fails; the survivors get a lowercased headline and no body.
 
 from __future__ import annotations
 
-import json
 from datetime import datetime
 from json.encoder import encode_basestring
 from pathlib import Path
 from typing import Callable, Iterator, NamedTuple
 
 from .inputs import (
-    config_from_dict, config_value, load_json_object, parse_json, parse_timestamp, record, utf8_error)
+    config_from_dict, config_value, json_object_line, load_json_object, parse_timestamp, read_lines, record)
 
 
 class NewsArticle(NamedTuple):
@@ -76,55 +75,47 @@ def read_articles(path: str | Path, report: Callable[[str], object]) -> Iterator
     and skipped in the same way. An unreadable file raises OSError.
     """
     seen_ids: set[str] = set()
-    # a strict read decodes whole chunks, so it could not skip just the bad line
-    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.isascii() and (bad := utf8_error(line)):
-                report(f"line {lineno}: not UTF-8 ({bad})")
-                continue
-            if not line.strip():
-                continue
+    for lineno, line in read_lines(path, report):
+        if not line.strip():
+            continue
+        try:
+            obj = json_object_line(line)
+        except ValueError as exc:
+            report(f"line {lineno}: {exc}")
+            continue
+        get = obj.get
+        aid, company, source, stamp, headline = (
+            get("id"), get("company_id"), get("source"), get("published_at"), get("headline"))
+        # json.loads makes only exact str, so type() is isinstance() here
+        if not (type(aid) is str and aid and type(company) is str and company
+                and type(source) is str and source and type(stamp) is str and stamp
+                and type(headline) is str and headline):
+            missing = [k for k in REQUIRED_FIELDS if not isinstance(get(k), str) or not obj[k]]
+            report(f"line {lineno}: missing or empty field(s) {missing}")
+            continue
+        try:
+            ts = parse_timestamp(stamp)
+        except ValueError as exc:
+            report(f"line {lineno}: bad published_at ({exc})")
+            continue
+        body, language = get("body"), get("language", "de")
+        if body is not None and type(body) is not str:
+            report(f"line {lineno}: body must be a string or null ({type(body).__name__})")
+            continue
+        if type(language) is not str:
+            report(f"line {lineno}: language must be a string ({type(language).__name__})")
+            continue
+        if "\\u" in line:  # only an escape decodes to a lone surrogate, which UTF-8 cannot write
             try:
-                obj = parse_json(line)
-            except json.JSONDecodeError as exc:
-                report(f"line {lineno}: invalid JSON ({exc.msg})")
+                "".join((aid, company, source, headline, body or "", language)).encode("utf-8")
+            except UnicodeEncodeError:
+                report(f"line {lineno}: lone surrogate escape in a text field")
                 continue
-            if type(obj) is not dict:
-                report(f"line {lineno}: not a JSON object ({type(obj).__name__})")
-                continue
-            get = obj.get
-            aid, company, source, stamp, headline = (
-                get("id"), get("company_id"), get("source"), get("published_at"), get("headline"))
-            # json.loads makes only exact str, so type() is isinstance() here
-            if not (type(aid) is str and aid and type(company) is str and company
-                    and type(source) is str and source and type(stamp) is str and stamp
-                    and type(headline) is str and headline):
-                missing = [k for k in REQUIRED_FIELDS if not isinstance(get(k), str) or not obj[k]]
-                report(f"line {lineno}: missing or empty field(s) {missing}")
-                continue
-            try:
-                ts = parse_timestamp(stamp)
-            except ValueError as exc:
-                report(f"line {lineno}: bad published_at ({exc})")
-                continue
-            body, language = get("body"), get("language", "de")
-            if body is not None and type(body) is not str:
-                report(f"line {lineno}: body must be a string or null ({type(body).__name__})")
-                continue
-            if type(language) is not str:
-                report(f"line {lineno}: language must be a string ({type(language).__name__})")
-                continue
-            if "\\u" in line:  # only an escape decodes to a lone surrogate, which UTF-8 cannot write
-                try:
-                    "".join((aid, company, source, headline, body or "", language)).encode("utf-8")
-                except UnicodeEncodeError:
-                    report(f"line {lineno}: lone surrogate escape in a text field")
-                    continue
-            if aid in seen_ids:
-                report(f"line {lineno}: duplicate id {aid!r}")
-                continue
-            seen_ids.add(aid)
-            yield NewsArticle(aid, company, source, ts, headline, body, language), stamp
+        if aid in seen_ids:
+            report(f"line {lineno}: duplicate id {aid!r}")
+            continue
+        seen_ids.add(aid)
+        yield NewsArticle(aid, company, source, ts, headline, body, language), stamp
 
 
 def load_filter_config(path: str | Path) -> FilterConfig:

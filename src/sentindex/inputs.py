@@ -10,7 +10,7 @@ import sys
 from datetime import datetime
 from operator import itemgetter
 from pathlib import Path
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Iterator
 
 _raw_decode = json.JSONDecoder().raw_decode
 
@@ -25,11 +25,7 @@ _KINDS = {
 
 def load_json_object(path: str | Path) -> dict:
     """Read a JSON file whose top level must be an object, naming the file if not."""
-    with open(path, encoding="utf-8") as fh:
-        try:
-            text = fh.read()
-        except UnicodeDecodeError as exc:
-            raise not_utf8(path, exc) from None
+    text = "".join(line for _, line in read_lines(path))
     try:
         obj = parse_json(text)
     except json.JSONDecodeError as exc:
@@ -88,29 +84,37 @@ def _error_position(text: str, nesting: bool) -> int:
     return where
 
 
-def utf8_error(line: str) -> UnicodeDecodeError | None:
-    """The decode error of the bytes that line, read with errors="surrogateescape", came from, or None.
+def read_lines(path: str | Path, report: Callable[[str], object] | None = None) -> Iterator[tuple[int, str]]:
+    """Yield (line number, line) for each line of a UTF-8 text file, in file order, numbered from 1.
 
-    That handler reads each byte that fails to decode as a lone surrogate and encodes it back to the byte.
+    Each line is decoded on its own, so a fault is met at the first line that holds one, whatever
+    follows. A line that is not UTF-8 raises ValueError naming the file, the line and the line's own
+    decode error; given report, it goes to report as "line N: not UTF-8 (...)" and is skipped.
     """
-    try:
-        line.encode("utf-8", "surrogateescape").decode("utf-8")
-    except UnicodeDecodeError as exc:
-        return exc
-    return None
-
-
-def not_utf8(path: str | Path, exc: UnicodeDecodeError) -> ValueError:
-    """The error for a file that is not UTF-8, naming the first line that fails to decode.
-
-    The file is read again and each line checked on its own, so that the reason is
-    the line's own decode error and not one at an offset into the chunk decoded.
-    """
+    # a strict read decodes whole chunks, so its error names no line and could not skip just the bad one;
+    # surrogateescape reads each byte that fails to decode as a lone surrogate, which encodes back to the byte
     with open(path, encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh, start=1):
-            if line_exc := utf8_error(line):
-                return ValueError(f"{path}: line {lineno}: {line_exc}")
-    return ValueError(f"{path}: {exc}")  # the file changed since it failed to decode
+            if not line.isascii():
+                try:
+                    line.encode("utf-8", "surrogateescape").decode("utf-8")
+                except UnicodeDecodeError as bad:
+                    if report is None:
+                        raise ValueError(f"{path}: line {lineno}: {bad}") from None
+                    report(f"line {lineno}: not UTF-8 ({bad})")
+                    continue
+            yield lineno, line
+
+
+def json_object_line(line: str) -> dict:
+    """The JSON object on one line of a JSON-lines file; a line holding none raises ValueError with the reason."""
+    try:
+        obj = parse_json(line)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"invalid JSON ({exc.msg})") from None
+    if type(obj) is not dict:
+        raise ValueError(f"not a JSON object ({type(obj).__name__})")
+    return obj
 
 
 def config_value(obj: dict, key: str, kind: type, where: str | Path):
@@ -199,28 +203,23 @@ def read_csv(path: str | Path, names: tuple[str, ...], what: str, row: Callable[
     column. A line too short for a column, holding a double quote (quoted fields are not parsed) or not
     UTF-8, or a ValueError from row, raises ValueError naming the file and the line.
     """
-    lineno = 1
-    try:
-        with open(path, encoding="utf-8") as fh:
-            header = fh.readline().strip().split(",")
-            for name in names:
-                if header.count(name) != 1:
-                    problem = "lacks a" if name not in header else "repeats the"
-                    raise ValueError(f"{path}: {what} CSV {problem} {name!r} column")
-            pick = itemgetter(*map(header.index, names))
-            # a file iterator yields no empty string, so isspace() finds the blank lines
-            for lineno, line in enumerate(fh, start=2):
-                if not line.isspace():
-                    if '"' in line:
-                        raise ValueError("quoted fields are not supported")
-                    row(*pick(line.rstrip("\n").split(",")))
-    except UnicodeDecodeError as exc:
-        raise not_utf8(path, exc) from None
-    except (ValueError, IndexError) as exc:
-        if lineno == 1:  # the header, whose error names the file already
-            raise
-        reason = "too few fields" if isinstance(exc, IndexError) else str(exc)
-        raise ValueError(f"{path}: line {lineno}: {reason}") from None
+    lines = read_lines(path)
+    header = next(lines, (1, ""))[1].strip().split(",")
+    for name in names:
+        if header.count(name) != 1:
+            problem = "lacks a" if name not in header else "repeats the"
+            raise ValueError(f"{path}: {what} CSV {problem} {name!r} column")
+    pick = itemgetter(*map(header.index, names))
+    # a file iterator yields no empty string, so isspace() finds the blank lines
+    for lineno, line in lines:
+        if not line.isspace():
+            try:
+                if '"' in line:
+                    raise ValueError("quoted fields are not supported")
+                row(*pick(line.rstrip("\n").split(",")))
+            except (ValueError, IndexError) as exc:
+                reason = "too few fields" if isinstance(exc, IndexError) else str(exc)
+                raise ValueError(f"{path}: line {lineno}: {reason}") from None
 
 
 # the separators of YYYY-MM-DDTHH:MM:SS±HH:MM at positions 4, 7, ..., 22

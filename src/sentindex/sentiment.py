@@ -18,7 +18,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple
 
 from .inputs import (
-    add_in_order, config_value, isoformat_text, load_json_object, not_utf8, parse_json, parse_timestamp)
+    add_in_order, config_value, isoformat_text, json_object_line, load_json_object, parse_timestamp, read_lines)
 
 if TYPE_CHECKING:
     from .corpus import NewsArticle
@@ -235,26 +235,20 @@ def _records(path: str | Path, texts: tuple[str, ...], numbers: tuple[str, ...])
     names = texts + numbers
     kinds = (str,) * len(texts) + (float,) * len(numbers)
     take = itemgetter(*names)
-    with open(path, encoding="utf-8") as fh:
+    for lineno, line in read_lines(path):
+        if not line.strip():
+            continue
         try:
-            for lineno, line in enumerate(fh, start=1):
-                if not line.strip():
-                    continue
-                try:
-                    obj = parse_json(line)
-                except json.JSONDecodeError as exc:
-                    raise ValueError(f"{path}: line {lineno}: invalid JSON ({exc.msg})") from None
-                if type(obj) is not dict:
-                    raise ValueError(f"{path}: line {lineno}: not a JSON object ({type(obj).__name__})")
-                try:
-                    values = take(obj)
-                except KeyError as exc:
-                    raise ValueError(f"{path}: line {lineno}: missing field {exc.args[0]!r}") from None
-                # a line of exact kinds and finite floats is taken as read; config_value
-                # turns an integer into a float and names the first field of a wrong kind
-                if tuple(map(type, values)) != kinds or not math.isfinite(sum(values[len(texts):])):
-                    where = f"{path}: line {lineno}"
-                    values = [config_value(obj, key, kind, where) for key, kind in zip(names, kinds)]
-                yield lineno, values
-        except UnicodeDecodeError as exc:
-            raise not_utf8(path, exc) from None
+            obj = json_object_line(line)
+        except ValueError as exc:
+            raise ValueError(f"{path}: line {lineno}: {exc}") from None
+        try:
+            values = take(obj)
+        except KeyError as exc:
+            raise ValueError(f"{path}: line {lineno}: missing field {exc.args[0]!r}") from None
+        # a line of exact kinds and finite floats is taken as read; config_value
+        # turns an integer into a float and names the first field of a wrong kind
+        if tuple(map(type, values)) != kinds or not math.isfinite(sum(values[len(texts):])):
+            where = f"{path}: line {lineno}"
+            values = [config_value(obj, key, kind, where) for key, kind in zip(names, kinds)]
+        yield lineno, values

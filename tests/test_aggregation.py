@@ -259,6 +259,13 @@ class TestAggregateDaily:
         with pytest.raises(Exception):
             TradingCalendar(dates=WEEKDAYS, timezone="Mars/Olympus")
 
+    @pytest.mark.parametrize("cutoff", [time(17, 0, tzinfo=timezone.utc), "17:00", datetime(2019, 3, 4, 17)],
+                             ids=["aware", "text", "datetime"])
+    def test_calendar_rejects_a_cutoff_that_is_no_naive_time(self, cutoff):
+        # the cutoff is compared with a naive market-local time, which only a naive datetime.time compares with
+        with pytest.raises(ValueError, match=r"^cutoff must be a datetime.time without tzinfo, got "):
+            TradingCalendar(dates=WEEKDAYS, cutoff=cutoff)
+
 
 def bits(grid: Grid) -> tuple:
     """A Grid with each value as float.hex(), so that == compares bit for bit."""

@@ -724,6 +724,44 @@ class TestStrictInputs:
         assert "Traceback" not in err and f"{paths[target]}: {message.format(*fields, what=what)}" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command, message", [
+        ("aggregate", "line 2: invalid JSON (Expecting property name enclosed in double quotes)"),
+        ("score", "line 2: not a JSON object (list)"),
+        # line 2 fails the check of the block reader, which gives the file to the general reader
+        ("backtest", "line 2: nonpositive close -1.0 for ({1}, {0})"),
+    ], ids=["aggregate", "score", "backtest"])
+    def test_first_fault_in_file_order_is_named(self, chain_dir, golden_dir, capsys, command, message):
+        """Line 2 holds a fault and line 3 a byte that is not UTF-8, both in the first 8 KiB of the file:
+        the earlier line is named, whatever its fault."""
+        if command == "aggregate":
+            data = chain_dir / "scored.jsonl"
+            lines = data.read_text().splitlines()
+            lines[1] = "{broken"
+        elif command == "score":
+            data = chain_dir / "prescored.jsonl"
+            lines = _prescored("a1", "a2", "a3", "a4").splitlines()
+            lines[1] = "[1]"
+        else:
+            data = chain_dir / "prices.csv"
+            lines = (golden_dir / "prices.csv").read_text().splitlines()
+            lines[1] = lines[1].rsplit(",", 1)[0] + ",-1"
+        lines[2] = "\udcff" + lines[2]  # written as the byte 0xff
+        data.write_text("\n".join(lines) + "\n", errors="surrogateescape")
+        assert data.read_bytes().index(b"\xff") < 8192
+        argv = {
+            "aggregate": ["--scored", data, "--prices", golden_dir / "prices.csv",
+                          "--config", golden_dir / "aggregation_config.json"],
+            "score": ["--articles", chain_dir / "filtered.jsonl", "--provider", "prescored",
+                      "--provider-file", data],
+            "backtest": ["--prices", data, "--sentiments", chain_dir / "daily.csv",
+                         "--config", golden_dir / "backtest_config.json"],
+        }[command]
+        capsys.readouterr()
+        assert run([command, *argv, "--out", chain_dir / "out"]) == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and f"{data}: {message.format(*lines[1].split(','))}" in err
+        assert not (chain_dir / "out").exists()
+
     def test_unknown_company_is_counted_and_dropped(self, chain_dir, golden_dir, capsys):
         lines = (chain_dir / "scored.jsonl").read_text().splitlines()
         record = json.loads(lines[0])

@@ -1,4 +1,4 @@
-"""Where the package calls the builtin sum(), and the golden chain's outputs under Python 3.12's float sum().
+"""Where the package calls the builtin sum(), and the chain's outputs under Python 3.12's float sum().
 
 From Python 3.12 sum() adds floats with Neumaier's compensated summation
 (gh-100425), so a float sum on the data path can change an output's last
@@ -14,6 +14,11 @@ import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src"
+PERFBENCH = SRC.parent / "perfbench"
+sys.path.insert(0, str(PERFBENCH))
+
+from generate import generate  # noqa: E402
+from workloads import WORKLOADS  # noqa: E402
 
 # every call of the builtin sum in src/, one entry per call: (module, enclosing function, kind)
 ALLOWED_SUMS = sorted([
@@ -106,22 +111,22 @@ def _run(args: list[str], env: dict[str, str]) -> subprocess.CompletedProcess:
                           check=True)
 
 
-def _golden_chain(out: Path, golden: Path, site: str) -> str:
-    """Run filter, score, aggregate and backtest on the golden fixture into out, each in a process that
-    starts site as its sitecustomize; return what sum([0.1] * 10) and sum([1e100, 1.0, -1e100]) print there."""
+def _chain(out: Path, g: Path, site: str) -> str:
+    """Run filter, score, aggregate and backtest with the lexicon on the inputs in g (named as in the golden
+    fixture) into out, each in a process that starts site as its sitecustomize; return what
+    sum([0.1] * 10) and sum([1e100, 1.0, -1e100]) print there."""
     out.mkdir()
     (out / "sitecustomize.py").write_text(site, encoding="utf-8")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(out), str(SRC)])}
-    g, t = golden, out
     main = ["-c", "import sys; from sentindex.cli import main; sys.exit(main(sys.argv[1:]))"]
     _run([*main, "filter", "--articles", str(g / "articles.jsonl"), "--config", str(g / "filter_config.json"),
-          "--out", str(t / "filtered.jsonl")], env)
-    _run([*main, "score", "--articles", str(t / "filtered.jsonl"), "--provider", "lexicon",
-          "--provider-file", str(g / "lexicon.json"), "--out", str(t / "scored.jsonl")], env)
-    _run([*main, "aggregate", "--scored", str(t / "scored.jsonl"), "--prices", str(g / "prices.csv"),
-          "--config", str(g / "aggregation_config.json"), "--out", str(t / "daily.csv")], env)
-    _run([*main, "backtest", "--prices", str(g / "prices.csv"), "--sentiments", str(t / "daily.csv"),
-          "--config", str(g / "backtest_config.json"), "--out", str(t)], env)
+          "--out", str(out / "filtered.jsonl")], env)
+    _run([*main, "score", "--articles", str(out / "filtered.jsonl"), "--provider", "lexicon",
+          "--provider-file", str(g / "lexicon.json"), "--out", str(out / "scored.jsonl")], env)
+    _run([*main, "aggregate", "--scored", str(out / "scored.jsonl"), "--prices", str(g / "prices.csv"),
+          "--config", str(g / "aggregation_config.json"), "--out", str(out / "daily.csv")], env)
+    _run([*main, "backtest", "--prices", str(g / "prices.csv"), "--sentiments", str(out / "daily.csv"),
+          "--config", str(g / "backtest_config.json"), "--out", str(out)], env)
     return _run(["-c", "print(sum([0.1] * 10), sum([1e100, 1.0, -1e100]))"], env).stdout
 
 
@@ -131,9 +136,20 @@ def test_golden_chain_is_the_same_under_python_312_sum(tmp_path, golden_dir):
     summary.json differ from what the chain writes in last digits, so those two are compared between
     the runs."""
     old, new = tmp_path / "sum_311", tmp_path / "sum_312"
-    assert _golden_chain(old, golden_dir, SUM_311) == "0.9999999999999999 0.0\n"
-    assert _golden_chain(new, golden_dir, SUM_312) == "1.0 1.0\n"
+    assert _chain(old, golden_dir, SUM_311) == "0.9999999999999999 0.0\n"
+    assert _chain(new, golden_dir, SUM_312) == "1.0 1.0\n"
     assert (new / "daily.csv").read_bytes() == (golden_dir / "expected_daily_sentiment.csv").read_bytes()
     assert (new / "levels.csv").read_bytes() == (golden_dir / "expected_levels.csv").read_bytes()
+    for name in ("daily.csv", "levels.csv", "trades.csv", "summary.json"):
+        assert (new / name).read_bytes() == (old / name).read_bytes(), name
+
+
+def test_generated_chain_is_the_same_under_python_312_sum(tmp_path):
+    """As above, on the benchmark's news_flow inputs of one seed, whose 12,000 articles and 50 x 250 grid
+    reach far more sums than the golden fixture; all four outputs are compared between the runs."""
+    inputs, old, new = tmp_path / "inputs", tmp_path / "sum_311", tmp_path / "sum_312"
+    generate(WORKLOADS["news_flow"].gen, 11, inputs)
+    assert _chain(old, inputs, SUM_311) == "0.9999999999999999 0.0\n"
+    assert _chain(new, inputs, SUM_312) == "1.0 1.0\n"
     for name in ("daily.csv", "levels.csv", "trades.csv", "summary.json"):
         assert (new / name).read_bytes() == (old / name).read_bytes(), name
