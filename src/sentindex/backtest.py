@@ -143,8 +143,8 @@ def run_backtest(
     n = len(companies)
     if len(prices.rows) != len(dates) or any(len(row) != n for row in prices.rows):
         raise ValueError(f"price series needs {len(dates)} rows of {n} closes")
-    # every vector follows the sorted companies, the order in which the dict
-    # helpers sum; a repeated sentiment date or company would hide all but its last row or column
+    # every vector follows the sorted companies, the order in which optimize_weights
+    # sums; a repeated sentiment date or company would hide all but its last row or column
     for name, axis in (("price series dates", dates), ("price series companies", companies),
                        ("sentiment dates", sentiments.dates), ("sentiment companies", sentiments.companies)):
         if any(b <= a for a, b in zip(axis, axis[1:])):

@@ -51,12 +51,12 @@ def _cmd_aggregate(args: argparse.Namespace) -> int:
     from . import aggregation, grids, sentiment
 
     config = aggregation.load_aggregation_config(args.config)
-    prices = grids.load_prices(args.prices)
+    dates, companies = grids.load_prices(args.prices)[:2]  # every close is checked, none kept
     calendar = aggregation.TradingCalendar(
-        dates=prices.dates, timezone=config.market_timezone, cutoff=config.cutoff)
+        dates=dates, timezone=config.market_timezone, cutoff=config.cutoff)
     # the records are read as they are aggregated; diagnostics are printed only once the file is read
     scored = sentiment.read_scored(args.scored)
-    result = aggregation.aggregate_daily(scored, list(prices.companies), calendar, config)
+    result = aggregation.aggregate_daily(scored, list(companies), calendar, config)
     for diagnostic in result.diagnostics:
         print(f"aggregate: {diagnostic}", file=sys.stderr)
     aggregation.write_daily_sentiment_csv(args.out, result)
@@ -76,7 +76,8 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
     prior = optimizer.load_weights_csv(args.prior, "weight")
     weights = optimizer.optimize_weights(s, prior, cfg)
     optimizer.write_weights_csv(args.out, weights)
-    trades = optimizer.extract_trades(weights, prior, cfg.trade_epsilon)
+    trades = optimizer.trades_from_moves(  # weights has prior's keys, sorted
+        list(weights), [w - prior[k] for k, w in weights.items()], cfg.trade_epsilon)
     print(f"optimize: {len(trades)} trades from the prior", file=sys.stderr)
     return 0
 

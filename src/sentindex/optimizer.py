@@ -59,15 +59,6 @@ def load_optimizer_config(path: str | Path) -> OptimizerConfig:
     return config_from_dict(OptimizerConfig, load_json_object(path), path)
 
 
-def _check_keys(*vectors: dict[str, float]) -> list[str]:
-    keys = sorted(vectors[0])
-    for v in vectors[1:]:
-        if sorted(v) != keys:
-            raise ValueError(
-                f"mismatched company keys: {sorted(vectors[0])} vs {sorted(v)}")
-    return keys
-
-
 def optimize_weights(
     s: dict[str, float], w_prev: dict[str, float], cfg: OptimizerConfig
 ) -> dict[str, float]:
@@ -78,13 +69,12 @@ def optimize_weights(
     tied maximizers, ties break by slope descending, then company id
     ascending, then lower bound ascending.
     """
-    keys = _check_keys(s, w_prev)
-    return dict(zip(keys, solve_weights(keys, _values(s, keys), _values(w_prev, keys), cfg)))
-
-
-def _values(v: dict[str, float], keys: list[str]) -> list[float]:
-    """The values of v in the order of keys; a dict already in that order is read as it stands."""
-    return list(v.values()) if list(v) == keys else [v[k] for k in keys]
+    keys = sorted(s)
+    if sorted(w_prev) != keys:
+        raise ValueError(f"mismatched company keys: {keys} vs {sorted(w_prev)}")
+    # a dict already in key order, as the day loop's are, is read as it stands
+    s_list, prior = (list(v.values()) if list(v) == keys else [v[k] for k in keys] for v in (s, w_prev))
+    return dict(zip(keys, solve_weights(keys, s_list, prior, cfg)))
 
 
 def solve_weights(
@@ -148,14 +138,6 @@ def solve_weights(
             w[rank] = lower + room
             total = budget
     return w
-
-
-def extract_trades(
-    w_new: dict[str, float], w_prior: dict[str, float], trade_epsilon: float = 1e-6
-) -> list[tuple[str, float]]:
-    """List (company, delta) for every weight change larger than the epsilon."""
-    keys = _check_keys(w_new, w_prior)
-    return trades_from_moves(keys, [w_new[k] - w_prior[k] for k in keys], trade_epsilon)
 
 
 def trades_from_moves(

@@ -15,7 +15,6 @@ from datetime import date
 from sentindex.aggregation import _shrink
 from sentindex.backtest import _cost, _drift
 from sentindex.grids import Grid
-from sentindex.optimizer import _check_keys
 
 
 def grid(values: dict[tuple[str, date], float], dates=None, companies=None) -> Grid:
@@ -70,7 +69,9 @@ def objective_value(
     w: dict[str, float], s: dict[str, float], w_prev: dict[str, float], delta: float
 ) -> float:
     """Evaluate sum w_i s_i - delta * sum |w_prev_i - w_i| over sorted keys."""
-    keys = _check_keys(w, s, w_prev)
+    keys = sorted(w)
+    if sorted(s) != keys or sorted(w_prev) != keys:
+        raise ValueError("mismatched company keys")
     gain = sum(w[k] * s[k] for k in keys)
     turnover = sum(abs(w_prev[k] - w[k]) for k in keys)
     return gain - delta * turnover

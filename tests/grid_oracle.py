@@ -9,7 +9,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from sentindex.optimizer import InfeasibleProblemError, OptimizerConfig, _check_keys
+from backtest_reference import _check_keys
+from sentindex.optimizer import InfeasibleProblemError, OptimizerConfig
 
 MAX_ORACLE_NAMES = 4
 

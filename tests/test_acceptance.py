@@ -20,7 +20,6 @@ from sentindex.grids import Grid
 from sentindex.optimizer import (
     InfeasibleProblemError,
     OptimizerConfig,
-    extract_trades,
     optimize_weights,
 )
 from sentindex.report import ReportSpec, render_report

@@ -137,6 +137,35 @@ class TestOptimizeCommand:
         assert code == 1
         assert "cannot reach" in capsys.readouterr().err
 
+    def test_trades_counted_over_a_prior_in_another_order(self, tmp_path, capsys):
+        (tmp_path / "s.csv").write_text(
+            "company,sentiment\nalpha,0.8\nbeta,0.4\ngamma,-0.2\ndelta_ag,-0.6\n")
+        # the solve gives alpha 0.3, beta 0.3, gamma 0, delta_ag 0 (as above): alpha and gamma
+        # trade, beta moves 5e-7, below the default trade_epsilon of 1e-6, and delta_ag holds
+        (tmp_path / "prior.csv").write_text(
+            "company,weight\ndelta_ag,0.0\ngamma,0.1\nbeta,0.2999995\nalpha,0.0\n")
+        (tmp_path / "cfg.json").write_text(json.dumps(
+            {"delta": 0.0, "cap": 0.3, "budget_lo": 0.5, "budget_hi": 0.9}))
+        out = tmp_path / "w.csv"
+        assert run(["optimize", "--sentiments", tmp_path / "s.csv",
+                    "--prior", tmp_path / "prior.csv",
+                    "--config", tmp_path / "cfg.json", "--out", out]) == 0
+        assert capsys.readouterr().err == "optimize: 2 trades from the prior\n"
+        assert out.read_text() == "company,weight\nalpha,0.3\nbeta,0.3\ndelta_ag,0.0\ngamma,0.0\n"
+
+    def test_other_companies_in_the_prior_exit_one(self, tmp_path, capsys):
+        (tmp_path / "s.csv").write_text("company,sentiment\nbeta,0.4\nalpha,0.8\n")
+        (tmp_path / "prior.csv").write_text("company,weight\nalpha,0.5\ngamma,0.5\n")
+        (tmp_path / "cfg.json").write_text(json.dumps({"cap": 1.0}))
+        out = tmp_path / "w.csv"
+        code = run(["optimize", "--sentiments", tmp_path / "s.csv",
+                    "--prior", tmp_path / "prior.csv",
+                    "--config", tmp_path / "cfg.json", "--out", out])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "sentindex optimize: mismatched company keys: ['alpha', 'beta'] vs ['alpha', 'gamma']\n")
+        assert not out.exists()
+
 
 class TestErrorHandling:
     def test_non_finite_close_exits_one(self, chain_dir, golden_dir, capsys):
@@ -158,6 +187,25 @@ class TestErrorHandling:
             err = capsys.readouterr().err
             assert "Traceback" not in err and message in err
             assert not out.exists()
+
+    @pytest.mark.parametrize("close, message", [
+        ("nan", "non-finite close nan for (bergbau, 2021-03-03)"),
+        ("0", "nonpositive close 0.0 for (bergbau, 2021-03-03)"),
+        ("-2.5", "nonpositive close -2.5 for (bergbau, 2021-03-03)"),
+    ])
+    def test_bad_close_fails_aggregate(self, chain_dir, golden_dir, capsys, close, message):
+        """aggregate keeps no close, yet reads and checks every one."""
+        lines = (golden_dir / "prices.csv").read_text().splitlines()
+        d, company, _ = lines[26].split(",")
+        lines[26] = f"{d},{company},{close}"
+        prices = chain_dir / "prices_bad.csv"
+        prices.write_text("\n".join(lines) + "\n")
+        out = chain_dir / "daily_bad.csv"
+        code = run(["aggregate", "--scored", chain_dir / "scored.jsonl", "--prices", prices,
+                    "--config", golden_dir / "aggregation_config.json", "--out", out])
+        assert code == 1
+        assert capsys.readouterr().err == f"sentindex aggregate: {prices}: line 27: {message}\n"
+        assert not out.exists()
 
     def test_costs_that_wipe_out_the_portfolio_exit_one(self, tmp_path, capsys):
         """A day whose costs take the level to zero or below exits 1 and writes nothing."""

@@ -136,6 +136,48 @@ def test_scaling_one_companys_closes_by_eight_changes_no_output(tmp_path, compan
         assert got[name] == base[name], name
 
 
+def test_renaming_every_company_in_order_changes_only_the_names(tmp_path):
+    """Company ids renamed in the order they sort, in prices.csv, company_id, the headline tokens
+    and the keys of exclusions: once the names are mapped back, every output is byte for byte the
+    unrenamed run's. So nothing but a company's sort position may read its id."""
+    base = run_chain(golden_copy(tmp_path / "in"), tmp_path / "base")
+    renamed = golden_copy(tmp_path / "renamed_in")
+    objs = [json.loads(line) for line in (GOLDEN / "articles.jsonl").read_text(encoding="utf-8").splitlines()]
+    filters = json.loads((GOLDEN / "filter_config.json").read_text(encoding="utf-8"))
+    old = sorted({row.split(",")[1] for row in PRICE_ROWS} | {obj["company_id"] for obj in objs}
+                 | set(filters["exclusions"]))
+    new = [f"q{i:03d}" for i in range(len(old))]  # sorts as old does, and none holds another
+    rename = dict(zip(old, new))
+
+    # the precondition: no id, old or new, occurs in a word of any keyword, phrase or lexicon entry,
+    # nor a word in an id, so no text match can see the rename; and no new id occurs in the inputs
+    # or the outputs, so mapping the outputs back restores exactly what the rename changed
+    words = {w for k in (*json.loads((GOLDEN / "lexicon.json").read_text(encoding="utf-8")),
+                         *filters["auto_generated_phrases"], *(k for v in filters["exclusions"].values() for k in v))
+             for w in k.split()}
+    assert not [(x, w) for x in old + new for w in words if x in w or w in x]
+    texts = [(GOLDEN / name).read_bytes() for name in INPUTS] + list(base.values())
+    assert not [x for x in new if any(x.encode() in b for b in texts)]
+
+    for obj in objs:
+        obj["company_id"] = rename[obj["company_id"]]
+        obj["headline"] = " ".join(rename.get(w, w) for w in obj["headline"].split(" "))
+    (renamed / "articles.jsonl").write_text(
+        "".join(json.dumps(obj, ensure_ascii=False) + "\n" for obj in objs), encoding="utf-8")
+    rows = [f"{d},{rename[c]},{close}" for d, c, close in (row.split(",") for row in PRICE_ROWS)]
+    (renamed / "prices.csv").write_text("".join(f"{x}\n" for x in [PRICE_HEADER, *rows]), encoding="utf-8")
+    filters["exclusions"] = {rename[c]: k for c, k in filters["exclusions"].items()}
+    (renamed / "filter_config.json").write_text(json.dumps(filters), encoding="utf-8")
+    got = run_chain(renamed, tmp_path / "renamed")
+
+    assert got.keys() == base.keys()
+    assert got["daily.csv"] != base["daily.csv"]
+    for name, blob in got.items():
+        for x, y in zip(new, old):
+            blob = blob.replace(x.encode(), y.encode())
+        assert blob == base[name], name
+
+
 # the market's zone and cutoff, and its trading dates, read here without the package's readers
 _MARKET = json.loads((GOLDEN / "aggregation_config.json").read_text(encoding="utf-8"))
 ZONE = ZoneInfo(_MARKET["market_timezone"])

@@ -19,9 +19,9 @@ from lp_reference import solve_lp
 from sentindex.optimizer import (
     InfeasibleProblemError,
     OptimizerConfig,
-    extract_trades,
     load_weights_csv,
     optimize_weights,
+    trades_from_moves,
 )
 
 DEFAULT = OptimizerConfig()
@@ -192,26 +192,34 @@ class TestOracle:
         assert g >= o - 1e-12  # exact method never loses to the grid
 
 
+def trades(new, prior, eps=1e-6):
+    """trades_from_moves over the sorted keys, as the optimize command counts them; it must
+    give what the reference's extract_trades gives, repr for repr."""
+    keys = sorted(new)
+    got = trades_from_moves(keys, [new[k] - prior[k] for k in keys], eps)
+    assert repr(got) == repr(backtest_reference.extract_trades(new, prior, eps))
+    return got
+
+
 class TestExtractTrades:
     def test_identical_vectors_no_trades(self):
         w = vec([0.1, 0.2])
-        assert extract_trades(w, dict(w)) == []
+        assert trades(w, dict(w)) == []
 
     def test_two_sided_rebalance(self):
         new = vec([0.10, 0.10])
         prior = vec([0.12, 0.08])
-        trades = dict(extract_trades(new, prior))
-        assert trades == {"c01": pytest.approx(-0.02), "c02": pytest.approx(0.02)}
+        assert dict(trades(new, prior)) == {"c01": pytest.approx(-0.02), "c02": pytest.approx(0.02)}
 
     def test_below_epsilon_not_counted(self):
         new = vec([0.1 + 1e-9])
         prior = vec([0.1])
-        assert extract_trades(new, prior, trade_epsilon=1e-6) == []
+        assert trades(new, prior, eps=1e-6) == []
 
     def test_trades_sorted_by_company(self):
         new = {"b": 0.1, "a": 0.1, "c": 0.0}
         prior = {"b": 0.0, "a": 0.0, "c": 0.1}
-        assert [k for k, _ in extract_trades(new, prior)] == ["a", "b", "c"]
+        assert [k for k, _ in trades(new, prior)] == ["a", "b", "c"]
 
 
 @st.composite
@@ -336,8 +344,7 @@ def test_matches_reference_bit_for_bit(chunk):
         assert got == want and repr(got) == repr(want), (s, prior, cfg)
         if got is not None:
             for eps in (0.0, cfg.trade_epsilon):
-                assert repr(extract_trades(got, prior, eps)) == repr(
-                    backtest_reference.extract_trades(want, prior, eps))
+                trades(got, prior, eps)
 
 
 def piece_order_case(rng: random.Random):
