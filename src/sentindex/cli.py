@@ -23,12 +23,12 @@ def _cmd_filter(args: argparse.Namespace) -> int:
     for diagnostic in load.diagnostics:
         print(f"filter: {diagnostic}", file=sys.stderr)
     result = corpus.run_filter_pipeline(load.articles, config)
-    corpus.write_articles(args.out, result.kept)
+    corpus.write_articles(args.out, result.survivors, result.headlines)  # the lines of result.kept
     if args.removed:
         corpus.write_articles(args.removed, result.removed)
     for stage, removed in result.removed_by_stage.items():
         print(f"filter: removed {len(removed)} by {stage}", file=sys.stderr)
-    print(f"filter: kept {len(result.kept)} of {len(load.articles)} articles", file=sys.stderr)
+    print(f"filter: kept {len(result.survivors)} of {len(load.articles)} articles", file=sys.stderr)
     return 0
 
 

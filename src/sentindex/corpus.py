@@ -3,12 +3,18 @@
 The filter runs four stages in one pass over the articles: per-company
 exclusion keywords, auto-generated-content phrases, duplicate removal, then
 the headline length gate. Each article is removed by the first stage it
-fails; the survivors get a lowercased headline and no body.
+fails. The survivors are held as read, beside their lowercased headlines: a
+survivor is given its lowercased headline and no body only as kept.jsonl is
+written, or in the list FilterResult.kept builds, so no article is copied.
+
+The articles as read share one string object per distinct company_id, source
+and language, since a corpus repeats a handful of each.
 """
 
 from __future__ import annotations
 
 from datetime import datetime
+from itertools import repeat
 from json.encoder import encode_basestring
 from pathlib import Path
 from typing import Callable, Iterator, NamedTuple
@@ -72,9 +78,11 @@ def read_articles(path: str | Path, report: Callable[[str], object]) -> Iterator
     non-empty strings, whose body is a string or null and whose language is a
     string; none of these may hold a lone surrogate, such as the escape
     "\\ud800". A line that is not UTF-8 is reported with its own decode error
-    and skipped in the same way. An unreadable file raises OSError.
+    and skipped in the same way. An unreadable file raises OSError. Equal
+    company_id, source and language values are one string object.
     """
     seen_ids: set[str] = set()
+    share = {}.setdefault  # share(v, v) is the first string read equal to v
     for lineno, line in read_lines(path, report):
         if not line.strip():
             continue
@@ -115,7 +123,8 @@ def read_articles(path: str | Path, report: Callable[[str], object]) -> Iterator
             report(f"line {lineno}: duplicate id {aid!r}")
             continue
         seen_ids.add(aid)
-        yield NewsArticle(aid, company, source, ts, headline, body, language), stamp
+        yield NewsArticle(aid, share(company, company), share(source, source), ts, headline, body,
+                          share(language, language)), stamp
 
 
 def load_filter_config(path: str | Path) -> FilterConfig:
@@ -127,8 +136,17 @@ def _exclusions(obj: dict, where: str) -> dict[str, tuple[str, ...]]:
 
 
 class FilterResult(NamedTuple):
-    kept: list[NewsArticle]
+    survivors: list[NewsArticle]  # the kept articles as read
+    headlines: list[str]  # headlines[i] is survivors[i]'s headline, lowercased
     removed_by_stage: dict[str, list[NewsArticle]]
+
+    @property
+    def kept(self) -> list[NewsArticle]:
+        """Each survivor with its lowercased headline and no body, in input order.
+
+        The list is built anew on each access, for library callers; the filter command never builds it.
+        """
+        return [a._replace(headline=h, body=None) for a, h in zip(self.survivors, self.headlines)]
 
     @property
     def removed(self) -> list[NewsArticle]:
@@ -145,8 +163,8 @@ def run_filter_pipeline(articles: list[NewsArticle], config: FilterConfig) -> Fi
     lowercased headline) among the survivors of the first two stages but the
     earliest (ties on published_at break by id); then a headline of more
     than max_headline_tokens tokens, a token being a maximal run of
-    non-whitespace characters. A kept article has its headline lowercased
-    and its body dropped.
+    non-whitespace characters. The survivors are the input articles
+    themselves, beside their lowercased headlines (see FilterResult.kept).
     """
     exclusions, phrases = config.exclusions, config.auto_generated_phrases
     # heads[i] is passed[i]'s lowercased headline, and earliest maps company -> lowercased
@@ -171,30 +189,36 @@ def run_filter_pipeline(articles: list[NewsArticle], config: FilterConfig) -> Fi
         if cur is None or (a.published_at, a.id) < (cur.published_at, cur.id):
             by_headline[headline] = a
 
-    kept, by_dedup, by_length = [], [], []
+    survivors, headlines, by_dedup, by_length = [], [], [], []
     for a, headline in zip(passed, heads):
         if earliest[a.company_id][headline] is not a:
             by_dedup.append(a)
         elif len(headline.split()) > config.max_headline_tokens:
             by_length.append(a)
         else:
-            kept.append(a._replace(headline=headline, body=None))
-    return FilterResult(kept, {"exclusion_keyword": by_keyword, "auto_generated": by_phrase,
-                               "duplicate": by_dedup, "headline_length": by_length})
+            survivors.append(a)
+            headlines.append(headline)
+    return FilterResult(survivors, headlines, {
+        "exclusion_keyword": by_keyword, "auto_generated": by_phrase,
+        "duplicate": by_dedup, "headline_length": by_length})
 
 
-def write_articles(path: str | Path, articles: list[NewsArticle]) -> None:
+def write_articles(path: str | Path, articles: list[NewsArticle], headlines: list[str] | None = None) -> None:
     """Write one JSON object per line, as json.dumps(..., ensure_ascii=False) would.
 
-    encode_basestring is the function json.dumps quotes each string with; the
-    timestamp needs no escaping. One write per record and no list of lines
-    keeps memory flat.
+    Given headlines, articles[i] is written with headlines[i] and no body: a
+    FilterResult's survivors and headlines give the lines of its kept list,
+    which is never built. encode_basestring is the function json.dumps quotes
+    each string with; the timestamp needs no escaping. One write per record
+    and no list of lines keeps memory flat.
     """
     q = encode_basestring
+    rows = (((a, a.headline, a.body) for a in articles) if headlines is None
+            else zip(articles, headlines, repeat(None)))
     with open(path, "w", encoding="utf-8") as fh:
         write = fh.write
-        for a in articles:
-            body = "null" if a.body is None else q(a.body)
+        for a, headline, body in rows:
+            body = "null" if body is None else q(body)
             write(f'{{"id": {q(a.id)}, "company_id": {q(a.company_id)}, "source": {q(a.source)}, '
-                  f'"published_at": "{a.published_at.isoformat()}", "headline": {q(a.headline)}, '
+                  f'"published_at": "{a.published_at.isoformat()}", "headline": {q(headline)}, '
                   f'"body": {body}, "language": {q(a.language)}}}\n')

@@ -4,12 +4,21 @@ These are the earlier ``sentindex.corpus`` stage functions: each stage
 partitions the survivors of the one before, and the headline and body are
 lowercased again for every keyword and phrase tested. They are slow but easy
 to read, and ``sentindex.corpus.run_filter_pipeline`` must reproduce their
-kept articles and every removal list, in order.
+kept articles and every removal list, in order. The kept articles here are
+copies, each with its lowercased headline and no body, as the
+``FilterResult.kept`` of the package builds them.
 """
 
 from __future__ import annotations
 
-from sentindex.corpus import FilterConfig, FilterResult, NewsArticle
+from typing import NamedTuple
+
+from sentindex.corpus import FilterConfig, NewsArticle
+
+
+class FilterResult(NamedTuple):
+    kept: list[NewsArticle]
+    removed_by_stage: dict[str, list[NewsArticle]]
 
 
 def _text_blob(article: NewsArticle) -> str:

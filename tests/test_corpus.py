@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import random
 import re
+import sys
 import tempfile
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
@@ -25,6 +26,11 @@ from sentindex.corpus import (
     write_articles,
 )
 from sentindex.inputs import parse_timestamp
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+
+from generate import generate  # noqa: E402
+from workloads import WORKLOADS  # noqa: E402
 
 TS = datetime(2021, 3, 1, 10, 0, tzinfo=timezone.utc)
 
@@ -337,6 +343,37 @@ def test_pipeline_stage_accounting(golden_dir):
     assert len(result.kept) + removed_total == len(loaded.articles)
     # every survivor is normalized: lowercase headline, no body
     assert all(a.headline == a.headline.lower() and a.body is None for a in result.kept)
+
+
+@pytest.mark.parametrize("inputs", ["golden", "news_flow-11"])
+def test_pipeline_matches_reference_on_fixture_and_generated_inputs(inputs, golden_dir, tmp_path):
+    """kept and every removal list are the reference's; the survivors are the articles as read, and
+    kept is a list built anew on each access."""
+    where = golden_dir if inputs == "golden" else tmp_path
+    if inputs == "news_flow-11":
+        generate(WORKLOADS["news_flow"].gen, 11, where)
+    config = load_filter_config(where / "filter_config.json")
+    articles = load_articles(where / "articles.jsonl").articles
+    got, want = run_filter_pipeline(articles, config), filter_reference.run_filter_pipeline(articles, config)
+    assert got.kept == want.kept
+    assert got.removed_by_stage == want.removed_by_stage
+    kept_ids = {a.id for a in want.kept}
+    assert [id(a) for a in got.survivors] == [id(a) for a in articles if a.id in kept_ids]
+    assert got.headlines == [a.headline for a in want.kept]
+    first = got.kept
+    assert first is not got.kept and first == got.kept
+    first.clear()
+    assert got.kept == want.kept
+
+
+def test_read_articles_shares_equal_field_values(golden_dir):
+    """After read_articles, equal company_id, source and language values are one string object."""
+    articles = load_articles(golden_dir / "articles.jsonl").articles
+    for field in ("company_id", "source", "language"):
+        values = [getattr(a, field) for a in articles]
+        assert len(set(values)) < len(values), field
+        first = {}
+        assert all(first.setdefault(v, v) is v for v in values), field
 
 
 TRICKY = '"\\/\x00\x01\x08\t\n\x0b\x0c\r\x1f\x7f\x80\xa0\xe4\xdf€  ﻿\U0001F600 aZ'

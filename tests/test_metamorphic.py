@@ -1,8 +1,8 @@
 """Metamorphic relations of the CLI chain: inputs restated so that no output may change.
 
-Each test runs filter, score, aggregate, backtest and report on the golden
-fixture twice, once on a restated copy, and compares the outputs byte for
-byte. A relation needs no second implementation to check against: it holds
+Each test runs filter, score, aggregate, backtest and report twice, on the
+golden fixture (one test on generated inputs) and on a restated copy, and
+compares the outputs byte for byte. A relation needs no second implementation to check against: it holds
 for any correct chain, so it also catches a defect that a reference written
 alongside the code would share.
 """
@@ -12,6 +12,8 @@ from __future__ import annotations
 import json
 import random
 import shutil
+import string
+import sys
 from collections import Counter
 from datetime import date, datetime, time, timedelta, timezone
 from pathlib import Path
@@ -23,6 +25,9 @@ from sentindex import grids
 from sentindex.cli import main
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
+sys.path.insert(0, str(GOLDEN.parent.parent / "perfbench"))
+
+from generate import GenSpec, generate  # noqa: E402
 INPUTS = ("articles.jsonl", "filter_config.json", "lexicon.json", "prices.csv",
           "aggregation_config.json", "backtest_config.json")
 OUTPUTS = ("daily.csv", "run/levels.csv", "run/trades.csv", "run/summary.json",
@@ -136,36 +141,51 @@ def test_scaling_one_companys_closes_by_eight_changes_no_output(tmp_path, compan
         assert got[name] == base[name], name
 
 
-def test_renaming_every_company_in_order_changes_only_the_names(tmp_path):
+def check_renaming_in_order_changes_only_the_names(inputs: Path, tmp_path: Path, new_ids) -> None:
     """Company ids renamed in the order they sort, in prices.csv, company_id, the headline tokens
     and the keys of exclusions: once the names are mapped back, every output is byte for byte the
-    unrenamed run's. So nothing but a company's sort position may read its id."""
-    base = run_chain(golden_copy(tmp_path / "in"), tmp_path / "base")
-    renamed = golden_copy(tmp_path / "renamed_in")
-    objs = [json.loads(line) for line in (GOLDEN / "articles.jsonl").read_text(encoding="utf-8").splitlines()]
-    filters = json.loads((GOLDEN / "filter_config.json").read_text(encoding="utf-8"))
-    old = sorted({row.split(",")[1] for row in PRICE_ROWS} | {obj["company_id"] for obj in objs}
+    unrenamed run's. So nothing but a company's sort position may read its id.
+
+    new_ids(n) gives the n new ids, in sorted order. A line of articles.jsonl that is no JSON
+    object is kept as it is."""
+    base = run_chain(inputs, tmp_path / "base")
+    renamed = tmp_path / "renamed_in"
+    shutil.copytree(inputs, renamed)
+    lines = (inputs / "articles.jsonl").read_text(encoding="utf-8").splitlines()
+    objs = []
+    for line in lines:
+        try:
+            objs.append(json.loads(line))
+        except ValueError:
+            objs.append(line)
+    articles = [obj for obj in objs if isinstance(obj, dict)]
+    filters = json.loads((inputs / "filter_config.json").read_text(encoding="utf-8"))
+    price_header, *price_rows = (inputs / "prices.csv").read_text(encoding="utf-8").splitlines()
+    old = sorted({row.split(",")[1] for row in price_rows} | {obj["company_id"] for obj in articles}
                  | set(filters["exclusions"]))
-    new = [f"q{i:03d}" for i in range(len(old))]  # sorts as old does, and none holds another
+    new = new_ids(len(old))
+    assert new == sorted(new)
     rename = dict(zip(old, new))
 
     # the precondition: no id, old or new, occurs in a word of any keyword, phrase or lexicon entry,
-    # nor a word in an id, so no text match can see the rename; and no new id occurs in the inputs
-    # or the outputs, so mapping the outputs back restores exactly what the rename changed
-    words = {w for k in (*json.loads((GOLDEN / "lexicon.json").read_text(encoding="utf-8")),
+    # nor a word in an id, so no text match can see the rename; no new id occurs in another, in the
+    # inputs or in the outputs, so mapping the outputs back restores exactly what the rename changed
+    words = {w for k in (*json.loads((inputs / "lexicon.json").read_text(encoding="utf-8")),
                          *filters["auto_generated_phrases"], *(k for v in filters["exclusions"].values() for k in v))
              for w in k.split()}
     assert not [(x, w) for x in old + new for w in words if x in w or w in x]
-    texts = [(GOLDEN / name).read_bytes() for name in INPUTS] + list(base.values())
-    assert not [x for x in new if any(x.encode() in b for b in texts)]
+    texts = [(inputs / name).read_bytes() for name in INPUTS] + list(base.values())
+    assert not [x for x in new if any(x.encode() in b for b in texts) or sum(x in y for y in new) > 1]
 
-    for obj in objs:
+    for obj in articles:
         obj["company_id"] = rename[obj["company_id"]]
-        obj["headline"] = " ".join(rename.get(w, w) for w in obj["headline"].split(" "))
+        if "headline" in obj:
+            obj["headline"] = " ".join(rename.get(w, w) for w in obj["headline"].split(" "))
     (renamed / "articles.jsonl").write_text(
-        "".join(json.dumps(obj, ensure_ascii=False) + "\n" for obj in objs), encoding="utf-8")
-    rows = [f"{d},{rename[c]},{close}" for d, c, close in (row.split(",") for row in PRICE_ROWS)]
-    (renamed / "prices.csv").write_text("".join(f"{x}\n" for x in [PRICE_HEADER, *rows]), encoding="utf-8")
+        "".join((obj if isinstance(obj, str) else json.dumps(obj, ensure_ascii=False)) + "\n" for obj in objs),
+        encoding="utf-8")
+    rows = [f"{d},{rename[c]},{close}" for d, c, close in (row.split(",") for row in price_rows)]
+    (renamed / "prices.csv").write_text("".join(f"{x}\n" for x in [price_header, *rows]), encoding="utf-8")
     filters["exclusions"] = {rename[c]: k for c, k in filters["exclusions"].items()}
     (renamed / "filter_config.json").write_text(json.dumps(filters), encoding="utf-8")
     got = run_chain(renamed, tmp_path / "renamed")
@@ -176,6 +196,31 @@ def test_renaming_every_company_in_order_changes_only_the_names(tmp_path):
         for x, y in zip(new, old):
             blob = blob.replace(x.encode(), y.encode())
         assert blob == base[name], name
+
+
+def test_renaming_every_company_in_order_changes_only_the_names(tmp_path):
+    check_renaming_in_order_changes_only_the_names(
+        golden_copy(tmp_path / "in"), tmp_path,
+        lambda n: [f"q{i:03d}" for i in range(n)])  # sorts as the old ids do, and none holds another
+
+
+def test_renaming_generated_companies_that_share_a_prefix_changes_only_the_names(tmp_path):
+    """The rename on the generator's inputs, whose ids firma_000, firma_001, ... share a long prefix,
+    with one headline filed under two companies. The new ids differ in their first character, so a
+    filter that read only a prefix of company_id, such as dedup keyed on it, would remove one copy
+    of the shared headline before the rename and none after."""
+    inputs = tmp_path / "in"
+    generate(GenSpec(companies=31, days=70, articles=300, provider="lexicon", history="nonzero_days",
+                     optimizer={}, benchmark=False), 5, inputs)
+    shared = "firma-000 und firma-001 wortba lex01 gemeinsam"
+    with open(inputs / "articles.jsonl", "a", encoding="utf-8") as fh:
+        for aid, company, stamp in [("geteilt1", "firma_000", "2021-01-12T09:00:00+01:00"),
+                                    ("geteilt2", "firma_001", "2021-01-12T10:00:00+01:00")]:
+            fh.write(json.dumps({"id": aid, "company_id": company, "source": "quelle_a", "published_at": stamp,
+                                 "headline": shared, "body": None, "language": "de"}) + "\n")
+    first = string.ascii_uppercase + string.ascii_lowercase
+    check_renaming_in_order_changes_only_the_names(
+        inputs, tmp_path, lambda n: [f"{first[i]}{i:02d}xq" for i in range(n)])
 
 
 # the market's zone and cutoff, and its trading dates, read here without the package's readers
