@@ -100,23 +100,31 @@ def effective_trading_date(
     diagnostic) and must be dropped by the caller. A naive published_at
     raises ValueError, as the host's local zone would decide its date.
     """
+    i, diagnostic = _trading_index(published_at, calendar.dates, calendar.tzinfo, calendar.cutoff)
+    return (None if i is None else calendar.dates[i]), diagnostic
+
+
+def _trading_index(
+    published_at: datetime, dates: tuple[date, ...], zone: ZoneInfo, cutoff: time
+) -> tuple[int | None, str | None]:
+    # effective_trading_date on the calendar's parts, read once by a caller that maps many instants;
+    # gives the index of the trading date in dates
     if published_at.utcoffset() is None:
         raise ValueError(f"published_at {published_at.isoformat()} lacks a UTC offset")
     try:
-        local = published_at.astimezone(calendar.tzinfo)
+        local = published_at.astimezone(zone)
         day = local.date()
-        if local.time() >= calendar.cutoff:
+        if local.time() >= cutoff:
             day += timedelta(days=1)
     except OverflowError:
         # only instants within a day of the ends of years 1 to 9999 leave the
         # date range here, and they precede or follow any calendar
         day = date.min if published_at.year == 1 else date.max
-    dates = calendar.dates
     if day < dates[0]:
-        return dates[0], f"published {published_at.isoformat()} precedes the calendar"
+        return 0, f"published {published_at.isoformat()} precedes the calendar"
     i = bisect_left(dates, day)
     if i < len(dates):
-        return dates[i], None
+        return i, None
     return None, f"published {published_at.isoformat()} falls after the final trading date"
 
 
@@ -169,12 +177,12 @@ def aggregate_daily(
     Per company and date: raw mean of article scores added in input order from
     0.0 (no sum(), whose floats differ from Python 3.12), unique source count,
     adjustment from the company's source history before that date, adjusted =
-    raw * adjustment. A company's dates without articles are quiet cells: they
-    are not held, they read as zero in rows, grid() and the written CSV, and
-    under all_days they count as days of zero sources. Articles of a company
-    outside the universe are counted and dropped; a company named twice in the
-    universe raises ValueError. scored is iterated once, so it may be a
-    generator such as sentiment.read_scored.
+    raw * adjustment (raw itself at 1.0). A company's dates without articles are
+    quiet cells: they are not held, they read as zero in rows, grid() and the
+    written CSV, and under all_days they count as days of zero sources. Articles
+    of a company outside the universe are counted and dropped; a company named
+    twice in the universe raises ValueError. scored is iterated once, so it may
+    be a generator such as sentiment.read_scored.
     """
     config = config or AggregationConfig()
     all_days = config.adjustment_history == "all_days"
@@ -183,22 +191,22 @@ def aggregate_daily(
         if a == b:  # its rows would be written twice
             raise ValueError(f"universe repeats company {a!r}")
     column = {company: j for j, company in enumerate(companies)}
-    index = {d: i for i, d in enumerate(calendar.dates)}
+    dates, zone, cutoff = calendar.dates, calendar.tzinfo, calendar.cutoff  # tzinfo is a ZoneInfo call
     # per date: company index -> [score sum, article count, sources], then its DailySentiment
-    cells: list[dict] = [{} for _ in calendar.dates]
+    cells: list[dict] = [{} for _ in dates]
     diagnostics, after_range, unknown = [], 0, 0
     for record in scored:
-        trading_date, diagnostic = effective_trading_date(record.published_at, calendar)
+        i, diagnostic = _trading_index(record.published_at, dates, zone, cutoff)
         if diagnostic is not None:
             diagnostics.append(f"article {record.id}: {diagnostic}")
-        if trading_date is None:
+        if i is None:
             after_range += 1
             continue
         j = column.get(record.company_id)
         if j is None:
             unknown += 1
             continue
-        day = cells[index[trading_date]]
+        day = cells[i]
         cell = day.get(j)
         if cell is None:
             cell = day[j] = [0.0, 0, set()]
@@ -208,26 +216,29 @@ def aggregate_daily(
 
     # under all_days every earlier date is a prior day, so their count is the date's index
     prior_total, prior_days = [0] * len(companies), [0] * len(companies)
-    for i, (trading_date, day) in enumerate(zip(calendar.dates, cells)):
+    for i, (trading_date, day) in enumerate(zip(dates, cells)):
         for j, (total, count, sources) in day.items():
             raw = total / count
             u = len(sources)
             adj = _shrink(u, prior_total[j], i if all_days else prior_days[j])
-            day[j] = DailySentiment(companies[j], trading_date, raw, raw * adj, count, u, adj)
+            day[j] = DailySentiment(companies[j], trading_date, raw, raw if adj == 1.0 else raw * adj, count, u, adj)
             prior_total[j] += u
             prior_days[j] += 1
-    return AggregationResult(calendar.dates, companies, cells, diagnostics, after_range, unknown)
+    return AggregationResult(dates, companies, cells, diagnostics, after_range, unknown)
 
 
 def write_daily_sentiment_csv(path: str | Path, result: AggregationResult) -> None:
-    # repr() keeps the shortest round-trippable float text, so re-reading the
-    # file reproduces the values bit for bit; a quiet cell's text is fixed
+    # repr() keeps the shortest round-trippable float text, so re-reading the file reproduces the values
+    # bit for bit. A row's text is kept without its date (a quiet one's is fixed) and the date joined before
+    # each; an adjusted value that is the raw mean object itself (see aggregate_daily) reuses its text
     quiet = [f",{company},0.0,0,1.0,0.0\n" for company in result.companies]
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("date,company,raw_mean,unique_sources,adjustment,adjusted\n")
         for trading_date, cells in zip(result.dates, result.cells):
-            day = trading_date.isoformat()
-            lines = [day + text for text in quiet]
+            texts = quiet.copy()
             for j, (company, _, raw, adjusted, _, u, adj) in cells.items():
-                lines[j] = f"{day},{company},{raw!r},{u},{adj!r},{adjusted!r}\n"
-            fh.write("".join(lines))
+                text = repr(raw)
+                texts[j] = f",{company},{text},{u},{adj!r},{text if adjusted is raw else repr(adjusted)}\n"
+            if texts:  # an empty universe writes the header alone
+                day = trading_date.isoformat()
+                fh.write(day + day.join(texts))

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 from datetime import date
-from itertools import chain, islice, repeat
+from itertools import chain, islice
 from pathlib import Path
 from typing import NamedTuple
 
@@ -81,7 +81,8 @@ def _read_ordered(path: str | Path, column: str, lo: float) -> Grid | None:
     That layout is a header naming date, company and column once each, column last, then one
     block of lines per date, the dates increasing, each block listing the same strictly
     increasing companies, and every line as many fields as the header, none quoted. Each block
-    is split in one call and its values checked against lo < value < inf (lo is 0.0 or -inf).
+    is split in one call, its line widths checked once on the split (see below) and its values
+    checked against lo < value < inf (lo is 0.0 or -inf).
     Any other file, one that is not UTF-8 or cannot be opened included, gives None.
     """
     try:
@@ -99,13 +100,16 @@ def _read_ordered(path: str | Path, column: str, lo: float) -> Grid | None:
                 block.append(line)
             n, dates, rows, companies = len(block), [], [], None
             while block:
-                # every line has w fields, so field q of line p is fields[p * w + q]; the value,
-                # last, keeps the line's "\n", which float() strips
+                # a line's only "\n" ends it, so n lines' newlines (n - 1 at a file's end without one) all
+                # fall in the values, fields[w - 1::w], of an n * w split only if each line has w fields; then
+                # field q of line p is fields[p * w + q], and a value keeps its "\n", which float() strips
                 joined = ",".join(block)
-                if list(map(str.count, block, repeat(","))).count(w - 1) != n or '"' in joined:
-                    return None
                 fields = joined.split(",")
-                text, names, row = fields[i], fields[j::w], list(map(float, fields[w - 1::w]))
+                values = fields[w - 1::w]
+                if (len(block) != n or len(fields) != n * w or joined.count("\n") != "".join(values).count("\n")
+                        or '"' in joined):
+                    return None
+                text, names, row = fields[i], fields[j::w], list(map(float, values))
                 day = date.fromisoformat(text)
                 if fields[i::w].count(text) != n or dates and day <= dates[-1]:
                     return None

@@ -17,6 +17,7 @@ from dict_adapters import source_adjustment
 from sentindex.aggregation import (
     HISTORY_MODES,
     AggregationConfig,
+    AggregationResult,
     DailySentiment,
     TradingCalendar,
     aggregate_daily,
@@ -390,3 +391,125 @@ def test_timestamps_at_the_ends_of_the_date_range_fall_outside_the_calendar(stam
     # converting these to market time, or moving them past the cutoff, leaves the date range
     d, diag = effective_trading_date(stamp, CAL)
     assert d == expected and message in diag
+
+
+# zones with a 60-minute (Berlin, New York) and a 30-minute (Lord Howe) DST shift, and Apia, which skipped
+# 2011-12-30; each with days of its shifts, around which the calendars and instants are drawn
+HARD_DAYS = {
+    "Europe/Berlin": [date(2021, 3, 28), date(2021, 10, 31)],
+    "America/New_York": [date(2021, 3, 14), date(2021, 11, 7)],
+    "Australia/Lord_Howe": [date(2021, 4, 4), date(2021, 10, 3)],
+    "Pacific/Apia": [date(2011, 9, 24), date(2011, 12, 30), date(2012, 4, 1)],
+}
+# 02:30 lies in Berlin's and New York's gap and fold, 01:45 in Lord Howe's fold
+HARD_CUTOFFS = [time(17, 0), time(2, 30), time(1, 45), time(2, 15), time(0, 0), time(23, 59)]
+# the stamps of test_timestamps_at_the_ends_of_the_date_range_fall_outside_the_calendar
+RANGE_ENDS = [datetime(1, 1, 1, 2, 0, tzinfo=timezone(timedelta(hours=5))),
+              datetime(9999, 12, 31, 23, 30, tzinfo=timezone.utc),
+              datetime(9999, 12, 31, 16, 30, tzinfo=timezone.utc)]
+OFFSETS = [timezone.utc, timezone(timedelta(hours=1)), timezone(timedelta(hours=-5)),
+           timezone(timedelta(hours=10, minutes=30)), timezone(timedelta(hours=14))]
+NEAR = [timedelta(0), timedelta(microseconds=1), -timedelta(microseconds=1), timedelta(seconds=-1),
+        timedelta(minutes=30), -timedelta(minutes=30), timedelta(hours=1), -timedelta(hours=1)]
+
+
+@st.composite
+def hard_instants(draw) -> tuple[TradingCalendar, list[ScoredArticle]]:
+    """A calendar of days around a DST shift or a skipped day, and instants within a day of the shift,
+    of the first and last dates and of the cutoff on those dates, or at the ends of the date range."""
+    zone = draw(st.sampled_from(sorted(HARD_DAYS)))
+    tz, hard = ZoneInfo(zone), draw(st.sampled_from(HARD_DAYS[zone]))
+    offsets = sorted(draw(st.sets(st.integers(-4, 4), min_size=1, max_size=6)))
+    dates = tuple(hard + timedelta(days=k) for k in offsets)
+    calendar = TradingCalendar(dates=dates, timezone=zone, cutoff=draw(st.sampled_from(HARD_CUTOFFS)))
+    records = []
+    for _ in range(draw(st.integers(1, 8))):
+        kind = draw(st.sampled_from(["shift", "edge", "cutoff", "cutoff", "ends"]))
+        if kind == "ends":
+            records.append(draw(st.sampled_from(RANGE_ENDS)))
+            continue
+        if kind == "shift":
+            local = datetime.combine(hard, time()) + timedelta(minutes=draw(st.integers(-24 * 60, 48 * 60)))
+        else:
+            day = draw(st.sampled_from([dates[0], dates[-1]])) + timedelta(days=draw(st.integers(-1, 1)))
+            local = datetime.combine(day, calendar.cutoff if kind == "cutoff" else time(draw(st.integers(0, 23))))
+        # a local time in a gap or a fold, with either fold, names one of the two instants around it
+        instant = local.replace(tzinfo=tz, fold=draw(st.integers(0, 1))).astimezone(timezone.utc)
+        instant += draw(st.sampled_from(NEAR))
+        records.append(instant.astimezone(draw(st.sampled_from(OFFSETS + [tz]))))
+    return calendar, [ScoredArticle(id=f"a{k}", company_id="puma", source=f"s{k % 2}", published_at=when,
+                                    score=0.25 * (k % 5) - 0.5) for k, when in enumerate(records)]
+
+
+def reference_mapping(record: ScoredArticle, calendar: TradingCalendar) -> tuple:
+    """The reference's trading date, diagnostics and count dropped after the range for one record."""
+    try:
+        day, diagnostic = aggregation_reference.effective_trading_date(record.published_at, calendar)
+    except OverflowError:  # the reference does not handle the ends of the date range, which precede or follow
+        day = calendar.dates[0] if record.published_at.year == 1 else None
+        diagnostic = (f"published {record.published_at.isoformat()} "
+                      + ("precedes the calendar" if day else "falls after the final trading date"))
+    return day, [f"article {record.id}: {diagnostic}"] if diagnostic else [], int(day is None)
+
+
+@settings(max_examples=400, deadline=None)
+@given(hard_instants())
+def test_calendar_mapping_matches_the_reference_on_hard_instants(drawn):
+    calendar, records = drawn
+    config = AggregationConfig(market_timezone=calendar.timezone)
+    for record in records:
+        result = aggregate_daily([record], ["puma"], calendar, config)
+        held = [(d, cell.article_count) for d, cells in zip(result.dates, result.cells) for cell in cells.values()]
+        day, diagnostics, dropped = reference_mapping(record, calendar)
+        assert held == ([(day, 1)] if day else [])
+        assert (result.diagnostics, result.dropped_after_range) == (diagnostics, dropped)
+    # all records at once, but those at the ends of the date range, which the reference cannot convert
+    inside = [record for record in records if 1 < record.published_at.year < 9999]
+    got = aggregate_daily(inside, ["puma"], calendar, config)
+    want = aggregation_reference.aggregate_daily(inside, ["puma"], calendar, config)
+    assert [tuple(row) for row in got.rows] == [
+        (r.company_id, r.trading_date, r.raw_mean, r.adjusted, r.article_count, r.unique_sources, r.adjustment)
+        for r in want.rows]
+    assert (got.diagnostics, got.dropped_after_range) == (want.diagnostics, want.dropped_after_range)
+
+
+def test_naive_instant_raises_what_effective_trading_date_raises():
+    naive = record(when=datetime(2019, 3, 4, 16, 30))
+    with pytest.raises(ValueError) as mapped:
+        effective_trading_date(naive.published_at, CAL)
+    with pytest.raises(ValueError) as aggregated:
+        aggregate_daily([record(id="a0"), naive], ["puma"], CAL)
+    assert str(aggregated.value) == str(mapped.value) == "published_at 2019-03-04T16:30:00 lacks a UTC offset"
+
+
+def test_writer_prints_each_field_of_hand_built_cells(tmp_path):
+    # cells that aggregate_daily does not build: adjustment 1.0 beside another adjusted value, an
+    # adjusted value equal to the raw mean but another object, and 0.0 beside -0.0; then no companies
+    third = 1 / 3
+    cells = [{0: DailySentiment("adler", date(2019, 3, 4), 0.5, 0.25, 2, 1, 1.0),
+              1: DailySentiment("biber", date(2019, 3, 4), 0.0, -0.0, 1, 1, 1.0)},
+             {0: DailySentiment("adler", date(2019, 3, 5), -0.0, 0.0, 1, 1, 1.0),
+              1: DailySentiment("biber", date(2019, 3, 5), third, float(repr(third)), 1, 1, 1.0),
+              2: DailySentiment("dachs", date(2019, 3, 5), third, third, 3, 2, 0.5)}]
+    result = AggregationResult((date(2019, 3, 4), date(2019, 3, 5)), ("adler", "biber", "dachs"), cells)
+    write_daily_sentiment_csv(tmp_path / "got.csv", result)
+    aggregation_reference.write_daily_sentiment_csv(tmp_path / "want.csv", result)
+    assert (tmp_path / "got.csv").read_text() == (tmp_path / "want.csv").read_text() == (
+        "date,company,raw_mean,unique_sources,adjustment,adjusted\n"
+        "2019-03-04,adler,0.5,1,1.0,0.25\n2019-03-04,biber,0.0,1,1.0,-0.0\n2019-03-04,dachs,0.0,0,1.0,0.0\n"
+        "2019-03-05,adler,-0.0,1,1.0,0.0\n2019-03-05,biber,0.3333333333333333,1,1.0,0.3333333333333333\n"
+        "2019-03-05,dachs,0.3333333333333333,2,0.5,0.3333333333333333\n")
+    # an empty universe: the header alone
+    empty = AggregationResult((date(2019, 3, 4), date(2019, 3, 5)), (), [{}, {}])
+    write_daily_sentiment_csv(tmp_path / "got.csv", empty)
+    aggregation_reference.write_daily_sentiment_csv(tmp_path / "want.csv", empty)
+    assert (tmp_path / "got.csv").read_text() == (tmp_path / "want.csv").read_text() == (
+        "date,company,raw_mean,unique_sources,adjustment,adjusted\n")
+
+
+def test_adjusted_is_the_raw_mean_object_at_adjustment_one():
+    articles, universe, calendar = random_case(3)
+    result = aggregate_daily(articles, universe, calendar, AggregationConfig(market_timezone=calendar.timezone))
+    cells = [cell for day in result.cells for cell in day.values()]
+    assert any(cell.adjustment < 1.0 for cell in cells)
+    assert all((cell.adjusted is cell.raw_mean) == (cell.adjustment == 1.0) for cell in cells)

@@ -51,7 +51,7 @@ def general(path: Path, column: str, what: str, lo: float) -> grids.Grid:
 ODD_VALUES = ["0.0", "-0.0", "-1.5", "1e-400", "5e-324", "1e308", "nan", "inf", "-inf", "1e999", "x", " 2.5 ", "1_0"]
 DEFECTS = ["none", "shuffle", "swap", "gap", "duplicate", "late_row", "blank", "quote", "crlf", "extra_field",
            "extra_row", "short_row", "basic_date", "basic_block", "respelled_repeat", "reverse_dates", "repeat_header",
-           "no_final_newline", "not_utf8", "odd_value"]
+           "no_final_newline", "not_utf8", "odd_value", "compensating_rows", "merged_rows"]
 
 
 @st.composite
@@ -110,6 +110,17 @@ def grid_files(draw):
         del lines[at]
     if "blank" in defects:
         lines.insert(rng.randrange(len(lines) + 1), rng.choice(["", "  "]))
+    # for the two defects below, which keep a block's n * w fields: lines k and k + 1, of one date if n > 1
+    k = min(at - at % n + rng.randrange(max(n - 1, 1)), len(lines) - 2)
+    if "compensating_rows" in defects and k >= 0:  # a field moves across the end of a line
+        if rng.random() < 0.5:  # the last field of line k opens line k + 1
+            lines[k], _, moved = lines[k].rpartition(",")
+            lines[k + 1] = f"{moved},{lines[k + 1]}"
+        else:  # the first field of line k + 1 closes line k
+            moved, _, lines[k + 1] = lines[k + 1].partition(",")
+            lines[k] = f"{lines[k]},{moved}"
+    if "merged_rows" in defects and k >= 0:  # two lines as one
+        lines[k:k + 2] = [f"{lines[k]},{lines[k + 1]}"]
     text = "\n".join([",".join(header)] + lines) + ("" if "no_final_newline" in defects else "\n")
     if "crlf" in defects:
         text = text.replace("\n", "\r\n")
@@ -140,6 +151,22 @@ def test_chain_files_take_the_single_pass(golden_dir, golden_run, tmp_path):
         grid = grids._read_ordered(path, column, LOWER[column])
         assert grid is not None, path
         assert bits(grid) == outcome(general, path, column)
+
+
+@pytest.mark.parametrize("text", [
+    # the first date's block as n * w fields: a company field ends the first line
+    "date,company,close\n2021-03-01,a,1.0,2021-03-01,b\n2.0\n",
+    # the second date's block as n * w fields, the note field ending its first line
+    "date,company,note,close\n2021-03-01,a,7,1.0\n2021-03-01,b,7,2.0\n2021-03-02,a,7\n1.5,2021-03-02,b,7,2.5\n",
+    # the final date's two lines as one, with and without a final newline
+    "date,company,close\n2021-03-01,a,1.0\n2021-03-01,b,2.0\n2021-03-02,a,1.5,2021-03-02,b,2.5\n",
+    "date,company,close\n2021-03-01,a,1.0\n2021-03-01,b,2.0\n2021-03-02,a,1.5,2021-03-02,b,2.5",
+])
+def test_single_pass_declines_a_block_of_n_times_w_fields_in_other_lines(tmp_path, text):
+    path = tmp_path / "prices.csv"
+    path.write_text(text)
+    assert grids._read_ordered(path, "close", 0.0) is None
+    assert outcome(grids._read_grid, path, "close") == outcome(general, path, "close")
 
 
 @pytest.mark.parametrize("text", [

@@ -38,10 +38,16 @@ DIGESTS = GOLDEN / "output_digests.json"
 FILTER_ARGV = ["filter", "--articles", "articles.jsonl", "--config", "filter_config.json",
                "--out", "kept.jsonl", "--removed", "removed.jsonl"]
 FILTER_OUTPUTS = ("kept.jsonl", "removed.jsonl")
+AGGREGATE_ARGV = ["aggregate", "--scored", "scored.jsonl", "--prices", "prices.csv",
+                  "--config", "aggregation_config.json", "--out", "daily.csv"]
+AGGREGATE_OUTPUTS = ("daily.csv",)
+BACKTEST_ARGV = ["backtest", "--prices", "prices.csv", "--sentiments", "daily.csv",
+                 "--config", "backtest_config.json", "--benchmark", "benchmark.csv", "--out", "run"]
+BACKTEST_OUTPUTS = ("run/levels.csv", "run/trades.csv", "run/summary.json")
 
 
 def golden_inputs(dest: Path) -> None:
-    for name in ("articles.jsonl", "filter_config.json"):
+    for name in ("articles.jsonl", "filter_config.json", "lexicon.json", "prices.csv", "aggregation_config.json"):
         shutil.copy(GOLDEN / name, dest / name)
 
 
@@ -56,11 +62,85 @@ def upper_case_keyword_inputs(dest: Path) -> None:
     (dest / "filter_config.json").write_text(json.dumps(config, indent=2) + "\n", encoding="utf-8")
 
 
+def run_commands(dest: Path, *argvs: list[str]) -> None:
+    """Run the commands in dest, as the chain would, each of which must succeed; their stderr is dropped."""
+    with contextlib.chdir(dest), contextlib.redirect_stderr(io.StringIO()) as stderr:
+        for argv in argvs:
+            if main(argv) != 0:
+                raise RuntimeError(f"{argv[0]} failed: {stderr.getvalue()}")
+
+
+def scored_inputs(write_inputs, provider: str, provider_file: str, mode: str):
+    """write_inputs, then filter and score run on them: the inputs of aggregate."""
+    def write(dest: Path) -> None:
+        write_inputs(dest)
+        run_commands(dest, FILTER_ARGV, ["score", "--articles", "kept.jsonl", "--provider", provider,
+                                         "--provider-file", provider_file, "--mode", mode, "--out", "scored.jsonl"])
+    return write
+
+
+golden_scored = scored_inputs(golden_inputs, "lexicon", "lexicon.json", "winner")
+news_flow_scored = scored_inputs(news_flow_inputs, "lexicon", "lexicon.json", "winner")
+
+
+def wide_universe_inputs(dest: Path) -> None:
+    generate(WORKLOADS["wide_universe"].gen, 11, dest)
+
+
+wide_universe_scored = scored_inputs(wide_universe_inputs, "prescored", "prescored.jsonl", "expectation")
+
+
+def wide_universe_daily(dest: Path) -> None:
+    wide_universe_scored(dest)
+    run_commands(dest, AGGREGATE_ARGV)
+
+
+def bad_published_at_inputs(dest: Path) -> None:
+    golden_scored(dest)
+    lines = (dest / "scored.jsonl").read_text(encoding="utf-8").splitlines(keepends=True)
+    lines[5] = lines[5].replace("+01:00", "", 1)  # a naive timestamp
+    (dest / "scored.jsonl").write_text("".join(lines), encoding="utf-8")
+
+
+def calendar_edges_inputs(dest: Path) -> None:
+    """The golden chain's records and more at the edges of its calendar, 2021-03-01 to 2021-04-09."""
+    golden_scored(dest)
+    edges = [
+        ("2021-02-28T23:30:00-01:00", "adlerwerke"),  # 01:30 on the first date in Berlin
+        ("2021-02-28T16:59:59+01:00", "bergbau"),  # a Sunday before the cutoff: precedes the calendar
+        ("2021-02-28T17:00:00+01:00", "bergbau"),  # the same Sunday at the cutoff: the first date
+        ("2021-04-09T16:59:59+02:00", "kraftwerk"),  # the final date, just before the cutoff
+        ("2021-04-09T15:00:00Z", "kraftwerk"),  # 17:00 in Berlin: after the final date
+        ("2021-03-28T01:30:00Z", "luftfracht"),  # 03:30 on the Sunday the clocks go forward: Monday
+        ("0001-01-01T00:00:00+01:00", "adlerwerke"),  # before year 1 in UTC
+        ("9999-12-31T23:59:59-01:00", "adlerwerke"),  # after year 9999 in UTC
+        ("2021-03-02T10:00:00+01:00", "unbekannt"),  # a company outside the universe
+    ]
+    with open(dest / "scored.jsonl", "a", encoding="utf-8") as fh:
+        for k, (stamp, company) in enumerate(edges):
+            fh.write(json.dumps({"id": f"edge{k}", "company_id": company, "source": f"quelle{k % 3}",
+                                 "published_at": stamp, "score": 0.1 * (k - 4)}) + "\n")
+
+
+def short_line_prices_inputs(dest: Path) -> None:
+    golden_scored(dest)
+    lines = (dest / "prices.csv").read_text(encoding="utf-8").splitlines(keepends=True)
+    lines[3] = lines[3].rpartition(",")[0] + "\n"  # the first date's third line loses its close
+    (dest / "prices.csv").write_text("".join(lines), encoding="utf-8")
+
+
 # name -> (writes the case's inputs into a directory, argv, the files the command may write)
 CASES = {
     "filter/golden": (golden_inputs, FILTER_ARGV, FILTER_OUTPUTS),
     "filter/news_flow-11": (news_flow_inputs, FILTER_ARGV, FILTER_OUTPUTS),
     "filter/upper-case-keyword": (upper_case_keyword_inputs, FILTER_ARGV, FILTER_OUTPUTS),
+    "aggregate/golden": (golden_scored, AGGREGATE_ARGV, AGGREGATE_OUTPUTS),
+    "aggregate/news_flow-11": (news_flow_scored, AGGREGATE_ARGV, AGGREGATE_OUTPUTS),
+    "aggregate/wide_universe-11": (wide_universe_scored, AGGREGATE_ARGV, AGGREGATE_OUTPUTS),
+    "aggregate/bad-published-at": (bad_published_at_inputs, AGGREGATE_ARGV, AGGREGATE_OUTPUTS),
+    "aggregate/calendar-edges": (calendar_edges_inputs, AGGREGATE_ARGV, AGGREGATE_OUTPUTS),
+    "aggregate/short-line-prices": (short_line_prices_inputs, AGGREGATE_ARGV, AGGREGATE_OUTPUTS),
+    "backtest/wide_universe-11": (wide_universe_daily, BACKTEST_ARGV, BACKTEST_OUTPUTS),
 }
 
 

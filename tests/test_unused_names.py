@@ -19,6 +19,7 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "sentindex"
 
 # module-level functions and classes that no module of src/ references: (module, name, caller)
 UNREFERENCED = sorted([
+    ("aggregation", "effective_trading_date", "perfbench/inproc.py; the README library section; tests"),
     ("sentiment", "load_scored", "perfbench/inproc.py; tests"),
     ("sentiment", "score_articles", "perfbench/inproc.py; the README library example; tests"),
     ("sentiment", "write_scored", "perfbench/inproc.py; tests"),
