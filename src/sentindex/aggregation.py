@@ -11,7 +11,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from datetime import date, datetime, time, timedelta
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, NamedTuple
+from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple
 from zoneinfo import ZoneInfo
 
 from .grids import Grid
@@ -142,10 +142,40 @@ def _shrink(u_today: int, prior_total: int, prior_days: int) -> float:
 class AggregationResult(NamedTuple):
     dates: tuple[date, ...]
     companies: tuple[str, ...]  # sorted
-    cells: list[dict[int, DailySentiment]]  # per date: company index -> a cell with articles
+    # per date: company index -> the running record of a cell with articles, [score sum started from 0.0,
+    # article count, sources], the sources one source while there is one and a set from the second on
+    cells: list[dict[int, list]]
     diagnostics: list[str] = []
     dropped_after_range: int = 0
     dropped_unknown_company: int = 0  # on a trading date, but not in the universe
+    adjustment_history: str = "nonzero_days"  # the history mode the cells are shrunk under
+
+    def _check(self) -> None:
+        if self.adjustment_history not in HISTORY_MODES:
+            raise ValueError(
+                f"adjustment_history must be one of {HISTORY_MODES}, got {self.adjustment_history!r}")
+
+    def _walk(self) -> Iterator[list[tuple[int, float, float, int, int, float]]]:
+        """Per date, its cells with articles as (company index, raw mean, adjusted, article count, unique
+        sources, adjustment), the adjustment from the company's source history before that date.
+
+        Raw mean is the sum over the count; adjusted is raw * adjustment, raw itself at 1.0. A quiet cell
+        is not listed; under all_days it counts as a day of zero sources. Each date's list is built as the
+        walk reaches it, from the cells alone, so every walk gives the same values.
+        """
+        all_days = self.adjustment_history == "all_days"
+        # under all_days every earlier date is a prior day, so their count is the date's index
+        prior_total, prior_days = [0] * len(self.companies), [0] * len(self.companies)
+        for i, day in enumerate(self.cells):
+            values = []
+            for j, (total, count, sources) in day.items():
+                raw = total / count
+                u = len(sources) if type(sources) is set else 1
+                adj = _shrink(u, prior_total[j], i if all_days else prior_days[j])
+                values.append((j, raw, raw if adj == 1.0 else raw * adj, count, u, adj))
+                prior_total[j] += u
+                prior_days[j] += 1
+            yield values
 
     @property
     def rows(self) -> list[DailySentiment]:
@@ -154,15 +184,18 @@ class AggregationResult(NamedTuple):
         A zero row has mean, adjusted value and counts 0 and adjustment 1.0. The list is
         built anew on each access, for library callers; the aggregate command never builds it.
         """
-        return [cells[j] if j in cells else DailySentiment(c, d, 0.0, 0.0, 0, 0, 1.0)
-                for d, cells in zip(self.dates, self.cells) for j, c in enumerate(self.companies)]
+        rows = []
+        for d, values in zip(self.dates, self._walk()):
+            held = {j: DailySentiment(self.companies[j], d, *cell) for j, *cell in values}
+            rows += [held.get(j) or DailySentiment(c, d, 0.0, 0.0, 0, 0, 1.0) for j, c in enumerate(self.companies)]
+        return rows
 
     def grid(self) -> Grid:
         """The adjusted values, 0.0 on quiet cells: the Grid that loading the written CSV gives."""
         rows = [[0.0] * len(self.companies) for _ in self.dates]
-        for row, cells in zip(rows, self.cells):
-            for j, cell in cells.items():
-                row[j] = cell.adjusted
+        for row, values in zip(rows, self._walk()):
+            for j, _, adjusted, *_ in values:
+                row[j] = adjusted
         return Grid(self.dates, self.companies, rows)
 
 
@@ -172,27 +205,26 @@ def aggregate_daily(
     calendar: TradingCalendar,
     config: AggregationConfig | None = None,
 ) -> AggregationResult:
-    """Build the (company, trading date) sentiment grid, holding only the cells with articles.
+    """Build the (company, trading date) sentiment grid, holding a running record per cell with articles.
 
     Per company and date: raw mean of article scores added in input order from
     0.0 (no sum(), whose floats differ from Python 3.12), unique source count,
     adjustment from the company's source history before that date, adjusted =
-    raw * adjustment (raw itself at 1.0). A company's dates without articles are
-    quiet cells: they are not held, they read as zero in rows, grid() and the
-    written CSV, and under all_days they count as days of zero sources. Articles
-    of a company outside the universe are counted and dropped; a company named
-    twice in the universe raises ValueError. scored is iterated once, so it may
-    be a generator such as sentiment.read_scored.
+    raw * adjustment (raw itself at 1.0); AggregationResult._walk derives them from
+    the records. A company's dates without articles are quiet cells: they are not
+    held, they read as zero in rows, grid() and the written CSV, and under all_days
+    they count as days of zero sources. Articles of a company outside the universe
+    are counted and dropped; a company named twice in the universe raises
+    ValueError. scored is iterated once, so it may be a generator such as
+    sentiment.read_scored.
     """
     config = config or AggregationConfig()
-    all_days = config.adjustment_history == "all_days"
     companies = tuple(sorted(universe))
     for a, b in zip(companies, companies[1:]):
         if a == b:  # its rows would be written twice
             raise ValueError(f"universe repeats company {a!r}")
     column = {company: j for j, company in enumerate(companies)}
     dates, zone, cutoff = calendar.dates, calendar.tzinfo, calendar.cutoff  # tzinfo is a ZoneInfo call
-    # per date: company index -> [score sum, article count, sources], then its DailySentiment
     cells: list[dict] = [{} for _ in dates]
     diagnostics, after_range, unknown = [], 0, 0
     for record in scored:
@@ -209,36 +241,32 @@ def aggregate_daily(
         day = cells[i]
         cell = day.get(j)
         if cell is None:
-            cell = day[j] = [0.0, 0, set()]
+            day[j] = [0.0 + record.score, 1, record.source]  # 0.0 + turns a lone -0.0 into 0.0
+            continue
         cell[0] += record.score
         cell[1] += 1
-        cell[2].add(record.source)
-
-    # under all_days every earlier date is a prior day, so their count is the date's index
-    prior_total, prior_days = [0] * len(companies), [0] * len(companies)
-    for i, (trading_date, day) in enumerate(zip(dates, cells)):
-        for j, (total, count, sources) in day.items():
-            raw = total / count
-            u = len(sources)
-            adj = _shrink(u, prior_total[j], i if all_days else prior_days[j])
-            day[j] = DailySentiment(companies[j], trading_date, raw, raw if adj == 1.0 else raw * adj, count, u, adj)
-            prior_total[j] += u
-            prior_days[j] += 1
-    return AggregationResult(dates, companies, cells, diagnostics, after_range, unknown)
+        sources = cell[2]
+        if type(sources) is set:
+            sources.add(record.source)
+        elif sources != record.source:
+            cell[2] = {sources, record.source}
+    return AggregationResult(dates, companies, cells, diagnostics, after_range, unknown, config.adjustment_history)
 
 
 def write_daily_sentiment_csv(path: str | Path, result: AggregationResult) -> None:
     # repr() keeps the shortest round-trippable float text, so re-reading the file reproduces the values
-    # bit for bit. A row's text is kept without its date (a quiet one's is fixed) and the date joined before
-    # each; an adjusted value that is the raw mean object itself (see aggregate_daily) reuses its text
-    quiet = [f",{company},0.0,0,1.0,0.0\n" for company in result.companies]
+    # bit for bit. Each date's lines are printed as the walk reaches the date. A row's text is kept without
+    # its date (a quiet one's is fixed) and the date joined before each; an adjusted value that is the raw
+    # mean object itself (see AggregationResult._walk) reuses its text
+    companies = result.companies
+    quiet = [f",{company},0.0,0,1.0,0.0\n" for company in companies]
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("date,company,raw_mean,unique_sources,adjustment,adjusted\n")
-        for trading_date, cells in zip(result.dates, result.cells):
+        for trading_date, values in zip(result.dates, result._walk()):
             texts = quiet.copy()
-            for j, (company, _, raw, adjusted, _, u, adj) in cells.items():
+            for j, raw, adjusted, _, u, adj in values:
                 text = repr(raw)
-                texts[j] = f",{company},{text},{u},{adj!r},{text if adjusted is raw else repr(adjusted)}\n"
+                texts[j] = f",{companies[j]},{text},{u},{adj!r},{text if adjusted is raw else repr(adjusted)}\n"
             if texts:  # an empty universe writes the header alone
                 day = trading_date.isoformat()
                 fh.write(day + day.join(texts))

@@ -216,6 +216,16 @@ class TestAggregateDaily:
                 for i, cells in enumerate(result.cells) for j in cells}
         assert held == {("puma", date(2019, 3, 4)), ("adidas", date(2019, 3, 6))}
 
+    @pytest.mark.parametrize("mode", HISTORY_MODES)
+    def test_a_lone_negative_zero_score_writes_positive_zero(self, tmp_path, mode):
+        # the sum starts from 0.0, and 0.0 + -0.0 is 0.0, so neither the mean nor the adjusted value is -0.0
+        result = aggregate_daily([record(score=-0.0)], ["puma"], CAL, AggregationConfig(adjustment_history=mode))
+        path = tmp_path / "daily.csv"
+        write_daily_sentiment_csv(path, result)
+        assert path.read_text().splitlines()[1] == "2019-03-04,puma,0.0,1,1.0,0.0"
+        row = result.rows[0]
+        assert (repr(row.raw_mean), repr(row.adjusted)) == ("0.0", "0.0")
+
     def test_csv_rejects_duplicate_row(self, tmp_path):
         path = tmp_path / "daily.csv"
         path.write_text(
@@ -251,6 +261,8 @@ class TestAggregateDaily:
     def test_bad_history_mode_rejected(self):
         with pytest.raises(ValueError, match="adjustment_history"):
             AggregationConfig(adjustment_history="sometimes")
+        with pytest.raises(ValueError, match="adjustment_history"):  # the result's, which its walk shrinks under
+            AggregationResult((date(2019, 3, 4),), ("puma",), [{}], adjustment_history="sometimes")
 
     def test_calendar_requires_increasing_dates(self):
         with pytest.raises(ValueError):
@@ -279,7 +291,7 @@ def test_grid_matches_written_csv_on_golden_fixture(golden_run, tmp_path):
     assert bits(golden_run.aggregation_result.grid()) == bits(load_daily_sentiment_csv(path))
 
 
-SCORES = st.one_of(st.sampled_from([0.0, 0.5, -0.5, 1 / 3, 5e-324]), st.floats(-1.0, 1.0))
+SCORES = st.one_of(st.sampled_from([0.0, -0.0, 0.5, -0.5, 1 / 3, 5e-324]), st.floats(-1.0, 1.0))
 
 
 @st.composite
@@ -333,6 +345,7 @@ def random_case(seed: int) -> tuple[list[ScoredArticle], list[str], TradingCalen
     Timestamps fall before, inside and after the calendar, on weekends and
     holidays, in several UTC offsets, and exactly at the local cutoff or one
     microsecond before it. Some articles name a company outside the universe.
+    Scores include -0.0, which a cell's sum, started from 0.0, writes as 0.0.
     """
     rng = random.Random(seed)
     zone = rng.choice(["Europe/Berlin", "America/New_York"])
@@ -359,7 +372,7 @@ def random_case(seed: int) -> tuple[list[ScoredArticle], list[str], TradingCalen
             when = local.replace(tzinfo=rng.choice(offsets))
         articles.append(ScoredArticle(
             id=f"a{i}", company_id=rng.choice(companies), source=f"s{rng.randrange(6)}",
-            published_at=when, score=rng.choice([0.0, 1 / 3, rng.uniform(-1.0, 1.0)])))
+            published_at=when, score=rng.choice([0.0, -0.0, 1 / 3, rng.uniform(-1.0, 1.0)])))
     return articles, universe, calendar
 
 
@@ -459,7 +472,7 @@ def test_calendar_mapping_matches_the_reference_on_hard_instants(drawn):
     config = AggregationConfig(market_timezone=calendar.timezone)
     for record in records:
         result = aggregate_daily([record], ["puma"], calendar, config)
-        held = [(d, cell.article_count) for d, cells in zip(result.dates, result.cells) for cell in cells.values()]
+        held = [(d, cell[1]) for d, cells in zip(result.dates, result.cells) for cell in cells.values()]
         day, diagnostics, dropped = reference_mapping(record, calendar)
         assert held == ([(day, 1)] if day else [])
         assert (result.diagnostics, result.dropped_after_range) == (diagnostics, dropped)
@@ -483,22 +496,30 @@ def test_naive_instant_raises_what_effective_trading_date_raises():
 
 
 def test_writer_prints_each_field_of_hand_built_cells(tmp_path):
-    # cells that aggregate_daily does not build: adjustment 1.0 beside another adjusted value, an
-    # adjusted value equal to the raw mean but another object, and 0.0 beside -0.0; then no companies
-    third = 1 / 3
-    cells = [{0: DailySentiment("adler", date(2019, 3, 4), 0.5, 0.25, 2, 1, 1.0),
-              1: DailySentiment("biber", date(2019, 3, 4), 0.0, -0.0, 1, 1, 1.0)},
-             {0: DailySentiment("adler", date(2019, 3, 5), -0.0, 0.0, 1, 1, 1.0),
-              1: DailySentiment("biber", date(2019, 3, 5), third, float(repr(third)), 1, 1, 1.0),
-              2: DailySentiment("dachs", date(2019, 3, 5), third, third, 3, 2, 0.5)}]
-    result = AggregationResult((date(2019, 3, 4), date(2019, 3, 5)), ("adler", "biber", "dachs"), cells)
+    # records that aggregate_daily does not build, a sum of -0.0 (not started from 0.0) and a set of more
+    # sources than articles, beside a 0.0 mean shrunk to another 0.0 object, a subnormal mean shrunk to -0.0,
+    # a mean shrunk to another value and a quiet company; then a universe of no companies
+    tiny = -5e-324
+    cells = [{0: [1.0, 2, {"wire", "post"}], 1: [-0.0, 2, {"wire", "post"}], 2: [0.0, 1, {"wire", "post"}]},
+             {0: [0.25, 1, "wire"], 1: [tiny, 1, "wire"], 2: [0.0, 3, "post"]},
+             {1: [2 / 3, 2, {"wire", "post"}]}]
+    dates = (date(2019, 3, 4), date(2019, 3, 5), date(2019, 3, 6))
+    result = AggregationResult(dates, ("adler", "biber", "dachs", "eule"), cells)
+    # (raw mean, adjusted, adjustment) of each record, and whether adjusted is the raw mean object; repr tells -0.0
+    walked = [(repr(cell[1:3] + cell[5:]), cell[2] is cell[1]) for day in result._walk() for cell in day]
+    assert walked == [("(0.5, 0.5, 1.0)", True), ("(-0.0, -0.0, 1.0)", True), ("(0.0, 0.0, 1.0)", True),
+                      ("(0.25, 0.125, 0.5)", False), ("(-5e-324, -0.0, 0.5)", False), ("(0.0, 0.0, 0.5)", False),
+                      ("(0.3333333333333333, 0.3333333333333333, 1.0)", True)]
     write_daily_sentiment_csv(tmp_path / "got.csv", result)
     aggregation_reference.write_daily_sentiment_csv(tmp_path / "want.csv", result)
     assert (tmp_path / "got.csv").read_text() == (tmp_path / "want.csv").read_text() == (
         "date,company,raw_mean,unique_sources,adjustment,adjusted\n"
-        "2019-03-04,adler,0.5,1,1.0,0.25\n2019-03-04,biber,0.0,1,1.0,-0.0\n2019-03-04,dachs,0.0,0,1.0,0.0\n"
-        "2019-03-05,adler,-0.0,1,1.0,0.0\n2019-03-05,biber,0.3333333333333333,1,1.0,0.3333333333333333\n"
-        "2019-03-05,dachs,0.3333333333333333,2,0.5,0.3333333333333333\n")
+        "2019-03-04,adler,0.5,2,1.0,0.5\n2019-03-04,biber,-0.0,2,1.0,-0.0\n"
+        "2019-03-04,dachs,0.0,2,1.0,0.0\n2019-03-04,eule,0.0,0,1.0,0.0\n"
+        "2019-03-05,adler,0.25,1,0.5,0.125\n2019-03-05,biber,-5e-324,1,0.5,-0.0\n"
+        "2019-03-05,dachs,0.0,1,0.5,0.0\n2019-03-05,eule,0.0,0,1.0,0.0\n"
+        "2019-03-06,adler,0.0,0,1.0,0.0\n2019-03-06,biber,0.3333333333333333,2,1.0,0.3333333333333333\n"
+        "2019-03-06,dachs,0.0,0,1.0,0.0\n2019-03-06,eule,0.0,0,1.0,0.0\n")
     # an empty universe: the header alone
     empty = AggregationResult((date(2019, 3, 4), date(2019, 3, 5)), (), [{}, {}])
     write_daily_sentiment_csv(tmp_path / "got.csv", empty)
@@ -510,6 +531,18 @@ def test_writer_prints_each_field_of_hand_built_cells(tmp_path):
 def test_adjusted_is_the_raw_mean_object_at_adjustment_one():
     articles, universe, calendar = random_case(3)
     result = aggregate_daily(articles, universe, calendar, AggregationConfig(market_timezone=calendar.timezone))
-    cells = [cell for day in result.cells for cell in day.values()]
+    cells = [row for row in result.rows if row.article_count]
     assert any(cell.adjustment < 1.0 for cell in cells)
     assert all((cell.adjusted is cell.raw_mean) == (cell.adjustment == 1.0) for cell in cells)
+
+
+def test_a_cell_of_one_source_holds_no_set():
+    # a set per cell held most of aggregate's memory; a cell's sources become a set at the second distinct one
+    records = [record(id="a1", source="wire"), record(id="a2", source="wire"),
+               record(id="b1", company="adidas", source="wire"), record(id="b2", company="adidas", source="post"),
+               record(id="b3", company="adidas", source="wire")]
+    result = aggregate_daily(records, ["adidas", "puma"], CAL)
+    assert result.cells[0] == {0: [1.5, 3, {"wire", "post"}], 1: [1.0, 2, "wire"]}
+    assert type(result.cells[0][1][2]) is str
+    assert [(r.company_id, r.article_count, r.unique_sources) for r in result.rows[:2]] == [
+        ("adidas", 3, 2), ("puma", 2, 1)]

@@ -57,10 +57,17 @@ class TestPipelineChain:
         assert got == expected
 
     def test_aggregate_never_builds_the_dense_rows(self, chain_dir, golden_dir, monkeypatch):
+        # nor any DailySentiment: daily.csv is written from each cell's running record
         def refuse(result):
             raise AssertionError("aggregate built AggregationResult.rows")
 
+        def refuse_cell(cls, *args, **kwargs):
+            raise AssertionError("aggregate built a DailySentiment")
+
         monkeypatch.setattr(aggregation.AggregationResult, "rows", property(refuse))
+        monkeypatch.setattr(aggregation.DailySentiment, "__new__", refuse_cell)
+        with pytest.raises(AssertionError, match="built a DailySentiment"):
+            aggregation.DailySentiment("puma", None, 0.0, 0.0, 0, 0, 1.0)
         out = chain_dir / "daily_guarded.csv"
         assert run(["aggregate", "--scored", chain_dir / "scored.jsonl", "--prices", golden_dir / "prices.csv",
                     "--config", golden_dir / "aggregation_config.json", "--out", out]) == 0

@@ -38,6 +38,14 @@ DIGESTS = GOLDEN / "output_digests.json"
 FILTER_ARGV = ["filter", "--articles", "articles.jsonl", "--config", "filter_config.json",
                "--out", "kept.jsonl", "--removed", "removed.jsonl"]
 FILTER_OUTPUTS = ("kept.jsonl", "removed.jsonl")
+
+
+def score_argv(provider: str, provider_file: str, mode: str) -> list[str]:
+    return ["score", "--articles", "kept.jsonl", "--provider", provider, "--provider-file", provider_file,
+            "--mode", mode, "--out", "scored.jsonl"]
+
+
+SCORE_OUTPUTS = ("scored.jsonl",)
 AGGREGATE_ARGV = ["aggregate", "--scored", "scored.jsonl", "--prices", "prices.csv",
                   "--config", "aggregation_config.json", "--out", "daily.csv"]
 AGGREGATE_OUTPUTS = ("daily.csv",)
@@ -70,12 +78,19 @@ def run_commands(dest: Path, *argvs: list[str]) -> None:
                 raise RuntimeError(f"{argv[0]} failed: {stderr.getvalue()}")
 
 
+def filtered_inputs(write_inputs):
+    """write_inputs, then filter run on them: the inputs of score."""
+    def write(dest: Path) -> None:
+        write_inputs(dest)
+        run_commands(dest, FILTER_ARGV)
+    return write
+
+
 def scored_inputs(write_inputs, provider: str, provider_file: str, mode: str):
     """write_inputs, then filter and score run on them: the inputs of aggregate."""
     def write(dest: Path) -> None:
         write_inputs(dest)
-        run_commands(dest, FILTER_ARGV, ["score", "--articles", "kept.jsonl", "--provider", provider,
-                                         "--provider-file", provider_file, "--mode", mode, "--out", "scored.jsonl"])
+        run_commands(dest, FILTER_ARGV, score_argv(provider, provider_file, mode))
     return write
 
 
@@ -88,6 +103,13 @@ def wide_universe_inputs(dest: Path) -> None:
 
 
 wide_universe_scored = scored_inputs(wide_universe_inputs, "prescored", "prescored.jsonl", "expectation")
+
+
+def repeated_prescored_id_inputs(dest: Path) -> None:
+    """wide_universe seed 11, filtered, with the pre-scored file's third line repeated at its end."""
+    filtered_inputs(wide_universe_inputs)(dest)
+    lines = (dest / "prescored.jsonl").read_text(encoding="utf-8").splitlines(keepends=True)
+    (dest / "prescored.jsonl").write_text("".join(lines + lines[2:3]), encoding="utf-8")
 
 
 def wide_universe_daily(dest: Path) -> None:
@@ -122,6 +144,23 @@ def calendar_edges_inputs(dest: Path) -> None:
                                  "published_at": stamp, "score": 0.1 * (k - 4)}) + "\n")
 
 
+def signed_zero_and_repeated_sources_inputs(dest: Path) -> None:
+    """The golden chain's records and, for juwelia on dates it has none, a cell whose sources arrive as
+    a, a, b, a, then a lone -0.0 score, then two -0.0 scores: a cell's sum starts at 0.0, so each
+    mean is written 0.0."""
+    golden_scored(dest)
+    extra = [
+        ("2021-03-02T09:00:00+01:00", "quelle_a", 0.5), ("2021-03-02T10:00:00+01:00", "quelle_a", -0.25),
+        ("2021-03-02T11:00:00+01:00", "quelle_b", 0.125), ("2021-03-02T12:00:00+01:00", "quelle_a", 1.0),
+        ("2021-03-03T10:00:00+01:00", "quelle_a", -0.0),
+        ("2021-03-04T10:00:00+01:00", "quelle_a", -0.0), ("2021-03-04T11:00:00+01:00", "quelle_b", -0.0),
+    ]
+    with open(dest / "scored.jsonl", "a", encoding="utf-8") as fh:
+        for k, (stamp, source, score) in enumerate(extra):
+            fh.write(json.dumps({"id": f"zero{k}", "company_id": "juwelia", "source": source,
+                                 "published_at": stamp, "score": score}) + "\n")
+
+
 def short_line_prices_inputs(dest: Path) -> None:
     golden_scored(dest)
     lines = (dest / "prices.csv").read_text(encoding="utf-8").splitlines(keepends=True)
@@ -134,11 +173,23 @@ CASES = {
     "filter/golden": (golden_inputs, FILTER_ARGV, FILTER_OUTPUTS),
     "filter/news_flow-11": (news_flow_inputs, FILTER_ARGV, FILTER_OUTPUTS),
     "filter/upper-case-keyword": (upper_case_keyword_inputs, FILTER_ARGV, FILTER_OUTPUTS),
+    "score/golden": (filtered_inputs(golden_inputs), score_argv("lexicon", "lexicon.json", "winner"),
+                     SCORE_OUTPUTS),
+    "score/golden-expectation": (filtered_inputs(golden_inputs), score_argv("lexicon", "lexicon.json", "expectation"),
+                                 SCORE_OUTPUTS),
+    "score/news_flow-11": (filtered_inputs(news_flow_inputs), score_argv("lexicon", "lexicon.json", "winner"),
+                           SCORE_OUTPUTS),
+    "score/wide_universe-11": (filtered_inputs(wide_universe_inputs),
+                               score_argv("prescored", "prescored.jsonl", "expectation"), SCORE_OUTPUTS),
+    "score/repeated-prescored-id": (repeated_prescored_id_inputs,
+                                    score_argv("prescored", "prescored.jsonl", "expectation"), SCORE_OUTPUTS),
     "aggregate/golden": (golden_scored, AGGREGATE_ARGV, AGGREGATE_OUTPUTS),
     "aggregate/news_flow-11": (news_flow_scored, AGGREGATE_ARGV, AGGREGATE_OUTPUTS),
     "aggregate/wide_universe-11": (wide_universe_scored, AGGREGATE_ARGV, AGGREGATE_OUTPUTS),
     "aggregate/bad-published-at": (bad_published_at_inputs, AGGREGATE_ARGV, AGGREGATE_OUTPUTS),
     "aggregate/calendar-edges": (calendar_edges_inputs, AGGREGATE_ARGV, AGGREGATE_OUTPUTS),
+    "aggregate/signed-zero-and-repeated-sources": (signed_zero_and_repeated_sources_inputs, AGGREGATE_ARGV,
+                                                   AGGREGATE_OUTPUTS),
     "aggregate/short-line-prices": (short_line_prices_inputs, AGGREGATE_ARGV, AGGREGATE_OUTPUTS),
     "backtest/wide_universe-11": (wide_universe_daily, BACKTEST_ARGV, BACKTEST_OUTPUTS),
 }
