@@ -297,13 +297,10 @@ def test_article_at_the_cutoff_counts_as_one_in_the_next_window(tmp_path):
 NEW_DATES = [DATES[-1] + timedelta(days=k) for k in range(3, 8)]
 
 
-def extend_by_a_week(dest: Path, lag: int) -> None:
-    """golden_copy(dest) at signal lag lag, with closes for every company on NEW_DATES and a copy of
-    each article of the final week a week later, its headline's kw14 renamed kw15 so that none is a
-    duplicate."""
+def extend_by_a_week(dest: Path) -> Path:
+    """golden_copy(dest) with closes for every company on NEW_DATES and a copy of each article of the
+    final week a week later, its headline's kw14 renamed kw15 so that none is a duplicate."""
     golden_copy(dest)
-    config = json.loads((GOLDEN / "backtest_config.json").read_text(encoding="utf-8"))
-    (dest / "backtest_config.json").write_text(json.dumps({**config, "signal_lag_days": lag}), encoding="utf-8")
     last = {company: float(close) for day, company, close in (row.split(",") for row in PRICE_ROWS)
             if day == DATES[-1].isoformat()}
     rows = [f"{d},{company},{round(close * (1 + 0.01 * ((k + j) % 5 - 2)), 2)!r}"
@@ -322,6 +319,7 @@ def extend_by_a_week(dest: Path, lag: int) -> None:
             copies.append(json.dumps(obj, ensure_ascii=False))
     assert len(copies) > 30
     (dest / "articles.jsonl").write_text("".join(f"{x}\n" for x in lines + copies), encoding="utf-8")
+    return dest
 
 
 def dated_lines(blob: bytes, until: date, inclusive: bool) -> list[str]:
@@ -339,18 +337,17 @@ def test_appending_trading_dates_keeps_every_earlier_row(tmp_path, lag):
     levels.csv and trades.csv before it. At lag 0 the old final date's trades, and so its level, may
     change: its weights are solved on the sentiment of the date after it, which did not exist, so
     they were held. At lag 1 they are solved on the final date's own sentiment and must not change."""
-    base_in = golden_copy(tmp_path / "in")
     config = json.loads((GOLDEN / "backtest_config.json").read_text(encoding="utf-8"))
-    (base_in / "backtest_config.json").write_text(json.dumps({**config, "signal_lag_days": lag}), encoding="utf-8")
-    base = run_chain(base_in, tmp_path / "base")
-    extend_by_a_week(tmp_path / "longer_in", lag)
-    got = run_chain(tmp_path / "longer_in", tmp_path / "longer")
+    inputs = golden_copy(tmp_path / "in"), extend_by_a_week(tmp_path / "longer_in")
+    for dest in inputs:
+        (dest / "backtest_config.json").write_text(json.dumps({**config, "signal_lag_days": lag}), encoding="utf-8")
+    base, got = run_chain(inputs[0], tmp_path / "base"), run_chain(inputs[1], tmp_path / "longer")
 
     final = DATES[-1]
     for name, inclusive in [("daily.csv", True), ("run/levels.csv", lag > 0), ("run/trades.csv", lag > 0)]:
         before = dated_lines(base[name], final, inclusive)
         assert len(before) > 1 and dated_lines(got[name], final, inclusive) == before, name
     # the new week is there, and its articles moved sentiment
-    new_rows = dated_lines(got["daily.csv"], NEW_DATES[-1], True)[len(dated_lines(base["daily.csv"], final, True)):]
-    assert len(new_rows) == len(NEW_DATES) * 12
-    assert any(row.split(",")[3] != "0" for row in new_rows)
+    new_rows = got["daily.csv"].splitlines()[base["daily.csv"].count(b"\n"):]
+    assert len(new_rows) == len(NEW_DATES) * len(PRICE_ROWS) // len(DATES)
+    assert any(row.split(b",")[3] != b"0" for row in new_rows)
