@@ -13,6 +13,7 @@ and language, since a corpus repeats a handful of each.
 
 from __future__ import annotations
 
+import re
 from datetime import datetime
 from itertools import repeat
 from json.encoder import encode_basestring
@@ -20,7 +21,8 @@ from pathlib import Path
 from typing import Callable, Iterator, NamedTuple
 
 from .inputs import (
-    config_from_dict, config_value, json_object_line, load_json_object, parse_timestamp, read_lines, record)
+    JSON_CHAR, JSON_TEXT, config_from_dict, config_value, dumps_pattern, json_object_line, load_json_object,
+    parse_timestamp, read_lines, record)
 
 
 class NewsArticle(NamedTuple):
@@ -61,6 +63,10 @@ class LoadReport(NamedTuple):
 
 
 REQUIRED_FIELDS = ("id", "company_id", "source", "published_at", "headline")
+# an article as json.dumps and write_articles write it, with no escape: the required fields not empty, body
+# null or a string
+_LAYOUT = dumps_pattern({**dict.fromkeys(REQUIRED_FIELDS, JSON_TEXT), "body": f'(?:null|"({JSON_CHAR}*)")',
+                         "language": f'"({JSON_CHAR}*)"'})
 
 
 def load_articles(path: str | Path) -> LoadReport:
@@ -80,45 +86,55 @@ def read_articles(path: str | Path, report: Callable[[str], object]) -> Iterator
     "\\ud800". A line that is not UTF-8 is reported with its own decode error
     and skipped in the same way. An unreadable file raises OSError. Equal
     company_id, source and language values are one string object.
+
+    A line in the layout write_articles and json.dumps write (_LAYOUT) is read
+    by one pattern match, whose groups are the values a JSON decode would
+    give; any other line is decoded. Both feed the same checks that follow,
+    so every article and diagnostic is the same either way.
     """
     seen_ids: set[str] = set()
     share = {}.setdefault  # share(v, v) is the first string read equal to v
+    layout = re.compile(_LAYOUT).fullmatch  # compiled on the first call, then taken from re's cache
     for lineno, line in read_lines(path, report):
-        if not line.strip():
-            continue
-        try:
-            obj = json_object_line(line)
-        except ValueError as exc:
-            report(f"line {lineno}: {exc}")
-            continue
-        get = obj.get
-        aid, company, source, stamp, headline = (
-            get("id"), get("company_id"), get("source"), get("published_at"), get("headline"))
-        # json.loads makes only exact str, so type() is isinstance() here
-        if not (type(aid) is str and aid and type(company) is str and company
-                and type(source) is str and source and type(stamp) is str and stamp
-                and type(headline) is str and headline):
-            missing = [k for k in REQUIRED_FIELDS if not isinstance(get(k), str) or not obj[k]]
-            report(f"line {lineno}: missing or empty field(s) {missing}")
-            continue
+        fault = None  # of body, language or an escape: reported only once published_at is read
+        if (m := layout(line)) is not None:  # each group is its field's value, and body None for null
+            aid, company, source, stamp, headline, body, language = m.groups()
+        else:
+            if not line.strip():
+                continue
+            try:
+                obj = json_object_line(line)
+            except ValueError as exc:
+                report(f"line {lineno}: {exc}")
+                continue
+            get = obj.get
+            aid, company, source, stamp, headline = (
+                get("id"), get("company_id"), get("source"), get("published_at"), get("headline"))
+            # json.loads makes only exact str, so type() is isinstance() here
+            if not (type(aid) is str and aid and type(company) is str and company
+                    and type(source) is str and source and type(stamp) is str and stamp
+                    and type(headline) is str and headline):
+                missing = [k for k in REQUIRED_FIELDS if not isinstance(get(k), str) or not obj[k]]
+                report(f"line {lineno}: missing or empty field(s) {missing}")
+                continue
+            body, language = get("body"), get("language", "de")
+            if body is not None and type(body) is not str:
+                fault = f"body must be a string or null ({type(body).__name__})"
+            elif type(language) is not str:
+                fault = f"language must be a string ({type(language).__name__})"
+            elif "\\u" in line:  # only an escape decodes to a lone surrogate, which UTF-8 cannot write
+                try:
+                    "".join((aid, company, source, headline, body or "", language)).encode("utf-8")
+                except UnicodeEncodeError:
+                    fault = "lone surrogate escape in a text field"
         try:
             ts = parse_timestamp(stamp)
         except ValueError as exc:
             report(f"line {lineno}: bad published_at ({exc})")
             continue
-        body, language = get("body"), get("language", "de")
-        if body is not None and type(body) is not str:
-            report(f"line {lineno}: body must be a string or null ({type(body).__name__})")
+        if fault is not None:
+            report(f"line {lineno}: {fault}")
             continue
-        if type(language) is not str:
-            report(f"line {lineno}: language must be a string ({type(language).__name__})")
-            continue
-        if "\\u" in line:  # only an escape decodes to a lone surrogate, which UTF-8 cannot write
-            try:
-                "".join((aid, company, source, headline, body or "", language)).encode("utf-8")
-            except UnicodeEncodeError:
-                report(f"line {lineno}: lone surrogate escape in a text field")
-                continue
         if aid in seen_ids:
             report(f"line {lineno}: duplicate id {aid!r}")
             continue

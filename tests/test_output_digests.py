@@ -52,10 +52,17 @@ AGGREGATE_OUTPUTS = ("daily.csv",)
 BACKTEST_ARGV = ["backtest", "--prices", "prices.csv", "--sentiments", "daily.csv",
                  "--config", "backtest_config.json", "--benchmark", "benchmark.csv", "--out", "run"]
 BACKTEST_OUTPUTS = ("run/levels.csv", "run/trades.csv", "run/summary.json")
+GOLDEN_BACKTEST_ARGV = ["backtest", "--prices", "prices.csv", "--sentiments", "daily.csv",
+                        "--config", "backtest_config.json", "--out", "run"]  # the fixture has no benchmark
+OPTIMIZE_ARGV = ["optimize", "--sentiments", "signal.csv", "--prior", "prior.csv", "--config", "opt.json",
+                 "--out", "weights.csv"]
+REPORT_ARGV = ["report", "--in", "run", "--out", "report"]
+REPORT_OUTPUTS = ("report/report.svg", "report/report.csv")
 
 
 def golden_inputs(dest: Path) -> None:
-    for name in ("articles.jsonl", "filter_config.json", "lexicon.json", "prices.csv", "aggregation_config.json"):
+    for name in ("articles.jsonl", "filter_config.json", "lexicon.json", "prices.csv", "aggregation_config.json",
+                 "backtest_config.json"):
         shutil.copy(GOLDEN / name, dest / name)
 
 
@@ -168,6 +175,114 @@ def short_line_prices_inputs(dest: Path) -> None:
     (dest / "prices.csv").write_text("".join(lines), encoding="utf-8")
 
 
+def _article(k: int, **fields) -> dict:
+    """An article of the golden universe in json.dumps's key order, its fields replaced by fields."""
+    return {"id": f"off{k}", "company_id": "kraftwerk", "source": "marktpost",
+            "published_at": f"2021-03-{10 + k:02}T10:00:00+01:00", "headline": f"kraftwerk meldung nummer {k}",
+            "body": None, "language": "de", **fields}
+
+
+def off_layout_lines_inputs(dest: Path) -> None:
+    """The golden articles and lines in the layout json.dumps writes, mixed with lines in other forms."""
+    golden_inputs(dest)
+    a = _article
+    lines = [
+        json.dumps(a(0, headline="kraftwerk über plan"), ensure_ascii=False),  # the layout
+        json.dumps(a(1, headline="kraftwerk über plan zwei")),  # ensure_ascii: ü
+        json.dumps(dict(reversed(a(2).items())), ensure_ascii=False),  # keys reordered
+        json.dumps({**a(3), "extra": 1}, ensure_ascii=False),  # an extra key
+        json.dumps(a(4), ensure_ascii=False, separators=(",", ":")),  # compact separators
+        json.dumps(a(5), ensure_ascii=False) + "\r",  # ends in \r\n
+        json.dumps(a(6), ensure_ascii=False).replace("nummer", "\tnummer"),  # a raw tab: invalid JSON
+        json.dumps(a(7, headline="kraftwerk\u2028zeile"), ensure_ascii=False),  # a raw U+2028
+        json.dumps(a(8, headline='kraftwerk "zitat"'), ensure_ascii=False),  # escaped quotes
+        json.dumps(a(9, source=""), ensure_ascii=False),  # an empty required field
+        json.dumps(a(10, body="ein text"), ensure_ascii=False),  # the layout, with a body
+        json.dumps(a(11, body=""), ensure_ascii=False),  # an empty body
+        json.dumps(a(12, body=5), ensure_ascii=False),  # a number for a body
+        json.dumps({k: v for k, v in a(13).items() if k != "language"}, ensure_ascii=False),  # no language
+        json.dumps(a(14, language=7), ensure_ascii=False),  # a language that is no string
+        json.dumps(a(15, language=""), ensure_ascii=False),  # an empty language
+        json.dumps(a(16, headline="kraftwerk \\ backslash"), ensure_ascii=False),  # an escaped backslash
+        json.dumps(a(17, id="off0"), ensure_ascii=False),  # the layout, a repeated id
+        json.dumps(a(18, published_at="2021-03-28T10:00:00"), ensure_ascii=False),  # the layout, a naive time
+        json.dumps(a(19), ensure_ascii=False),  # the last line, with no newline
+    ]
+    with open(dest / "articles.jsonl", "a", encoding="utf-8", newline="") as fh:
+        fh.write("\n".join(lines))
+
+
+def _prescored_lines(ids: list[str], forms: list[tuple[str, str, str]]) -> str:
+    return "".join(f'{{"id": "{aid}", "p_negative": {n}, "p_neutral": {u}, "p_positive": {p}}}\n'
+                   for aid, (n, u, p) in zip(ids, forms * len(ids)))
+
+
+def prescored_number_forms_inputs(dest: Path) -> None:
+    """The golden articles, filtered, and probabilities written as 0, 1, -0, -0.0, 1e0 and 5E-1."""
+    filtered_inputs(golden_inputs)(dest)
+    ids = [json.loads(line)["id"] for line in (dest / "kept.jsonl").read_text(encoding="utf-8").splitlines()]
+    forms = [("0", "1", "0"), ("-0", "1", "-0.0"), ("-0.0", "0", "1e0"), ("5E-1", "0", "5E-1"),
+             ("0.25", "0.5", "0.25"), ("1", "-0.0", "0"), ("-0.0", "1.0", "-0")]
+    (dest / "prescored.jsonl").write_text(_prescored_lines(ids, forms), encoding="utf-8")
+
+
+def _append_juwelia_scores(dest: Path, scores: list[str]) -> None:
+    """Append one scored line for juwelia per score text, on dates it has no articles, one a date."""
+    with open(dest / "scored.jsonl", "a", encoding="utf-8") as fh:
+        for k, score in enumerate(scores):
+            fh.write(f'{{"id": "form{k}", "company_id": "juwelia", "source": "quelle", '
+                     f'"published_at": "2021-03-{2 + k:02}T10:00:00+01:00", "score": {score}}}\n')
+
+
+def scored_number_forms_inputs(dest: Path) -> None:
+    golden_scored(dest)
+    _append_juwelia_scores(dest, ["-0", "0", "1E-1", "-0.0"])
+
+
+def non_finite_score_inputs(dest: Path) -> None:
+    golden_scored(dest)
+    _append_juwelia_scores(dest, ["0.5", "1e400"])
+
+
+def optimize_example_inputs(dest: Path) -> None:
+    """The three files of the README's optimize example."""
+    (dest / "signal.csv").write_text("company,sentiment\nalpha,0.8\nbeta,0.4\ngamma,-0.2\n", encoding="utf-8")
+    (dest / "prior.csv").write_text("company,weight\nalpha,0.0\nbeta,0.0\ngamma,0.0\n", encoding="utf-8")
+    (dest / "opt.json").write_text('{"delta": 0.0, "cap": 0.5, "budget_lo": 0.5, "budget_hi": 0.9}',
+                                   encoding="utf-8")
+
+
+def golden_daily(dest: Path) -> None:
+    golden_scored(dest)
+    run_commands(dest, AGGREGATE_ARGV)
+
+
+def with_backtest_config(write_inputs, **fields):
+    """write_inputs, then the backtest config's fields replaced by fields."""
+    def write(dest: Path) -> None:
+        write_inputs(dest)
+        config = json.loads((dest / "backtest_config.json").read_text(encoding="utf-8"))
+        (dest / "backtest_config.json").write_text(json.dumps({**config, **fields}, indent=2) + "\n",
+                                                   encoding="utf-8")
+    return write
+
+
+def repeated_company_signal_inputs(dest: Path) -> None:
+    optimize_example_inputs(dest)
+    with open(dest / "signal.csv", "a", encoding="utf-8") as fh:
+        fh.write("beta,0.1\n")
+
+
+def golden_run(dest: Path) -> None:
+    golden_daily(dest)
+    run_commands(dest, GOLDEN_BACKTEST_ARGV)
+
+
+def golden_run_without_summary(dest: Path) -> None:
+    golden_run(dest)
+    (dest / "run" / "summary.json").unlink()
+
+
 # name -> (writes the case's inputs into a directory, argv, the files the command may write)
 CASES = {
     "filter/golden": (golden_inputs, FILTER_ARGV, FILTER_OUTPUTS),
@@ -192,6 +307,28 @@ CASES = {
                                                    AGGREGATE_OUTPUTS),
     "aggregate/short-line-prices": (short_line_prices_inputs, AGGREGATE_ARGV, AGGREGATE_OUTPUTS),
     "backtest/wide_universe-11": (wide_universe_daily, BACKTEST_ARGV, BACKTEST_OUTPUTS),
+    "filter/off-layout-lines": (off_layout_lines_inputs, FILTER_ARGV, FILTER_OUTPUTS),
+    "score/prescored-number-forms": (prescored_number_forms_inputs,
+                                     score_argv("prescored", "prescored.jsonl", "expectation"), SCORE_OUTPUTS),
+    "aggregate/scored-number-forms": (scored_number_forms_inputs, AGGREGATE_ARGV, AGGREGATE_OUTPUTS),
+    "aggregate/non-finite-score": (non_finite_score_inputs, AGGREGATE_ARGV, AGGREGATE_OUTPUTS),
+    "optimize/readme": (optimize_example_inputs, OPTIMIZE_ARGV, ("weights.csv",)),
+    "backtest/golden": (golden_daily, GOLDEN_BACKTEST_ARGV, BACKTEST_OUTPUTS),
+    "backtest/golden-lag0": (with_backtest_config(golden_daily, signal_lag_days=0), GOLDEN_BACKTEST_ARGV,
+                             BACKTEST_OUTPUTS),
+    "backtest/golden-lag3": (with_backtest_config(golden_daily, signal_lag_days=3), GOLDEN_BACKTEST_ARGV,
+                             BACKTEST_OUTPUTS),
+    "backtest/wide_universe-11-lag0": (with_backtest_config(wide_universe_daily, signal_lag_days=0), BACKTEST_ARGV,
+                                       BACKTEST_OUTPUTS),
+    "backtest/wide_universe-11-lag3": (with_backtest_config(wide_universe_daily, signal_lag_days=3), BACKTEST_ARGV,
+                                       BACKTEST_OUTPUTS),
+    "backtest/tc-rate-above-one": (with_backtest_config(golden_daily, tc_rate=2.0), GOLDEN_BACKTEST_ARGV,
+                                   BACKTEST_OUTPUTS),
+    "optimize/repeated-company": (repeated_company_signal_inputs, OPTIMIZE_ARGV, ("weights.csv",)),
+    "report/golden": (golden_run, REPORT_ARGV, REPORT_OUTPUTS),
+    "report/golden-window": (golden_run, [*REPORT_ARGV, "--from", "2021-03-10", "--to", "2021-03-31"],
+                             REPORT_OUTPUTS),
+    "report/missing-summary": (golden_run_without_summary, REPORT_ARGV, REPORT_OUTPUTS),
 }
 
 
