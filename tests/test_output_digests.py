@@ -212,18 +212,15 @@ def off_layout_lines_inputs(dest: Path) -> None:
         fh.write("\n".join(lines))
 
 
-def _prescored_lines(ids: list[str], forms: list[tuple[str, str, str]]) -> str:
-    return "".join(f'{{"id": "{aid}", "p_negative": {n}, "p_neutral": {u}, "p_positive": {p}}}\n'
-                   for aid, (n, u, p) in zip(ids, forms * len(ids)))
-
-
 def prescored_number_forms_inputs(dest: Path) -> None:
     """The golden articles, filtered, and probabilities written as 0, 1, -0, -0.0, 1e0 and 5E-1."""
     filtered_inputs(golden_inputs)(dest)
     ids = [json.loads(line)["id"] for line in (dest / "kept.jsonl").read_text(encoding="utf-8").splitlines()]
     forms = [("0", "1", "0"), ("-0", "1", "-0.0"), ("-0.0", "0", "1e0"), ("5E-1", "0", "5E-1"),
              ("0.25", "0.5", "0.25"), ("1", "-0.0", "0"), ("-0.0", "1.0", "-0")]
-    (dest / "prescored.jsonl").write_text(_prescored_lines(ids, forms), encoding="utf-8")
+    (dest / "prescored.jsonl").write_text("".join(
+        f'{{"id": "{aid}", "p_negative": {n}, "p_neutral": {u}, "p_positive": {p}}}\n'
+        for aid, (n, u, p) in zip(ids, forms * len(ids))), encoding="utf-8")
 
 
 def _append_juwelia_scores(dest: Path, scores: list[str]) -> None:
