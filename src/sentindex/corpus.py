@@ -108,21 +108,17 @@ def read_articles(path: str | Path, report: Callable[[str], object]) -> Iterator
                 report(f"line {lineno}: {exc}")
                 continue
             get = obj.get
-            aid, company, source, stamp, headline = (
-                get("id"), get("company_id"), get("source"), get("published_at"), get("headline"))
-            # json.loads makes only exact str, so type() is isinstance() here
-            if not (type(aid) is str and aid and type(company) is str and company
-                    and type(source) is str and source and type(stamp) is str and stamp
-                    and type(headline) is str and headline):
-                missing = [k for k in REQUIRED_FIELDS if not isinstance(get(k), str) or not obj[k]]
+            missing = [k for k in REQUIRED_FIELDS if not isinstance(get(k), str) or not obj[k]]
+            if missing:
                 report(f"line {lineno}: missing or empty field(s) {missing}")
                 continue
+            aid, company, source, stamp, headline = map(get, REQUIRED_FIELDS)
             body, language = get("body"), get("language", "de")
             if body is not None and type(body) is not str:
                 fault = f"body must be a string or null ({type(body).__name__})"
             elif type(language) is not str:
                 fault = f"language must be a string ({type(language).__name__})"
-            elif "\\u" in line:  # only an escape decodes to a lone surrogate, which UTF-8 cannot write
+            else:  # read_lines passes only UTF-8, so a lone surrogate comes from an escape
                 try:
                     "".join((aid, company, source, headline, body or "", language)).encode("utf-8")
                 except UnicodeEncodeError:

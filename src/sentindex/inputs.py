@@ -12,8 +12,6 @@ from operator import itemgetter
 from pathlib import Path
 from typing import Callable, Iterable, Iterator
 
-_raw_decode = json.JSONDecoder().raw_decode
-
 _KINDS = {
     float: "a finite number",
     int: "an integer",
@@ -36,20 +34,12 @@ def load_json_object(path: str | Path) -> dict:
 
 
 def parse_json(text: str):
-    """json.loads(text), quicker when the document starts at the first character.
-
-    A document nested too deeply for the parser, or holding an integer of
-    more digits than int() converts (sys.get_int_max_str_digits()), raises
-    JSONDecodeError instead of RecursionError or ValueError.
+    """json.loads(text), but a document nested too deeply for the parser, or holding an integer of more
+    digits than int() converts (sys.get_int_max_str_digits()), raises JSONDecodeError instead of
+    RecursionError or ValueError.
     """
     try:
-        try:
-            obj, end = _raw_decode(text)
-            if not text[end:].strip(" \t\n\r"):
-                return obj
-        except json.JSONDecodeError:
-            pass
-        return json.loads(text)  # leading whitespace, a byte-order mark, extra data or an error
+        return json.loads(text)
     except RecursionError:
         raise json.JSONDecodeError("nested too deeply", text, _error_position(text, True)) from None
     except json.JSONDecodeError:

@@ -14,7 +14,6 @@ import os
 import re
 from datetime import datetime
 from json.encoder import encode_basestring
-from operator import itemgetter
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple
 
@@ -232,38 +231,35 @@ def _records(path: str | Path, texts: tuple[str, ...], numbers: tuple[str, ...])
     Each of texts must be a string and each of numbers a finite number,
     yielded as a float. A line that is not a JSON object, lacks a field or
     holds one of another kind raises ValueError naming the file, the line and
-    the field. A line in the layout json.dumps writes, the fields in this
-    order and nothing else (see _layout), is read by one pattern match; any
-    other line is decoded, and the values and errors are the same either way.
+    the field; a missing field is named before a field of another kind, and
+    of each, the first in the order of texts then numbers. A line in the
+    layout json.dumps writes, the fields in this order and nothing else (see
+    _layout), is read by one pattern match; any other line is decoded, and
+    the values and errors are the same either way.
     """
     names = texts + numbers
     kinds = (str,) * len(texts) + (float,) * len(numbers)
-    take = itemgetter(*names)
     n = len(texts)
     layout = re.compile(_layout(texts, numbers)).fullmatch  # compiled on the first call, then cached by re
     for lineno, line in read_lines(path):
         if (m := layout(line)) is not None:  # the groups are the texts' values and the numbers' JSON text
             values = m.groups()
             values = values[:n] + tuple(map(float, values[n:]))
-        else:
-            if not line.strip():
+            if math.isfinite(sum(values[n:])):  # else a number overflows, which the decoded line names
+                yield lineno, values
                 continue
-            try:
-                obj = json_object_line(line)
-            except ValueError as exc:
-                raise ValueError(f"{path}: line {lineno}: {exc}") from None
-            try:
-                values = take(obj)
-            except KeyError as exc:
-                raise ValueError(f"{path}: line {lineno}: missing field {exc.args[0]!r}") from None
-        # a line of exact kinds and finite floats is taken as read; config_value
-        # turns an integer into a float and names the first field of a wrong kind
-        if (m is None and tuple(map(type, values)) != kinds) or not math.isfinite(sum(values[n:])):
-            if m is not None:  # a number that overflows: the decoded line names it
-                obj = json_object_line(line)
-            where = f"{path}: line {lineno}"
-            values = [config_value(obj, key, kind, where) for key, kind in zip(names, kinds)]
-        yield lineno, values
+        elif not line.strip():
+            continue
+        where = f"{path}: line {lineno}"
+        try:
+            obj = json_object_line(line)
+        except ValueError as exc:
+            raise ValueError(f"{where}: {exc}") from None
+        for key in names:
+            if key not in obj:
+                raise ValueError(f"{where}: missing field {key!r}")
+        # config_value turns an integer into a float and names the first field of a wrong kind
+        yield lineno, [config_value(obj, key, kind, where) for key, kind in zip(names, kinds)]
 
 
 def _layout(texts: tuple[str, ...], numbers: tuple[str, ...]) -> str:

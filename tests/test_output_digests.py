@@ -77,6 +77,37 @@ def upper_case_keyword_inputs(dest: Path) -> None:
     (dest / "filter_config.json").write_text(json.dumps(config, indent=2) + "\n", encoding="utf-8")
 
 
+# the words of the golden headlines that German writes in lower case: verbs, participles, adjectives,
+# prepositions and the conjunction; every other word is a noun or a name
+_LOWER_CASE_WORDS = {"abwarten", "am", "an", "angekuendigt", "bei", "bestaetigt", "bleibt", "entdeckt", "erhalten",
+                     "gemeldet", "haelt", "im", "lockt", "meldet", "nach", "solide", "stabil", "und", "unsicher",
+                     "verhalten", "verzeichnet", "vorgelegt"}
+
+
+def _german_case(headline: str) -> str:
+    """A golden headline capitalised as German writes it: "kraftwerk razzia am freitag kw12" reads
+    "Kraftwerk Razzia am Freitag KW12"."""
+    return " ".join(w if w in _LOWER_CASE_WORDS else w.upper() if w.startswith("kw") else w.capitalize()
+                    for w in headline.split())
+
+
+def mixed_case_headlines_inputs(dest: Path) -> None:
+    """The golden articles with their headlines capitalised as German nouns are, an earlier copy of one
+    headline that differs from it only in case, and an exclusion keyword in capitals."""
+    golden_inputs(dest)
+    articles = [json.loads(line) for line in (GOLDEN / "articles.jsonl").read_text(encoding="utf-8").splitlines()]
+    articles = [{**a, "headline": _german_case(a["headline"])} for a in articles]
+    articles += [
+        # a0011 reads "Kraftwerk Kurssprung Dividende lockt"; this copy is 15 minutes earlier
+        {**articles[10], "id": "case0", "published_at": "2021-03-01T10:30:00+01:00",
+         "headline": "KRAFTWERK Kurssprung DIVIDENDE lockt"},
+        {**articles[1], "id": "case1", "published_at": "2021-03-03T10:00:00+01:00",
+         "headline": "Adlerwerke Besuch im TIERPARK"},
+    ]
+    (dest / "articles.jsonl").write_text("".join(json.dumps(a, ensure_ascii=False) + "\n" for a in articles),
+                                         encoding="utf-8")
+
+
 def run_commands(dest: Path, *argvs: list[str]) -> None:
     """Run the commands in dest, as the chain would, each of which must succeed; their stderr is dropped."""
     with contextlib.chdir(dest), contextlib.redirect_stderr(io.StringIO()) as stderr:
@@ -326,6 +357,7 @@ CASES = {
     "report/golden-window": (golden_run, [*REPORT_ARGV, "--from", "2021-03-10", "--to", "2021-03-31"],
                              REPORT_OUTPUTS),
     "report/missing-summary": (golden_run_without_summary, REPORT_ARGV, REPORT_OUTPUTS),
+    "filter/mixed-case-headlines": (mixed_case_headlines_inputs, FILTER_ARGV, FILTER_OUTPUTS),
 }
 
 

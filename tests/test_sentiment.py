@@ -301,6 +301,7 @@ class TestScoredFiles:
         ('"x"', "line 2: not a JSON object (str)"),
         ("{oops", "line 2: invalid JSON"),
         (json.dumps({k: v for k, v in RECORD.items() if k != "source"}), "line 2: missing field 'source'"),
+        (json.dumps({**{k: v for k, v in RECORD.items() if k != "score"}, "id": 7}), "line 2: missing field 'score'"),
         (json.dumps({**RECORD, "score": math.nan}), "line 2: 'score' must be a finite number, got nan"),
         (json.dumps({**RECORD, "score": -math.inf}), "line 2: 'score' must be a finite number, got -inf"),
         (json.dumps({**RECORD, "score": "0.5"}), "line 2: 'score' must be a finite number, got str"),
@@ -314,9 +315,9 @@ class TestScoredFiles:
         (json.dumps({**RECORD, "published_at": "2021-03-01X10:00:00+01:00"}), STAMP),
         (json.dumps({**RECORD, "published_at": "2021-03-01T10:00:00 +01:00"}), STAMP),
         (json.dumps({**RECORD, "published_at": "2021-03-01T10:00:00+01:00.5"}), STAMP),
-    ], ids=["list", "string", "invalid-json", "missing", "nan", "-inf", "string-score", "bool-score",
-            "huge-int", "out-of-range", "int-out-of-range", "int-company", "list-source", "naive-stamp",
-            "stamp-separator", "stamp-before-offset", "stamp-offset-fraction"])
+    ], ids=["list", "string", "invalid-json", "missing", "missing-after-int-id", "nan", "-inf", "string-score",
+            "bool-score", "huge-int", "out-of-range", "int-out-of-range", "int-company", "list-source",
+            "naive-stamp", "stamp-separator", "stamp-before-offset", "stamp-offset-fraction"])
     def test_load_scored_rejects_naming_file_line_and_field(self, tmp_path, line, message):
         path = tmp_path / "scored.jsonl"
         self.write(path, [json.dumps(self.RECORD), line])
@@ -327,6 +328,7 @@ class TestScoredFiles:
     @pytest.mark.parametrize("line, message", [
         ("[1]", "line 2: not a JSON object (list)"),
         (json.dumps({"id": "a2", "p_neutral": 0.2, "p_positive": 0.7}), "line 2: missing field 'p_negative'"),
+        (json.dumps({"id": 7, "p_negative": 0.1, "p_neutral": 0.2}), "line 2: missing field 'p_positive'"),
         (json.dumps({"id": 2, "p_negative": 0.1, "p_neutral": 0.2, "p_positive": 0.7}),
          "line 2: 'id' must be a string, got 2"),
         (json.dumps({"id": "a2", "p_negative": None, "p_neutral": 0.2, "p_positive": 0.7}),
@@ -339,8 +341,8 @@ class TestScoredFiles:
          "line 2: class probabilities sum to 0.9, not 1: (0.2, 0.3, 0.4)"),
         (json.dumps({"id": "a2", "p_negative": -0.5, "p_neutral": 0.5, "p_positive": 1.0}),
          "line 2: class probabilities outside [0, 1]: (-0.5, 0.5, 1.0)"),
-    ], ids=["list", "missing", "int-id", "null-probability", "nan-probability", "repeated-id", "bad-sum",
-            "outside-unit"])
+    ], ids=["list", "missing", "missing-after-int-id", "int-id", "null-probability", "nan-probability",
+            "repeated-id", "bad-sum", "outside-unit"])
     def test_prescored_rejects_naming_file_line_and_field(self, tmp_path, line, message):
         path = tmp_path / "prescored.jsonl"
         self.write(path, [json.dumps({"id": "a1", "p_negative": 0.1, "p_neutral": 0.2, "p_positive": 0.7}),
