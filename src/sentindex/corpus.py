@@ -94,6 +94,7 @@ def read_articles(path: str | Path, report: Callable[[str], object]) -> Iterator
     """
     seen_ids: set[str] = set()
     share = {}.setdefault  # share(v, v) is the first string read equal to v
+    new = tuple.__new__  # NewsArticle checks nothing, and namedtuple's __new__ is Python code
     layout = re.compile(_LAYOUT).fullmatch  # compiled on the first call, then taken from re's cache
     for lineno, line in read_lines(path, report):
         fault = None  # of body, language or an escape: reported only once published_at is read
@@ -135,8 +136,8 @@ def read_articles(path: str | Path, report: Callable[[str], object]) -> Iterator
             report(f"line {lineno}: duplicate id {aid!r}")
             continue
         seen_ids.add(aid)
-        yield NewsArticle(aid, share(company, company), share(source, source), ts, headline, body,
-                          share(language, language)), stamp
+        yield new(NewsArticle, (aid, share(company, company), share(source, source), ts, headline, body,
+                                share(language, language))), stamp
 
 
 def load_filter_config(path: str | Path) -> FilterConfig:

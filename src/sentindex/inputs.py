@@ -228,7 +228,7 @@ def read_csv(path: str | Path, names: tuple[str, ...], what: str, row: Callable[
 
 
 # the separators of YYYY-MM-DDTHH:MM:SS±HH:MM at positions 4, 7, ..., 22
-_ISOFORMAT_SEPARATORS = ("--T::+:", "--T::-:")
+ISOFORMAT_SEPARATORS = ("--T::+:", "--T::-:")
 # a date as fromisoformat reads it (YYYY-MM-DD, YYYYMMDD, YYYY-Www[-D] or YYYYWww[D]), T, t or a space,
 # HH[[:]MM[[:]SS[(.|,)f]]] and an optional offset ±HH[[:]MM[[:]SS[(.|,)f]]]
 _HMS = r"[0-9]{2}(?::?[0-9]{2}(?::?[0-9]{2}(?:[.,][0-9]+)?)?)?"
@@ -243,7 +243,7 @@ def parse_timestamp(raw: str) -> datetime:
     if raw[-1:] in ("Z", "z"):  # fromisoformat takes a trailing Z since Python 3.11, but not z
         raw = raw[:-1] + "+00:00"
     # fromisoformat reads only digits between these separators; re compiles the pattern on the first other text
-    if not (len(raw) == 25 and raw[4:23:3] in _ISOFORMAT_SEPARATORS or re.fullmatch(_TIMESTAMP, raw)):
+    if not (len(raw) == 25 and raw[4:23:3] in ISOFORMAT_SEPARATORS or re.fullmatch(_TIMESTAMP, raw)):
         raise ValueError("not a date, then T, t or a space, then a time with a fraction only after the seconds")
     ts = datetime.fromisoformat(raw)
     if ts.tzinfo is None:
@@ -260,7 +260,7 @@ def isoformat_text(raw: str, ts: datetime) -> str:
     ASCII digit, or fromisoformat would not have read it. A timestamp as the
     chain writes them is taken as is, which is a quarter of isoformat()'s cost.
     """
-    if (len(raw) == 25 and raw[4:23:3] in _ISOFORMAT_SEPARATORS and raw[11:13] < "24"
+    if (len(raw) == 25 and raw[4:23:3] in ISOFORMAT_SEPARATORS and raw[11:13] < "24"
             and raw[23] < "6" and raw[19:] != "-00:00"):
         return raw
     return ts.isoformat()

@@ -18,8 +18,8 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple
 
 from .inputs import (
-    JSON_FLOAT, JSON_TEXT, add_in_order, config_value, dumps_pattern, isoformat_text, json_object_line,
-    load_json_object, parse_timestamp, read_lines)
+    ISOFORMAT_SEPARATORS, JSON_FLOAT, JSON_TEXT, add_in_order, config_value, dumps_pattern, isoformat_text,
+    json_object_line, load_json_object, parse_timestamp, read_lines)
 
 if TYPE_CHECKING:
     from .corpus import NewsArticle
@@ -87,15 +87,30 @@ class PrescoredProvider:
     def from_file(cls, path: str | Path) -> "PrescoredProvider":
         """Read id and the three probabilities per line.
 
-        A repeated id, or probabilities outside [0, 1] or not summing to 1,
+        A line in the layout json.dumps writes, these four keys in this order
+        and nothing else (see _layout), is read by one pattern match; any
+        other non-blank line, or one whose numbers do not add to a finite
+        value, by _decoded, which gives the same values or names the fault. A
+        repeated id, or probabilities outside [0, 1] or not summing to 1,
         raises ValueError naming the file and the line, whether or not any
         article asks for that id.
         """
         table = {}
-        for lineno, (aid, n, u, p) in _records(path, *PRESCORED_FIELDS):
+        new = tuple.__new__  # ClassProbabilities checks nothing, and namedtuple's __new__ is Python code
+        layout = re.compile(_layout(*PRESCORED_FIELDS)).fullmatch  # compiled on the first call, then cached by re
+        for lineno, line in read_lines(path):
+            if (m := layout(line)) is not None:  # the groups are the id and the numbers' JSON text
+                aid, n, u, p = m.groups()
+                n, u, p = float(n), float(u), float(p)
+                if not math.isfinite(n + u + p):  # a number overflows, which the decoded line names
+                    m = None
+            elif not line.strip():
+                continue
+            if m is None:
+                aid, n, u, p = _decoded(line, f"{path}: line {lineno}", *PRESCORED_FIELDS)
             if aid in table:
                 raise ValueError(f"{path}: line {lineno}: duplicate id {aid!r}")
-            probs = table[aid] = ClassProbabilities(n, u, p)
+            probs = table[aid] = new(ClassProbabilities, (n, u, p))
             try:
                 _validate(probs)
             except ValueError as exc:
@@ -208,16 +223,31 @@ def read_scored(path: str | Path) -> Iterator[ScoredArticle]:
 
     Every non-blank line must be a JSON object whose id, company_id, source
     and published_at are strings and whose score is a number in [-1, 1]; any
-    other line raises ValueError naming the file, the line and the field.
+    other line raises ValueError naming the file, the line and the field. A
+    line in the layout json.dumps writes, these five keys in this order and
+    nothing else (see _layout), with a score in [-1, 1], is read by one
+    pattern match; any other non-blank line by _decoded, which gives the same
+    values or names the fault.
     """
-    for lineno, (aid, company, source, stamp, score) in _records(path, *SCORED_FIELDS):
-        if not -1.0 <= score <= 1.0:
-            raise ValueError(f"{path}: line {lineno}: 'score' must be in [-1, 1], got {score!r}")
-        try:
-            ts = parse_timestamp(stamp)
+    new, fromisoformat = tuple.__new__, datetime.fromisoformat  # ScoredArticle checks nothing
+    layout = re.compile(_layout(*SCORED_FIELDS)).fullmatch  # compiled on the first call, then cached by re
+    for lineno, line in read_lines(path):
+        if (m := layout(line)) is not None:  # the groups are the texts' values and the score's JSON text
+            aid, company, source, stamp, score = m.groups()
+            if not -1.0 <= (score := float(score)) <= 1.0:  # out of range or overflowing: the decode names it
+                m = None
+        elif not line.strip():
+            continue
+        if m is None:
+            aid, company, source, stamp, score = _decoded(line, f"{path}: line {lineno}", *SCORED_FIELDS)
+            if not -1.0 <= score <= 1.0:
+                raise ValueError(f"{path}: line {lineno}: 'score' must be in [-1, 1], got {score!r}")
+        try:  # parse_timestamp's 25-character branch without the call; a trailing Z or z is its to read
+            ts = (fromisoformat(stamp) if len(stamp) == 25 and stamp[4:23:3] in ISOFORMAT_SEPARATORS
+                  and stamp[24] not in "Zz" else parse_timestamp(stamp))
         except ValueError as exc:
             raise ValueError(f"{path}: line {lineno}: bad published_at ({exc})") from None
-        yield ScoredArticle(aid, company, source, ts, score)
+        yield new(ScoredArticle, (aid, company, source, ts, score))
 
 
 def load_scored(path: str | Path) -> list[ScoredArticle]:
@@ -225,41 +255,26 @@ def load_scored(path: str | Path) -> list[ScoredArticle]:
     return list(read_scored(path))
 
 
-def _records(path: str | Path, texts: tuple[str, ...], numbers: tuple[str, ...]):
-    """Yield (line number, the values of texts then numbers) for each non-blank JSON line.
+def _decoded(line: str, where: str, texts: tuple[str, ...], numbers: tuple[str, ...]) -> list:
+    """The values of texts then numbers on a JSON line that a reader's pattern declines, each number a float.
 
-    Each of texts must be a string and each of numbers a finite number,
-    yielded as a float. A line that is not a JSON object, lacks a field or
-    holds one of another kind raises ValueError naming the file, the line and
-    the field; a missing field is named before a field of another kind, and
-    of each, the first in the order of texts then numbers. A line in the
-    layout json.dumps writes, the fields in this order and nothing else (see
-    _layout), is read by one pattern match; any other line is decoded, and
-    the values and errors are the same either way.
+    Each of texts must be a string and each of numbers a finite number. A
+    line that is not a JSON object, lacks a field or holds one of another
+    kind raises ValueError naming where and the field; a missing field is
+    named before a field of another kind, and of each, the first in the order
+    of texts then numbers.
     """
+    try:
+        obj = json_object_line(line)
+    except ValueError as exc:
+        raise ValueError(f"{where}: {exc}") from None
     names = texts + numbers
+    for key in names:
+        if key not in obj:
+            raise ValueError(f"{where}: missing field {key!r}")
+    # config_value turns an integer into a float and names the first field of a wrong kind
     kinds = (str,) * len(texts) + (float,) * len(numbers)
-    n = len(texts)
-    layout = re.compile(_layout(texts, numbers)).fullmatch  # compiled on the first call, then cached by re
-    for lineno, line in read_lines(path):
-        if (m := layout(line)) is not None:  # the groups are the texts' values and the numbers' JSON text
-            values = m.groups()
-            values = values[:n] + tuple(map(float, values[n:]))
-            if math.isfinite(sum(values[n:])):  # else a number overflows, which the decoded line names
-                yield lineno, values
-                continue
-        elif not line.strip():
-            continue
-        where = f"{path}: line {lineno}"
-        try:
-            obj = json_object_line(line)
-        except ValueError as exc:
-            raise ValueError(f"{where}: {exc}") from None
-        for key in names:
-            if key not in obj:
-                raise ValueError(f"{where}: missing field {key!r}")
-        # config_value turns an integer into a float and names the first field of a wrong kind
-        yield lineno, [config_value(obj, key, kind, where) for key, kind in zip(names, kinds)]
+    return [config_value(obj, key, kind, where) for key, kind in zip(names, kinds)]
 
 
 def _layout(texts: tuple[str, ...], numbers: tuple[str, ...]) -> str:

@@ -25,7 +25,6 @@ ALLOWED_SUMS = sorted([
     # checks: a finite sum means finite terms whatever the order, and _validate prints the total it tests
     ("grids", "_read_ordered", "check"),
     ("optimizer", "solve_weights", "check"),
-    ("sentiment", "_records", "check"),
     ("sentiment", "_validate", "check"),
     # integer counts, exact in any order
     ("backtest", "trade_statistics", "integer count"),

@@ -1,13 +1,14 @@
 """The JSON-lines readers against the decode-every-line reference, and the writers' lines against the layout.
 
-read_articles and _records (under read_scored and PrescoredProvider.from_file)
-take a line in the layout json.dumps writes by one pattern match and decode any
-other. Drawn files mix that layout with the forms that must fall through to the
-decoder; each reader must give what tests/jsonl_reference.py gives, value for
-value (compared by repr, so that the sign of a zero counts), diagnostic for
-diagnostic and message for message. The writers' own lines, and the committed
-and generated input files, must take the pattern: a writer whose layout drifted
-would lose the gain without failing any other test.
+read_articles, read_scored and PrescoredProvider.from_file each take a line in
+the layout json.dumps writes by one pattern match and decode any other, the
+last two through sentiment._decoded. Drawn files mix that layout with the forms
+that must fall through to the decoder; each reader must give what
+tests/jsonl_reference.py gives, value for value (compared by repr, so that the
+sign of a zero counts), diagnostic for diagnostic and message for message. The
+writers' own lines, and the committed and generated input files, must take the
+pattern: a writer whose layout drifted would lose the gain without failing any
+other test.
 """
 
 from __future__ import annotations
@@ -44,8 +45,11 @@ TEXT = st.sampled_from(["word"] * 16 + ["empty", "special", "any"]).flatmap(lamb
     else st.tuples(st.sampled_from(WORDS), st.sampled_from(SPECIAL)).map("".join) if kind == "special"
     else st.text(st.sampled_from("ab äZ" + SPECIAL), max_size=5)))
 SELDOM = st.sampled_from([False] * 9 + [True])  # Hypothesis draws the ends of integers(0, 9) often
+# the stamps of 25 characters pass parse_timestamp's separator test; the ones ending in Z or z are then read by
+# its trailing-Z rule, and the month 13 and the hour 24 by fromisoformat's range checks
 STAMPS = st.sampled_from(["2021-03-01T10:00:00+01:00", "2021-03-01T10:00:00Z", "2021-03-01 10:00+0100",
-                          "2021-03-01T10:00:00", "kein datum", ""])
+                          "2021-03-01T10:00:00", "kein datum", "", "2021-03-01T10:00:00+01:0Z",
+                          "2021-03-01T10:00:00+01:0z", "2021-13-01T10:00:00+01:00", "2021-03-01T24:00:00+01:00"])
 # JSON number texts: the writers' floats, integers, signed zeros, exponents, overflows, and forms JSON does not
 # take (an Arabic-Indic digit, which float() reads, included)
 NUMBERS = st.one_of(

@@ -17,6 +17,7 @@ import contextlib
 import hashlib
 import io
 import json
+import math
 import shutil
 import sys
 import tempfile
@@ -301,6 +302,23 @@ def repeated_company_signal_inputs(dest: Path) -> None:
         fh.write("beta,0.1\n")
 
 
+def tie_at_fill_stop_inputs(dest: Path, nudge: bool = False) -> None:
+    """The golden prices and backtest config, and the golden daily sentiment with luftfracht's adjusted value
+    on 2021-03-01 set to industriewerk's, 0.541.
+
+    From all-zero weights the first day's fill gives the cap to the nine names of the highest sentiment and
+    stops in the tenth, where these two tie at slope 0.541 - delta; the tie goes to industriewerk, the first
+    by company id. With nudge, luftfracht's value is one ulp above 0.541, and the fill stops in luftfracht.
+    """
+    for name in ("prices.csv", "backtest_config.json"):
+        shutil.copy(GOLDEN / name, dest / name)
+    value = math.nextafter(0.541, 1.0) if nudge else 0.541
+    lines = (GOLDEN / "expected_daily_sentiment.csv").read_text(encoding="utf-8").splitlines(keepends=True)
+    lines = [f"2021-03-01,luftfracht,0.538,1,1.0,{value!r}\n" if line.startswith("2021-03-01,luftfracht,")
+             else line for line in lines]
+    (dest / "daily.csv").write_text("".join(lines), encoding="utf-8")
+
+
 def golden_run(dest: Path) -> None:
     golden_daily(dest)
     run_commands(dest, GOLDEN_BACKTEST_ARGV)
@@ -358,6 +376,7 @@ CASES = {
                              REPORT_OUTPUTS),
     "report/missing-summary": (golden_run_without_summary, REPORT_ARGV, REPORT_OUTPUTS),
     "filter/mixed-case-headlines": (mixed_case_headlines_inputs, FILTER_ARGV, FILTER_OUTPUTS),
+    "backtest/tie-at-fill-stop": (tie_at_fill_stop_inputs, GOLDEN_BACKTEST_ARGV, BACKTEST_OUTPUTS),
 }
 
 
@@ -365,10 +384,11 @@ def sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def run_case(name: str, work: Path) -> dict:
-    """The exit code and the digests of one case, run in the empty directory work."""
-    write_inputs, argv, outputs = CASES[name]
-    write_inputs(work)
+def run_case(name: str, work: Path, write_inputs=None) -> dict:
+    """The exit code and the digests of one case, run in the empty directory work; write_inputs, if given,
+    writes the inputs in place of the case's own."""
+    case_inputs, argv, outputs = CASES[name]
+    (write_inputs or case_inputs)(work)
     stderr = io.StringIO()
     with contextlib.chdir(work), contextlib.redirect_stderr(stderr):
         code = main(list(argv))
@@ -379,6 +399,14 @@ def run_case(name: str, work: Path) -> dict:
 @pytest.mark.parametrize("name", CASES)
 def test_outputs_match_their_digests(name, tmp_path):
     assert run_case(name, tmp_path) == json.loads(DIGESTS.read_text(encoding="utf-8"))[name]
+
+
+def test_a_one_ulp_nudge_at_the_fill_stop_changes_every_backtest_output(tmp_path):
+    """The tie case's digests see the tie-break: luftfracht one ulp up takes the tenth name's weight."""
+    want = json.loads(DIGESTS.read_text(encoding="utf-8"))["backtest/tie-at-fill-stop"]
+    moved = run_case("backtest/tie-at-fill-stop", tmp_path, lambda dest: tie_at_fill_stop_inputs(dest, nudge=True))
+    assert moved["exit"] == 0
+    assert [out for out in BACKTEST_OUTPUTS if moved[out] == want[out]] == []
 
 
 def test_every_digest_has_a_case():
